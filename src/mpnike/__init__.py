@@ -29,7 +29,7 @@ from .errors import (
 )
 from .kgc import KeyPair, Keystore, keygen, new_keystore, verify_pair
 from .nike import GroupKeyState, join, kdf, shared_key
-from .numt import ModulusCtx, Rng, count_mod_exps
+from .numt import Rng, count_mod_exps
 from .params import (
     MasterSecret,
     PublicParams,
@@ -56,7 +56,6 @@ __all__ = [
     "KeyPair",
     "Keystore",
     "MasterSecret",
-    "ModulusCtx",
     "MpnikeError",
     "NotAuthorized",
     "NotCoprime",

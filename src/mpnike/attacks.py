@@ -24,7 +24,6 @@ from typing import Callable, Iterable, Optional, Sequence
 from . import nike, numt
 from .errors import InvalidInput, NotCoprime
 from .kgc import KeyPair
-from .numt import ModulusCtx
 from .params import PublicParams
 
 
@@ -40,33 +39,20 @@ def bezout_pos(x: int, y: int) -> tuple[int, int, int]:
     return g, a, b
 
 
-def fiat_naor_combine(N: int, e_i: int, d_i: int, e_j: int, d_j: int) -> tuple[int, int]:
-    """Euclidean combination (c, d_i**s * d_j**t) with c = gcd(e_i, e_j).
-
-    When c = 1 the second component is the scheme's master generator g;
-    in general it is g**c.
-    """
-    ctx = ModulusCtx(N)
-    c, s, t = numt.ext_gcd(e_i, e_j)
-    combined = (numt.mod_exp(d_i, s, ctx) * numt.mod_exp(d_j, t, ctx)) % N
-    return c, combined
-
-
 def fiat_naor_recover_g(N: int, e_i: int, d_i: int, e_j: int, d_j: int) -> int:
-    """Recover the Fiat-Naor master generator from two coprime-e colluders."""
-    c, combined = fiat_naor_combine(N, e_i, d_i, e_j, d_j)
+    """Recover the Fiat-Naor master generator from two coprime-e colluders.
+
+    s*e_i + t*e_j = 1 gives d_i**s * d_j**t = g**(s*e_i + t*e_j) = g mod N.
+    """
+    c, s, t = numt.ext_gcd(e_i, e_j)
     if c != 1:
         raise NotCoprime(f"colluder exponents share gcd {c}")
-    return combined
+    return (numt.mod_exp(d_i, s, N) * numt.mod_exp(d_j, t, N)) % N
 
 
 def fiat_naor_forge_key(N: int, g: int, member_es: Iterable[int]) -> int:
     """Group key for any member set, computed from the recovered g."""
-    ctx = ModulusCtx(N)
-    K = g % N
-    for e in dict.fromkeys(member_es):
-        K = numt.mod_exp(K, e, ctx)
-    return K
+    return numt.exp_chain(g, member_es, N)
 
 
 def eskeland_recover_u(e_i: int, d_i: int, e_j: int, d_j: int) -> int:
@@ -91,11 +77,7 @@ def eskeland_forge_group_key(
     z*u + v*phi and g has order dividing lambda(N) | phi: only the
     residues mod phi(N) survive.
     """
-    ctx = ModulusCtx(N)
-    K = numt.mod_exp(g, u_prime, ctx)
-    for e in dict.fromkeys(target_es):
-        K = numt.mod_exp(K, e, ctx)
-    return K
+    return numt.exp_chain(numt.mod_exp(g, u_prime, N), target_es, N)
 
 
 @dataclass(frozen=True)
@@ -134,11 +116,8 @@ def proposed_scheme_attack_probe(
     ordered = sorted(pairs, key=lambda kp: kp.e)
     kp_i, kp_j = ordered[0], ordered[1]
     c, a, b = bezout_pos(kp_i.e, kp_j.e)
-    ctx = pp.ctx
-    combined_d = (numt.mod_exp(kp_i.d, a, ctx) * numt.mod_exp(kp_j.d, -b, ctx)) % pp.N
-    F = combined_d
-    for e in dict.fromkeys(target_es):
-        F = numt.mod_exp(F, e, ctx)
+    combined_d = (numt.mod_exp(kp_i.d, a, pp.N) * numt.mod_exp(kp_j.d, -b, pp.N)) % pp.N
+    F = numt.exp_chain(combined_d, target_es, pp.N)
     forged_K = nike.kdf(pp, F)
     return ProbeReport(
         e_i=kp_i.e,

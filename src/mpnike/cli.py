@@ -22,12 +22,6 @@ from .numt import Rng, count_mod_exps
 _FP_TAG = b"MPNIKE-FP"
 
 
-def _rng(args: argparse.Namespace) -> Rng:
-    if getattr(args, "seed", None) is None:
-        return Rng()
-    return Rng(int(args.seed, 16))
-
-
 def _emit(args: argparse.Namespace, items: list[tuple[str, str]]):
     for key, value in items:
         if args.format == "line-record":
@@ -47,23 +41,27 @@ def _split_ids(raw: str) -> list[str]:
     return ids
 
 
-def _load_store(args: argparse.Namespace, pp: params.PublicParams) -> kgc.Keystore:
-    return kgc.store_load(args.keystore, pp)
-
-
-def _resolve_group(
-    args: argparse.Namespace, store: kgc.Keystore, pp: params.PublicParams
-) -> tuple[int, ...]:
+def _member_view(
+    args: argparse.Namespace,
+) -> tuple[params.PublicParams, kgc.Keystore, kgc.KeyPair, list[int]]:
+    """(params, keystore, --user's pair, the other members' public keys)."""
+    pp = params.load_public(args.params)
+    store = kgc.store_load(args.keystore, pp)
+    pair = store.pair(args.user)
     if bool(args.group) == bool(args.group_file):
         raise InvalidInput("supply exactly one of --group / --group-file")
     if args.group_file:
-        return nike.load_group(args.group_file, pp)
-    return tuple(sorted(store.public_key(u) for u in _split_ids(args.group)))
+        members = nike.load_group(args.group_file, pp)
+    else:
+        members = tuple(sorted(store.public_key(u) for u in _split_ids(args.group)))
+    if pair.e not in members:
+        raise InvalidInput(f"user {args.user!r} is not in the group")
+    return pp, store, pair, [e for e in members if e != pair.e]
 
 
 def cmd_setup(args: argparse.Namespace) -> int:
     level = params.security_level(args.security, args.toy_bits)
-    pp, msk = params.setup(level, _rng(args))
+    pp, msk = params.setup(level, Rng(args.seed))
     params.save_public(pp, args.params)
     params.save_master(pp, msk, args.msk)
     _emit(
@@ -89,7 +87,7 @@ def cmd_issue(args: argparse.Namespace) -> int:
         store = kgc.store_load(args.keystore, pp)
     else:
         store = kgc.new_keystore(pp)
-    pair = kgc.keygen(pp, msk, store, args.user, _rng(args))
+    pair = kgc.keygen(pp, msk, store, args.user, Rng(args.seed))
     kgc.store_save(store, args.keystore)
     items = [("user", pair.user_id), ("e", numt.int_to_hex(pair.e))]
     if args.reveal:
@@ -99,13 +97,7 @@ def cmd_issue(args: argparse.Namespace) -> int:
 
 
 def cmd_derive(args: argparse.Namespace) -> int:
-    pp = params.load_public(args.params)
-    store = _load_store(args, pp)
-    pair = store.pair(args.user)
-    members = _resolve_group(args, store, pp)
-    if pair.e not in members:
-        raise InvalidInput(f"user {args.user!r} is not in the group")
-    others = [e for e in members if e != pair.e]
+    pp, _, pair, others = _member_view(args)
     state = nike.shared_key(pp, pair, others)
     if args.write_group:
         nike.save_group(pp, state.members, args.write_group)
@@ -120,14 +112,8 @@ def cmd_derive(args: argparse.Namespace) -> int:
 
 
 def cmd_join(args: argparse.Namespace) -> int:
-    pp = params.load_public(args.params)
-    store = _load_store(args, pp)
-    pair = store.pair(args.user)
-    members = _resolve_group(args, store, pp)
-    if pair.e not in members:
-        raise InvalidInput(f"user {args.user!r} is not in the group")
+    pp, store, pair, others = _member_view(args)
     e_new = store.public_key(args.new)
-    others = [e for e in members if e != pair.e]
     state = nike.shared_key(pp, pair, others)
     grown = nike.join(pp, state, e_new)
     # single-exponentiation join must agree with a from-scratch derivation
@@ -145,10 +131,10 @@ def cmd_join(args: argparse.Namespace) -> int:
 
 def cmd_broadcast_encrypt(args: argparse.Namespace) -> int:
     pp = params.load_public(args.params)
-    store = _load_store(args, pp)
+    store = kgc.store_load(args.keystore, pp)
     with open(args.infile, "rb") as fh:
         message = fh.read()
-    bc = broadcast.brod_encrypt(store, pp, _split_ids(args.authorized), message, _rng(args))
+    bc = broadcast.brod_encrypt(store, pp, _split_ids(args.authorized), message, Rng(args.seed))
     broadcast.ct_save(bc, args.outfile)
     _emit(
         args,
@@ -163,8 +149,7 @@ def cmd_broadcast_encrypt(args: argparse.Namespace) -> int:
 
 def cmd_broadcast_decrypt(args: argparse.Namespace) -> int:
     pp = params.load_public(args.params)
-    store = _load_store(args, pp)
-    pair = store.pair(args.user)
+    pair = kgc.store_load(args.keystore, pp).pair(args.user)
     bc = broadcast.ct_load(args.infile)
     message = broadcast.brod_decrypt(pp, pair, bc)
     with open(args.outfile, "wb") as fh:
@@ -190,7 +175,7 @@ def cmd_validate(args: argparse.Namespace) -> int:
 
 
 def _attack_fiatnaor(args: argparse.Namespace) -> int:
-    rng = _rng(args)
+    rng = Rng(args.seed)
     fn = legacy.fn_setup(args.bits or 24, rng)
     colluder_i = legacy.fn_keygen(fn, rng)
     colluder_j = legacy.fn_keygen(fn, rng)
@@ -223,7 +208,7 @@ def _attack_fiatnaor(args: argparse.Namespace) -> int:
 
 
 def _attack_eskeland(args: argparse.Namespace) -> int:
-    rng = _rng(args)
+    rng = Rng(args.seed)
     esk = legacy.esk_setup(args.bits or 64, rng)
     exps = []
     while len(exps) < 2 + args.group_size:
@@ -261,7 +246,7 @@ def _attack_eskeland(args: argparse.Namespace) -> int:
 
 
 def _attack_probe(args: argparse.Namespace) -> int:
-    rng = _rng(args)
+    rng = Rng(args.seed)
     level = params.security_level(args.security, args.toy_bits)
     pp, msk = params.setup(level, rng)
     store = kgc.new_keystore(pp)
@@ -308,22 +293,23 @@ def cmd_attack(args: argparse.Namespace) -> int:
 
 
 def _parse_range(raw: str) -> tuple[int, int]:
+    """lo:hi with 2 <= lo < hi; the cost-law fit needs at least two sizes."""
     lo_s, _, hi_s = raw.partition(":")
     try:
-        lo, hi = int(lo_s), int(hi_s or lo_s)
+        lo, hi = int(lo_s), int(hi_s)
     except ValueError:
         raise InvalidInput(f"bad party range {raw!r}") from None
-    if lo < 2 or hi < lo:
-        raise InvalidInput(f"bad party range {raw!r}")
+    if lo < 2 or hi <= lo:
+        raise InvalidInput(f"bad party range {raw!r}: need lo:hi with 2 <= lo < hi")
     return lo, hi
 
 
 def cmd_bench(args: argparse.Namespace) -> int:
-    rng = _rng(args)
+    lo, hi = _parse_range(args.parties)
+    rng = Rng(args.seed)
     level = params.security_level(args.security, args.toy_bits)
     pp, msk = params.setup(level, rng)
     store = kgc.new_keystore(pp)
-    lo, hi = _parse_range(args.parties)
     pairs = [kgc.keygen(pp, msk, store, f"bench{i:03d}", rng) for i in range(hi)]
     es = [p.e for p in pairs]
     rows = []
@@ -363,13 +349,29 @@ def cmd_bench(args: argparse.Namespace) -> int:
     return 0 if counts_ok else 1
 
 
+def _hex(raw: str) -> int:
+    return int(raw, 16)
+
+
+def _int_from(lo: int):
+    """argparse type for an integer no smaller than lo."""
+
+    def parse(raw: str) -> int:
+        value = int(raw)
+        if value < lo:
+            raise argparse.ArgumentTypeError(f"must be >= {lo}, got {value}")
+        return value
+
+    return parse
+
+
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="mpnike",
         description="Multi-party non-interactive key exchange toolkit",
     )
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--seed", help="hex seed for deterministic runs")
+    common.add_argument("--seed", type=_hex, help="hex seed for deterministic runs")
     common.add_argument(
         "--format",
         choices=("text", "line-record"),
@@ -436,7 +438,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("attack", parents=[common], help="run an attack demonstration")
     p.add_argument("scheme", choices=("fiatnaor", "eskeland", "probe"))
     p.add_argument("--bits", type=int, help="legacy modulus bits")
-    p.add_argument("--group-size", type=int, default=3, help="target group size")
+    p.add_argument("--group-size", type=_int_from(2), default=3, help="target group size")
     p.add_argument("--security", choices=("toy", "80", "112", "128"), default="toy")
     p.add_argument("--toy-bits", type=int, default=64, help="probe modulus bits")
     p.set_defaults(func=cmd_attack)
@@ -450,7 +452,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--security", choices=("toy", "80", "112", "128"), default="80")
     p.add_argument("--toy-bits", type=int, default=16)
     p.add_argument("--parties", default="2:64", help="size range lo:hi")
-    p.add_argument("--reps", type=int, default=3)
+    p.add_argument("--reps", type=_int_from(1), default=3)
     p.add_argument("--csv", help="write per-size rows here")
     p.set_defaults(func=cmd_bench)
 

@@ -108,21 +108,17 @@ def fn_keygen(fn: FnParams, rng: Rng, e_bits: int = _E_BITS_DEFAULT) -> FnKeyPai
     raise ExhaustedAttempts("prime exponent space exhausted")
 
 
-def fn_shared_key(N: int, my_pair: FnKeyPair, others: Iterable[int]) -> int:
-    ctx = numt.ModulusCtx(N)
+def _peers(my_e: int, others: Iterable[int]) -> list[int]:
     peer_list = list(dict.fromkeys(others))
     if not peer_list:
         raise EmptyGroup("no other members supplied")
-    if my_pair.e in peer_list:
-        raise SelfInGroup(f"own exponent {my_pair.e} listed as a peer")
-    K = my_pair.d % N
-    for e in peer_list:
-        K = numt.mod_exp(K, e, ctx)
-    return K
+    if my_e in peer_list:
+        raise SelfInGroup(f"own exponent {my_e} listed as a peer")
+    return peer_list
 
 
-def fn_join(N: int, current_key: int, e_new: int) -> int:
-    return numt.mod_exp(current_key, e_new, numt.ModulusCtx(N))
+def fn_shared_key(N: int, my_pair: FnKeyPair, others: Iterable[int]) -> int:
+    return numt.exp_chain(my_pair.d, _peers(my_pair.e, others), N)
 
 
 @dataclass
@@ -173,13 +169,5 @@ def esk_keygen(esk: EskParams, e: int, rng: Rng, forced_v: Optional[int] = None)
 
 
 def esk_shared_key(N: int, g: int, my_pair: EskKeyPair, others: Iterable[int]) -> int:
-    ctx = numt.ModulusCtx(N)
-    peer_list = list(dict.fromkeys(others))
-    if not peer_list:
-        raise EmptyGroup("no other members supplied")
-    if my_pair.e in peer_list:
-        raise SelfInGroup(f"own exponent {my_pair.e} listed as a peer")
-    K = numt.mod_exp(g, my_pair.d, ctx)
-    for e in peer_list:
-        K = numt.mod_exp(K, e, ctx)
-    return K
+    peer_list = _peers(my_pair.e, others)
+    return numt.exp_chain(numt.mod_exp(g, my_pair.d, N), peer_list, N)

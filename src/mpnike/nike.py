@@ -49,7 +49,7 @@ def kdf(pp: PublicParams, F: int) -> bytes:
     """lambda-bit key: hash of tag plus F in fixed-width big-endian form."""
     if not 0 < F < pp.N:
         raise OutOfRange(f"group element must lie in (0, N), got {F}")
-    data = KDF_TAG + F.to_bytes(pp.ctx.byte_len, "big")
+    data = KDF_TAG + F.to_bytes((pp.N.bit_length() + 7) // 8, "big")
     digest = hashlib.new(pp.hash_id, data).digest()
     if pp.lambda_bits > 8 * len(digest) or pp.lambda_bits % 8:
         raise InvalidInput(f"lambda = {pp.lambda_bits} unusable with {pp.hash_id}")
@@ -71,10 +71,7 @@ def shared_key(pp: PublicParams, my_pair: KeyPair, others: Iterable[int]) -> Gro
         raise InvalidInput("private key out of range")
     if any(e < 2 for e in peer_list):
         raise InvalidInput("public keys must be >= 2")
-    ctx = pp.ctx
-    F = my_pair.d % pp.N
-    for e in peer_list:
-        F = numt.mod_exp(F, e, ctx)
+    F = numt.exp_chain(my_pair.d, peer_list, pp.N)
     if F == 1:
         raise DegenerateResult("group element collapsed to the identity")
     members = tuple(sorted(peer_list + [my_pair.e]))
@@ -87,7 +84,7 @@ def join(pp: PublicParams, state: GroupKeyState, e_new: int) -> GroupKeyState:
         raise AlreadyMember(f"public key {e_new} already in the group")
     if e_new < 2:
         raise InvalidInput("public keys must be >= 2")
-    F = numt.mod_exp(state.F, e_new, pp.ctx)
+    F = numt.mod_exp(state.F, e_new, pp.N)
     if F == 1:
         raise DegenerateResult("group element collapsed to the identity")
     members = tuple(sorted(state.members + (e_new,)))

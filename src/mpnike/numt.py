@@ -11,8 +11,7 @@ from __future__ import annotations
 import random
 import re
 from contextlib import contextmanager
-from dataclasses import dataclass, field
-from typing import Iterator, Optional
+from typing import Iterable, Iterator, Optional
 
 from .errors import ExhaustedAttempts, FormatError, InvalidInput, NotInvertible
 
@@ -69,19 +68,6 @@ class Rng:
 _SYSTEM_RNG = Rng()
 
 
-@dataclass(frozen=True)
-class ModulusCtx:
-    """A modulus plus its canonical byte width for fixed-length encodings."""
-
-    N: int
-    byte_len: int = field(init=False)
-
-    def __post_init__(self):
-        if self.N < 15 or self.N % 2 == 0:
-            raise InvalidInput(f"modulus must be odd and >= 15, got {self.N}")
-        object.__setattr__(self, "byte_len", (self.N.bit_length() + 7) // 8)
-
-
 class ModExpCounter:
     """Tally of modular exponentiations observed while active."""
 
@@ -132,19 +118,32 @@ def mod_inverse(a: int, n: int) -> int:
     return x % n
 
 
-def mod_exp(base: int, exp: int, ctx: ModulusCtx) -> int:
-    """base**exp mod ctx.N for any integer exponent.
+def mod_exp(base: int, exp: int, n: int) -> int:
+    """base**exp mod n for any integer exponent; n must be odd and >= 15.
 
     Negative exponents go through the modular inverse of the base, so a
-    base sharing a factor with N raises NotInvertible.
+    base sharing a factor with n raises NotInvertible.
     """
-    n = ctx.N
+    if n < 15 or n % 2 == 0:
+        raise InvalidInput(f"modulus must be odd and >= 15, got {n}")
     for counter in _ACTIVE_COUNTERS:
         counter.count += 1
     b = base % n
     if exp >= 0:
         return pow(b, exp, n)
     return pow(mod_inverse(b, n), -exp, n)
+
+
+def exp_chain(base: int, exps: Iterable[int], n: int) -> int:
+    """base ** (product of the distinct exps) mod n, one `mod_exp` per exponent.
+
+    Repeated exponents count once and order does not matter; the
+    per-exponent calls keep `count_mod_exps` exact.
+    """
+    result = base % n
+    for e in dict.fromkeys(exps):
+        result = mod_exp(result, e, n)
+    return result
 
 
 def is_probable_prime(n: int, rounds: int = _MR_ROUNDS, rng: Optional[Rng] = None) -> bool:

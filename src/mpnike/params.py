@@ -21,7 +21,7 @@ from math import gcd
 
 from . import numt
 from .errors import ExhaustedAttempts, FormatError, InvalidInput
-from .numt import ModulusCtx, Rng
+from .numt import Rng
 
 _LEVEL_BITS = {"80": 1024, "112": 2048, "128": 3072}
 DEFAULT_LAMBDA_BITS = 256
@@ -63,10 +63,6 @@ class PublicParams:
     lambda_bits: int
     m: int
     gamma: str
-
-    @property
-    def ctx(self) -> ModulusCtx:
-        return ModulusCtx(self.N)
 
 
 @dataclass(frozen=True)
@@ -160,6 +156,11 @@ def _check_forced(primes: tuple[int, int, int]) -> tuple[int, int, int, int, int
     return p, z, q, p_prime, q_prime
 
 
+def _has_order(x: int, order: int, primes: tuple[int, ...], N: int) -> bool:
+    """x has multiplicative order exactly `order` mod N, given its prime factors."""
+    return pow(x, order, N) == 1 and all(pow(x, order // r, N) != 1 for r in primes)
+
+
 def find_generator(p: int, z: int, q: int, N: int, rng: Rng, budget: int = 1000) -> int:
     """Generator of the order p*z*q subgroup mod N.
 
@@ -167,21 +168,13 @@ def find_generator(p: int, z: int, q: int, N: int, rng: Rng, budget: int = 1000)
     order 4*p*z*q); a candidate is accepted once no proper divisor of
     p*z*q annihilates it.
     """
-    pzq = p * z * q
     for _ in range(budget):
         x = rng.randrange(2, N)
         if gcd(x, N) != 1:
             continue
         c = pow(x, 4, N)
-        if c == 1:
-            continue
-        if pow(c, pzq // p, N) == 1:
-            continue
-        if pow(c, pzq // z, N) == 1:
-            continue
-        if pow(c, pzq // q, N) == 1:
-            continue
-        return c
+        if _has_order(c, p * z * q, (p, z, q), N):
+            return c
     raise ExhaustedAttempts(f"no subgroup generator found in {budget} draws")
 
 
@@ -297,21 +290,9 @@ def validate(pp: PublicParams, msk: MasterSecret) -> ValidationReport:
     pzq = p * z * q
     g = msk.g
     check("g_in_group", 1 < g < N and gcd(g, N) == 1)
-    check(
-        "g_order_pzq",
-        pow(g, pzq, N) == 1
-        and pow(g, pzq // p, N) != 1
-        and pow(g, pzq // z, N) != 1
-        and pow(g, pzq // q, N) != 1,
-    )
-    zq = z * q
+    check("g_order_pzq", _has_order(g, pzq, (p, z, q), N))
     check("g_p_value", pp.g_p == pow(g, p, N) and pp.g_p != 1)
-    check(
-        "g_p_order_zq",
-        pow(pp.g_p, zq, N) == 1
-        and pow(pp.g_p, zq // z, N) != 1
-        and pow(pp.g_p, zq // q, N) != 1,
-    )
+    check("g_p_order_zq", _has_order(pp.g_p, z * q, (z, q), N))
     check("m_matches", pp.m == pzq.bit_length(), f"m = {pp.m}, bitlen = {pzq.bit_length()}")
     try:
         digest_bits = 8 * hashlib.new(pp.hash_id).digest_size

@@ -164,8 +164,9 @@ class TestWireFormat:
         sender = store.pair("user001")
         state = nike.shared_key(pp, sender, [store.records["user002"].e])
         assert state.K not in raw
-        assert state.F.to_bytes(pp.ctx.byte_len, "big") not in raw
-        assert sender.d.to_bytes(pp.ctx.byte_len, "big") not in raw
+        width = (pp.N.bit_length() + 7) // 8
+        assert state.F.to_bytes(width, "big") not in raw
+        assert sender.d.to_bytes(width, "big") not in raw
 
     @pytest.mark.parametrize(
         "mangle",

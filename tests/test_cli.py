@@ -1,4 +1,6 @@
 import os
+import subprocess
+import sys
 
 import pytest
 
@@ -320,3 +322,29 @@ class TestHygiene:
 
     def test_msk_file_permissions(self, ws):
         assert os.stat(ws["msk"]).st_mode & 0o777 == 0o600
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["attack", "fiatnaor", "--seed", "zz"],
+        ["attack", "probe", "--group-size", "0"],
+        ["attack", "probe", "--group-size", "-1"],
+        ["attack", "eskeland", "--group-size", "0"],
+        ["bench", "--reps", "0"],
+        ["bench", "--parties", "5:5"],
+    ],
+    ids=" ".join,
+)
+def test_bad_arguments_exit_without_traceback(argv):
+    src = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "mpnike", *argv],
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, PYTHONPATH=path),
+        timeout=120,
+    )
+    assert proc.returncode in (1, 2), proc.stderr
+    assert "Traceback" not in proc.stderr

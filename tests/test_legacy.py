@@ -26,11 +26,6 @@ class TestFiatNaor:
         assert ka == kb == 18  # 2^35 mod 35
         assert ka == slow_pow(2, 35, 35)
 
-    def test_join_matches_rederivation(self):
-        a = FnKeyPair(e=5, d=32)
-        k2 = legacy.fn_shared_key(35, a, [7])
-        assert legacy.fn_join(35, k2, 11) == legacy.fn_shared_key(35, a, [7, 11])
-
     def test_setup_properties(self):
         rng = Rng(31)
         fn = legacy.fn_setup(20, rng)

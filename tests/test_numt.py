@@ -2,76 +2,93 @@ import math
 
 import pytest
 import sympy
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mpnike import numt
 from mpnike.errors import ExhaustedAttempts, FormatError, InvalidInput, NotInvertible
-from mpnike.numt import ModulusCtx, Rng, count_mod_exps, ext_gcd, mod_exp
+from mpnike.numt import Rng, count_mod_exps, exp_chain, ext_gcd, mod_exp
 
 from oracles import sieve, slow_pow
 
-CTX35 = ModulusCtx(35)
 
-
-class TestModulusCtx:
-    def test_byte_len(self):
-        assert ModulusCtx(35).byte_len == 1
-        assert ModulusCtx(257).byte_len == 2
-        assert ModulusCtx((1 << 1023) + 1).byte_len == 128
-
+class TestModExp:
     def test_rejects_bad_moduli(self):
         for bad in (14, 16, 0, -35, 100):
             with pytest.raises(InvalidInput):
-                ModulusCtx(bad)
+                mod_exp(2, 3, bad)
 
-
-class TestModExp:
     def test_known_values(self):
-        assert mod_exp(2, 5, CTX35) == 32
-        assert mod_exp(2, 0, CTX35) == 1
-        assert mod_exp(0, 0, CTX35) == 1
-        assert mod_exp(5, 1, CTX35) == 5
+        assert mod_exp(2, 5, 35) == 32
+        assert mod_exp(2, 0, 35) == 1
+        assert mod_exp(0, 0, 35) == 1
+        assert mod_exp(5, 1, 35) == 5
         # 23^-1 = 32 mod 35, and 32^2 = 1024 = 9 mod 35
-        assert mod_exp(23, -2, CTX35) == 9
+        assert mod_exp(23, -2, 35) == 9
 
     def test_matches_slow_oracle(self):
         rng = Rng(1)
-        ctx = ModulusCtx(101)
         for _ in range(200):
             b = rng.randrange(0, 101)
             e = rng.randrange(0, 50)
-            assert mod_exp(b, e, ctx) == slow_pow(b, e, 101)
+            assert mod_exp(b, e, 101) == slow_pow(b, e, 101)
 
     def test_negative_exponent_inverts(self):
         rng = Rng(2)
-        ctx = ModulusCtx(35341)
+        n = 35341
         for _ in range(100):
-            b = rng.randrange(2, ctx.N)
-            if math.gcd(b, ctx.N) != 1:
+            b = rng.randrange(2, n)
+            if math.gcd(b, n) != 1:
                 continue
             e = rng.randrange(1, 500)
-            assert (mod_exp(b, e, ctx) * mod_exp(b, -e, ctx)) % ctx.N == 1
+            assert (mod_exp(b, e, n) * mod_exp(b, -e, n)) % n == 1
 
     def test_base_reduced_mod_n(self):
-        assert mod_exp(37, 3, CTX35) == mod_exp(2, 3, CTX35)
+        assert mod_exp(37, 3, 35) == mod_exp(2, 3, 35)
 
     def test_not_invertible_carries_factor(self):
         with pytest.raises(NotInvertible) as exc:
-            mod_exp(5, -1, CTX35)
+            mod_exp(5, -1, 35)
         assert exc.value.factor == 5
-        assert CTX35.N % exc.value.factor == 0
+        assert 35 % exc.value.factor == 0
 
     def test_counter(self):
         with count_mod_exps() as outer:
-            mod_exp(2, 5, CTX35)
+            mod_exp(2, 5, 35)
             with count_mod_exps() as inner:
-                mod_exp(2, 5, CTX35)
-                mod_exp(3, 5, CTX35)
-            mod_exp(2, 5, CTX35)
+                mod_exp(2, 5, 35)
+                mod_exp(3, 5, 35)
+            mod_exp(2, 5, 35)
         assert inner.count == 2
         assert outer.count == 4
         with count_mod_exps() as fresh:
             pass
         assert fresh.count == 0
+
+
+odd_moduli = st.integers(min_value=7, max_value=1 << 64).map(lambda k: 2 * k + 1)
+bases = st.integers(min_value=0, max_value=1 << 70)
+exponent_lists = st.lists(st.integers(min_value=0, max_value=1 << 20), max_size=6)
+
+
+class TestExpChain:
+    @settings(max_examples=200, deadline=None)
+    @given(n=odd_moduli, base=bases, exps=exponent_lists)
+    def test_equals_one_pow_of_distinct_product(self, n, base, exps):
+        assert exp_chain(base, exps, n) == pow(base, math.prod(set(exps)), n)
+
+    @settings(max_examples=200, deadline=None)
+    @given(n=odd_moduli, base=bases, exps=exponent_lists, data=st.data())
+    def test_order_and_repetition_do_not_matter(self, n, base, exps, data):
+        shuffled = data.draw(st.permutations(exps + exps[: len(exps) // 2]))
+        assert exp_chain(base, shuffled, n) == exp_chain(base, exps, n)
+
+    @settings(max_examples=200, deadline=None)
+    @given(n=odd_moduli, base=bases, exps=exponent_lists)
+    def test_one_mod_exp_per_distinct_exponent(self, n, base, exps):
+        with count_mod_exps() as counter:
+            exp_chain(base, exps + exps, n)
+        assert counter.count == len(set(exps))
 
 
 class TestExtGcd:
