@@ -21,7 +21,7 @@ from typing import Iterable
 from cryptography.exceptions import InvalidTag
 from cryptography.hazmat.primitives.ciphers.aead import AESGCM
 
-from . import kgc, nike, params
+from . import artifact, kgc, nike, params
 from .errors import (
     AuthFailure,
     FormatError,
@@ -173,7 +173,10 @@ def ct_from_bytes(data: bytes) -> BroadcastCiphertext:
     if len(version_raw) != 2 or int.from_bytes(version_raw, "big") != FORMAT_VERSION:
         raise FormatError(f"unsupported format version {version_raw.hex()}")
     params_ref = take().hex()
-    count = int.from_bytes(take(), "big")
+    count_raw = take()
+    if len(count_raw) != 4:
+        raise FormatError("member count must be 4 bytes")
+    count = int.from_bytes(count_raw, "big")
     authorized = []
     for _ in range(count):
         raw = take()
@@ -194,10 +197,8 @@ def ct_from_bytes(data: bytes) -> BroadcastCiphertext:
 
 
 def ct_save(bc: BroadcastCiphertext, path: str):
-    with open(path, "wb") as fh:
-        fh.write(ct_to_bytes(bc))
+    artifact.write(path, ct_to_bytes(bc))
 
 
 def ct_load(path: str) -> BroadcastCiphertext:
-    with open(path, "rb") as fh:
-        return ct_from_bytes(fh.read())
+    return ct_from_bytes(artifact.read(path))

@@ -15,7 +15,7 @@ import sys
 import time
 from typing import Optional, Sequence
 
-from . import attacks, broadcast, kgc, legacy, nike, numt, params
+from . import artifact, attacks, broadcast, kgc, legacy, nike, numt, params
 from .errors import InvalidInput, MpnikeError, ParamsMismatch
 from .numt import Rng, count_mod_exps
 
@@ -132,8 +132,7 @@ def cmd_join(args: argparse.Namespace) -> int:
 def cmd_broadcast_encrypt(args: argparse.Namespace) -> int:
     pp = params.load_public(args.params)
     store = kgc.store_load(args.keystore, pp)
-    with open(args.infile, "rb") as fh:
-        message = fh.read()
+    message = artifact.read(args.infile)
     bc = broadcast.brod_encrypt(store, pp, _split_ids(args.authorized), message, Rng(args.seed))
     broadcast.ct_save(bc, args.outfile)
     _emit(
@@ -152,8 +151,7 @@ def cmd_broadcast_decrypt(args: argparse.Namespace) -> int:
     pair = kgc.store_load(args.keystore, pp).pair(args.user)
     bc = broadcast.ct_load(args.infile)
     message = broadcast.brod_decrypt(pp, pair, bc)
-    with open(args.outfile, "wb") as fh:
-        fh.write(message)
+    artifact.write(args.outfile, message, private=True)
     _emit(args, [("plaintext_bytes", str(len(message))), ("out_file", args.outfile)])
     return 0
 
@@ -332,10 +330,8 @@ def cmd_bench(args: argparse.Namespace) -> int:
     slope, _ = statistics.linear_regression(sizes, times)
     r2 = statistics.correlation(sizes, times) ** 2
     if args.csv:
-        with open(args.csv, "w", encoding="utf-8") as fh:
-            fh.write("parties,mod_exps,seconds\n")
-            for size, count, secs in rows:
-                fh.write(f"{size},{count},{secs:.9f}\n")
+        body = "".join(f"{size},{count},{secs:.9f}\n" for size, count, secs in rows)
+        artifact.write(args.csv, "parties,mod_exps,seconds\n" + body)
     _emit(
         args,
         [
@@ -365,97 +361,72 @@ def _int_from(lo: int):
     return parse
 
 
+def _parent(*flags: str, **kwargs) -> argparse.ArgumentParser:
+    """Parent parser declaring one argument, shared by the subcommands that take it."""
+    parent = argparse.ArgumentParser(add_help=False)
+    parent.add_argument(*flags, **kwargs)
+    return parent
+
+
+def _level(default: str, toy_bits: int) -> argparse.ArgumentParser:
+    parent = _parent("--security", choices=("toy", "80", "112", "128"), default=default)
+    parent.add_argument("--toy-bits", type=int, default=toy_bits, help="modulus bits (toy only)")
+    return parent
+
+
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="mpnike",
         description="Multi-party non-interactive key exchange toolkit",
     )
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--seed", type=_hex, help="hex seed for deterministic runs")
+    common = _parent("--seed", type=_hex, help="hex seed for deterministic runs")
     common.add_argument(
         "--format",
         choices=("text", "line-record"),
         default="text",
         help="output style (default: text)",
     )
+    pfile = _parent("--params", required=True, help="public parameter file")
+    msk = _parent("--msk", required=True, help="master secret file")
+    store = _parent("--keystore", required=True, help="keystore file (issue creates it)")
+    user = _parent("--user", required=True, help="acting member's user id")
+    group = _parent("--group", help="comma-separated user ids (full group)")
+    group.add_argument("--group-file", help="group descriptor file instead of --group")
+    reveal = _parent("--reveal", action="store_true", help="print the private or derived key")
+    io = _parent("--in", dest="infile", required=True)
+    io.add_argument("--out", dest="outfile", required=True)
+    member = (pfile, store, user)
     sub = ap.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("setup", parents=[common], help="generate parameters")
-    p.add_argument("--security", choices=("toy", "80", "112", "128"), default="80")
-    p.add_argument("--toy-bits", type=int, default=16, help="modulus bits at toy level")
-    p.add_argument("--params", required=True, help="public parameter file to write")
-    p.add_argument("--msk", required=True, help="master secret file to write")
-    p.set_defaults(func=cmd_setup)
+    def command(name: str, func, summary: str, *parents: argparse.ArgumentParser):
+        p = sub.add_parser(name, parents=[common, *parents], help=summary)
+        p.set_defaults(func=func)
+        return p
 
-    p = sub.add_parser("issue", parents=[common], help="issue a member key pair")
-    p.add_argument("--params", required=True)
-    p.add_argument("--msk", required=True)
-    p.add_argument("--keystore", required=True, help="created if missing")
-    p.add_argument("--user", required=True)
-    p.add_argument("--reveal", action="store_true", help="print the private key")
-    p.set_defaults(func=cmd_issue)
-
-    p = sub.add_parser("derive", parents=[common], help="derive a group key")
-    p.add_argument("--params", required=True)
-    p.add_argument("--keystore", required=True)
-    p.add_argument("--user", required=True, help="deriving member")
-    p.add_argument("--group", help="comma-separated user ids (full group)")
-    p.add_argument("--group-file", help="group descriptor file instead of --group")
+    command("setup", cmd_setup, "generate parameters", _level("80", 16), pfile, msk)
+    command("issue", cmd_issue, "issue a member key pair", *member, msk, reveal)
+    p = command("derive", cmd_derive, "derive a group key", *member, group, reveal)
     p.add_argument("--write-group", help="write a group descriptor here")
-    p.add_argument("--reveal", action="store_true", help="print the derived key")
-    p.set_defaults(func=cmd_derive)
-
-    p = sub.add_parser("join", parents=[common], help="grow a group by one member")
-    p.add_argument("--params", required=True)
-    p.add_argument("--keystore", required=True)
-    p.add_argument("--user", required=True, help="deriving member")
-    p.add_argument("--group", help="comma-separated user ids (full group)")
-    p.add_argument("--group-file", help="group descriptor file instead of --group")
+    p = command("join", cmd_join, "grow a group by one member", *member, group, reveal)
     p.add_argument("--new", required=True, help="joining user id")
-    p.add_argument("--reveal", action="store_true", help="print the derived key")
-    p.set_defaults(func=cmd_join)
-
-    p = sub.add_parser(
-        "broadcast-encrypt", parents=[common], help="encrypt to an authorized set"
+    p = command(
+        "broadcast-encrypt", cmd_broadcast_encrypt, "encrypt to an authorized set",
+        pfile, store, io,
     )
-    p.add_argument("--params", required=True)
-    p.add_argument("--keystore", required=True)
     p.add_argument("--authorized", required=True, help="comma-separated user ids")
-    p.add_argument("--in", dest="infile", required=True)
-    p.add_argument("--out", dest="outfile", required=True)
-    p.set_defaults(func=cmd_broadcast_encrypt)
-
-    p = sub.add_parser(
-        "broadcast-decrypt", parents=[common], help="decrypt as an authorized user"
+    command(
+        "broadcast-decrypt", cmd_broadcast_decrypt, "decrypt as an authorized user",
+        *member, io,
     )
-    p.add_argument("--params", required=True)
-    p.add_argument("--keystore", required=True)
-    p.add_argument("--user", required=True)
-    p.add_argument("--in", dest="infile", required=True)
-    p.add_argument("--out", dest="outfile", required=True)
-    p.set_defaults(func=cmd_broadcast_decrypt)
-
-    p = sub.add_parser("attack", parents=[common], help="run an attack demonstration")
+    p = command("attack", cmd_attack, "run an attack demonstration", _level("toy", 64))
     p.add_argument("scheme", choices=("fiatnaor", "eskeland", "probe"))
     p.add_argument("--bits", type=int, help="legacy modulus bits")
     p.add_argument("--group-size", type=_int_from(2), default=3, help="target group size")
-    p.add_argument("--security", choices=("toy", "80", "112", "128"), default="toy")
-    p.add_argument("--toy-bits", type=int, default=64, help="probe modulus bits")
-    p.set_defaults(func=cmd_attack)
-
-    p = sub.add_parser("validate", parents=[common], help="check a parameter set")
-    p.add_argument("--params", required=True)
-    p.add_argument("--msk", required=True)
-    p.set_defaults(func=cmd_validate)
-
-    p = sub.add_parser("bench", parents=[common], help="derivation cost law")
-    p.add_argument("--security", choices=("toy", "80", "112", "128"), default="80")
-    p.add_argument("--toy-bits", type=int, default=16)
+    command("validate", cmd_validate, "check a parameter set", pfile, msk)
+    p = command("bench", cmd_bench, "derivation cost law", _level("80", 16))
     p.add_argument("--parties", default="2:64", help="size range lo:hi")
     p.add_argument("--reps", type=_int_from(1), default=3)
     p.add_argument("--csv", help="write per-size rows here")
-    p.set_defaults(func=cmd_bench)
-
     return ap
 
 

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from typing import Optional
 
-from . import numt
+from . import artifact, numt
 from .errors import (
     CollisionBudgetExceeded,
     DuplicateUser,
@@ -161,36 +161,25 @@ def verify_pair(pp: PublicParams, msk: MasterSecret, e: int, d: int) -> bool:
 
 
 def store_save(store: Keystore, path: str, include_exponents: bool = True):
-    """Tab-separated rows sorted by user id; y/k written as '-' if redacted."""
-    lines = [f"{_STORE_HEADER}\t{store.params_ref}\n"]
+    """Tab-separated rows sorted by user id; y/k written as '-' if redacted; mode 0600."""
+    rows = []
     for user_id in sorted(store.records):
         r = store.records[user_id]
         y = numt.int_to_hex(r.y) if include_exponents and r.y is not None else "-"
         k = numt.int_to_hex(r.k) if include_exponents and r.k is not None else "-"
-        lines.append(
-            "\t".join(
-                (user_id, numt.int_to_hex(r.e), numt.int_to_hex(r.d), y, k, r.issued_at)
-            )
-            + "\n"
+        rows.append(
+            "\t".join((user_id, numt.int_to_hex(r.e), numt.int_to_hex(r.d), y, k, r.issued_at))
         )
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.writelines(lines)
+    artifact.write_bound(path, _STORE_HEADER, store.params_ref, rows, private=True)
 
 
 def store_load(path: str, pp: Optional[PublicParams] = None) -> Keystore:
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = fh.read().splitlines()
-    if not lines:
-        raise FormatError(f"{path}: empty keystore file")
-    header = lines[0].split("\t")
-    if len(header) != 2 or header[0] != _STORE_HEADER:
-        raise FormatError(f"{path}: bad header line")
-    params_ref = header[1]
-    if pp is not None and params_ref != params_digest(pp):
-        raise ParamsMismatch(f"{path}: keystore was issued under other parameters")
+    params_ref, lines = artifact.read_bound(
+        path, _STORE_HEADER, None if pp is None else params_digest(pp)
+    )
     store = Keystore(params_ref=params_ref)
     seen_e: set[int] = set()
-    for lineno, line in enumerate(lines[1:], 2):
+    for lineno, line in enumerate(lines, 2):
         cols = line.split("\t")
         if len(cols) != 6:
             raise FormatError(f"{path}:{lineno}: expected 6 tab-separated fields")

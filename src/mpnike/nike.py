@@ -18,7 +18,7 @@ import hashlib
 from dataclasses import dataclass, field
 from typing import Iterable, Optional
 
-from . import numt
+from . import artifact, numt
 from .errors import (
     AlreadyMember,
     DegenerateResult,
@@ -26,7 +26,6 @@ from .errors import (
     FormatError,
     InvalidInput,
     OutOfRange,
-    ParamsMismatch,
     SelfInGroup,
 )
 from .kgc import KeyPair
@@ -96,23 +95,14 @@ def save_group(pp: PublicParams, members: Iterable[int], path: str):
     member_list = sorted(set(members))
     if not member_list:
         raise EmptyGroup("refusing to write an empty group descriptor")
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(f"{_GROUP_HEADER}\t{params_digest(pp)}\n")
-        for e in member_list:
-            fh.write(numt.int_to_hex(e) + "\n")
+    artifact.write_bound(path, _GROUP_HEADER, params_digest(pp), map(numt.int_to_hex, member_list))
 
 
 def load_group(path: str, pp: Optional[PublicParams] = None) -> tuple[int, ...]:
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = fh.read().splitlines()
-    if not lines:
-        raise FormatError(f"{path}: empty group descriptor")
-    header = lines[0].split("\t")
-    if len(header) != 2 or header[0] != _GROUP_HEADER:
-        raise FormatError(f"{path}: bad header line")
-    if pp is not None and header[1] != params_digest(pp):
-        raise ParamsMismatch(f"{path}: descriptor bound to other parameters")
-    members = [numt.hex_to_int(line) for line in lines[1:]]
+    _, lines = artifact.read_bound(path, _GROUP_HEADER, None if pp is None else params_digest(pp))
+    members = [numt.hex_to_int(line) for line in lines]
+    if not members:
+        raise FormatError(f"{path}: no members")
     if len(set(members)) != len(members):
         raise FormatError(f"{path}: duplicate members")
     if members != sorted(members):

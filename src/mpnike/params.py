@@ -15,11 +15,10 @@ bitlen(p' * q') == M.
 from __future__ import annotations
 
 import hashlib
-import os
 from dataclasses import dataclass, field
 from math import gcd
 
-from . import numt
+from . import artifact, numt
 from .errors import ExhaustedAttempts, FormatError, InvalidInput
 from .numt import Rng
 
@@ -30,7 +29,8 @@ TOY_MIN_BITS = 16
 FILE_VERSION = 1
 
 _PUBLIC_FIELDS = ("version", "gamma", "n", "g_p", "hash_id", "lambda", "m")
-_MASTER_FIELDS = _PUBLIC_FIELDS + ("p", "z", "q", "g", "p_prime", "q_prime")
+_SECRET_FIELDS = ("p", "z", "q", "g", "p_prime", "q_prime")
+_MASTER_FIELDS = _PUBLIC_FIELDS + _SECRET_FIELDS
 
 
 @dataclass(frozen=True)
@@ -294,18 +294,26 @@ def validate(pp: PublicParams, msk: MasterSecret) -> ValidationReport:
     check("g_p_value", pp.g_p == pow(g, p, N) and pp.g_p != 1)
     check("g_p_order_zq", _has_order(pp.g_p, z * q, (z, q), N))
     check("m_matches", pp.m == pzq.bit_length(), f"m = {pp.m}, bitlen = {pzq.bit_length()}")
-    try:
-        digest_bits = 8 * hashlib.new(pp.hash_id).digest_size
-        check("hash_known", True, pp.hash_id)
-    except ValueError:
-        digest_bits = 0
-        check("hash_known", False, pp.hash_id)
+    digest_bits = _digest_bits(pp.hash_id)
+    check("hash_known", digest_bits > 0, pp.hash_id)
     check(
         "lambda_fits",
-        0 < pp.lambda_bits <= digest_bits and pp.lambda_bits % 8 == 0,
+        _lambda_fits(pp.lambda_bits, digest_bits),
         f"lambda = {pp.lambda_bits}, digest = {digest_bits}",
     )
     return ValidationReport(tuple(checks))
+
+
+def _digest_bits(hash_id: str) -> int:
+    """Digest width of hash_id in bits; 0 when hashlib has no such fixed-width hash."""
+    try:
+        return 8 * hashlib.new(hash_id).digest_size
+    except ValueError:
+        return 0
+
+
+def _lambda_fits(lambda_bits: int, digest_bits: int) -> bool:
+    return 0 < lambda_bits <= digest_bits and lambda_bits % 8 == 0
 
 
 def _render(fields: tuple[str, ...], values: dict[str, str]) -> str:
@@ -331,14 +339,7 @@ def render_public(pp: PublicParams) -> str:
 
 def render_master(pp: PublicParams, msk: MasterSecret) -> str:
     values = _public_values(pp)
-    values.update(
-        p=numt.int_to_hex(msk.p),
-        z=numt.int_to_hex(msk.z),
-        q=numt.int_to_hex(msk.q),
-        g=numt.int_to_hex(msk.g),
-        p_prime=numt.int_to_hex(msk.p_prime),
-        q_prime=numt.int_to_hex(msk.q_prime),
-    )
+    values.update((k, numt.int_to_hex(getattr(msk, k))) for k in _SECRET_FIELDS)
     return _render(_MASTER_FIELDS, values)
 
 
@@ -369,45 +370,36 @@ def _parse_kv(text: str, fields: tuple[str, ...], path: str) -> dict[str, str]:
 def _params_from_values(values: dict[str, str], path: str) -> PublicParams:
     if numt.hex_to_int(values["version"]) != FILE_VERSION:
         raise FormatError(f"{path}: unsupported version {values['version']!r}")
+    digest_bits = _digest_bits(values["hash_id"])
+    if not digest_bits:
+        raise FormatError(f"{path}: unsupported hash_id {values['hash_id']!r}")
+    lambda_bits = numt.hex_to_int(values["lambda"])
+    if not _lambda_fits(lambda_bits, digest_bits):
+        raise FormatError(f"{path}: lambda {lambda_bits} unusable with {values['hash_id']}")
     return PublicParams(
         N=numt.hex_to_int(values["n"]),
         g_p=numt.hex_to_int(values["g_p"]),
         hash_id=values["hash_id"],
-        lambda_bits=numt.hex_to_int(values["lambda"]),
+        lambda_bits=lambda_bits,
         m=numt.hex_to_int(values["m"]),
         gamma=values["gamma"],
     )
 
 
 def save_public(pp: PublicParams, path: str):
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(render_public(pp))
+    artifact.write(path, render_public(pp))
 
 
 def load_public(path: str) -> PublicParams:
-    with open(path, "r", encoding="utf-8") as fh:
-        text = fh.read()
-    return _params_from_values(_parse_kv(text, _PUBLIC_FIELDS, path), path)
+    return _params_from_values(_parse_kv(artifact.read_text(path), _PUBLIC_FIELDS, path), path)
 
 
 def save_master(pp: PublicParams, msk: MasterSecret, path: str):
-    """Master file is the public file plus the five secrets; mode 0600."""
-    fd = os.open(path, os.O_WRONLY | os.O_CREAT | os.O_TRUNC, 0o600)
-    with os.fdopen(fd, "w", encoding="utf-8") as fh:
-        fh.write(render_master(pp, msk))
+    """Master file is the public file plus the secrets; always mode 0600."""
+    artifact.write(path, render_master(pp, msk), private=True)
 
 
 def load_master(path: str) -> tuple[PublicParams, MasterSecret]:
-    with open(path, "r", encoding="utf-8") as fh:
-        text = fh.read()
-    values = _parse_kv(text, _MASTER_FIELDS, path)
+    values = _parse_kv(artifact.read_text(path), _MASTER_FIELDS, path)
     pp = _params_from_values(values, path)
-    msk = MasterSecret(
-        p=numt.hex_to_int(values["p"]),
-        z=numt.hex_to_int(values["z"]),
-        q=numt.hex_to_int(values["q"]),
-        g=numt.hex_to_int(values["g"]),
-        p_prime=numt.hex_to_int(values["p_prime"]),
-        q_prime=numt.hex_to_int(values["q_prime"]),
-    )
-    return pp, msk
+    return pp, MasterSecret(**{k: numt.hex_to_int(values[k]) for k in _SECRET_FIELDS})

@@ -1,4 +1,6 @@
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from mpnike import broadcast, kgc, nike, params
 from mpnike.errors import (
@@ -10,6 +12,16 @@ from mpnike.errors import (
     UnknownUser,
 )
 from mpnike.numt import Rng
+
+
+# byte edits of a valid ciphertext: (kind, position, byte)
+EDITS = st.lists(
+    st.tuples(
+        st.sampled_from(("set", "insert", "delete")), st.integers(0, 1 << 16), st.integers(0, 255)
+    ),
+    min_size=1,
+    max_size=4,
+)
 
 
 @pytest.fixture(scope="module")
@@ -175,6 +187,7 @@ class TestWireFormat:
             lambda raw: raw[:-1],  # truncated
             lambda raw: raw + b"\x00",  # trailing
             lambda raw: raw[:8] + b"\x00\x00\x00\x02\x00\x02" + raw[14:],  # version
+            lambda raw: raw[:50] + b"\x00\x00\x00\x05\x00" + raw[54:],  # 5-byte count
         ],
     )
     def test_malformed_rejected(self, system, mangle):
@@ -194,3 +207,26 @@ class TestWireFormat:
         raw = broadcast.ct_to_bytes(bc).replace(good, padded, 1)
         with pytest.raises(FormatError):
             broadcast.ct_from_bytes(raw)
+
+    # the count section's length field is bytes 50..53, after the magic, the
+    # version section and the 32-byte digest section
+    @example([("set", 53, 5), ("insert", 54, 0)])  # 5-byte count with a leading zero
+    @settings(max_examples=300, deadline=None)
+    @given(edits=EDITS)
+    def test_accepted_bytes_reserialise_exactly(self, system, edits):
+        pp, _, store = system
+        bc = broadcast.brod_encrypt(store, pp, ["user001", "user002"], b"m", Rng(81))
+        raw = bytearray(broadcast.ct_to_bytes(bc))
+        for kind, pos, byte in edits:
+            pos %= len(raw) + 1
+            if kind == "insert":
+                raw.insert(pos, byte)
+            elif pos < len(raw) and kind == "set":
+                raw[pos] = byte
+            elif pos < len(raw):
+                del raw[pos]
+        try:
+            parsed = broadcast.ct_from_bytes(bytes(raw))
+        except FormatError:
+            return
+        assert broadcast.ct_to_bytes(parsed) == bytes(raw)

@@ -238,6 +238,7 @@ class TestGroupFiles:
             ["mpnike-group/1"],  # header missing digest
             None,  # filled in below: unsorted
             ["not-a-header\tx", "4"],
+            ["mpnike-group/1\tab"],  # header only: no members
         ],
     )
     def test_malformed(self, toy16, tmp_path, lines):

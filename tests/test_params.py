@@ -176,6 +176,10 @@ class TestFiles:
             lambda t: t.replace("n = ", "n =  "),  # malformed value (leading space)
             lambda t: t + "gamma = toy\n",  # duplicate key
             lambda t: "junk\n" + t,
+            lambda t: t.replace("hash_id = sha256", "hash_id = nosuch"),  # unknown hash
+            lambda t: t.replace("lambda = 100", "lambda = 108"),  # wider than the digest
+            lambda t: t.replace("lambda = 100", "lambda = 4"),  # not whole bytes
+            lambda t: t.replace("lambda = 100", "lambda = 0"),
         ],
     )
     def test_load_rejects_malformed(self, tmp_path, mutation):
