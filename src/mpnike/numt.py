@@ -185,14 +185,18 @@ def random_prime(
     rounds: int = _MR_ROUNDS,
     budget: Optional[int] = None,
 ) -> int:
-    """Uniform probable prime with the top bit set (exactly `bits` bits)."""
+    """Uniform probable prime with the top bit set (exactly `bits` bits).
+
+    Above 2 bits only odd candidates are drawn.
+    """
     if bits < 2:
         raise InvalidInput(f"need bits >= 2, got {bits}")
     if budget is None:
         budget = max(256, 96 * bits)
     top = 1 << (bits - 1)
+    low = int(bits > 2)  # 2 is the only even prime
     for _ in range(budget):
-        cand = rng.getrandbits(bits) | top
+        cand = rng.getrandbits(bits) | top | low
         if is_probable_prime(cand, rounds, rng):
             return cand
     raise ExhaustedAttempts(f"no {bits}-bit prime found in {budget} attempts")

@@ -7,15 +7,18 @@ stays secret, and only g_p = g**p mod N is published.  Raising g_p to
 anything collapses the p-component, which is what lets member keys hide
 the subgroup structure.
 
-Bit allocation targets an exact modulus width M: q' gets roughly M/3 bits
-and p' the rest, split evenly between p and z.  Searches re-draw q' until
-bitlen(p' * q') == M.
+Bit allocation targets an exact modulus width M: p' gets about 2M/3 bits,
+split evenly between p and z, and q' is searched only where
+bitlen(p' * q') == M.  Both searches look for a prime x with 2*m*x + 1
+prime (m = p for z, m = 1 for q) by one combined sieve.
 """
 
 from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass, field
+from functools import cache
+from itertools import compress
 from math import gcd
 
 from . import artifact, numt
@@ -77,66 +80,73 @@ class MasterSecret:
     q_prime: int
 
 
-def _bit_split(modulus_bits: int) -> tuple[int, int, int, int, int]:
-    """(p_bits, z_bits, q_bits, p'_bits, q'_bits) summing to the target."""
-    q_bits = (modulus_bits - 1) // 3
-    qp_bits = q_bits + 1
-    pp_bits = modulus_bits - qp_bits
-    pz_bits = pp_bits - 1
-    p_bits = (pz_bits + 1) // 2
-    z_bits = pz_bits - p_bits
-    return p_bits, z_bits, q_bits, pp_bits, qp_bits
+def _bit_split(modulus_bits: int) -> tuple[int, int, int]:
+    """(p_bits, z_bits, p'_bits): p' takes about 2/3 of the modulus, q' the rest."""
+    pp_bits = modulus_bits - (modulus_bits - 1) // 3 - 1
+    p_bits = pp_bits // 2
+    return p_bits, pp_bits - 1 - p_bits, pp_bits
 
 
 # searches run Miller-Rabin with few rounds to discard candidates cheaply;
 # setup re-certifies every surviving prime at full strength afterwards
 _SEARCH_ROUNDS = 2
+# combined sieve: odd candidates per window, and the bound on sieving primes
+_WINDOW = 1 << 16
+_SIEVE_BOUND = 1 << 16
 
 
-def _search_q_side(q_bits: int, rng: Rng, budget: int) -> tuple[int, int]:
-    """Find prime q with 2*q + 1 prime; bitlen(2q+1) == q_bits + 1 always."""
-    for _ in range(budget):
-        q = numt.random_prime(q_bits, rng, rounds=_SEARCH_ROUNDS)
-        cand = 2 * q + 1
-        if numt.is_probable_prime(cand, _SEARCH_ROUNDS, rng):
-            return q, cand
-    raise ExhaustedAttempts(f"no {q_bits}-bit q with prime 2q+1 in {budget} draws")
+@cache
+def _sieve_primes() -> tuple[int, ...]:
+    """Odd primes below _SIEVE_BOUND; built on the first search, not at import."""
+    return tuple(numt._sieve(_SIEVE_BOUND)[1:])
 
 
-def _search_p_side(
-    p_bits: int, z_bits: int, target_bits: int, rng: Rng, budget: int
-) -> tuple[int, int, int]:
-    """Find primes p, z with 2*p*z + 1 prime and exactly target_bits wide.
+def _sieve_window(x0: int, n: int, m: int) -> bytearray:
+    """Combined-sieve flags over x = x0 + 2i, i < n (Wiener, ePrint 2003/186).
 
-    Fixes p, then draws z only from the window that puts p*z inside
-    [2**(target_bits - 2), 2**(target_bits - 1)), so every surviving
-    candidate already has the right width.
+    flags[i] is 1 when neither x nor 2*m*x + 1 has an odd prime factor
+    r < x0; r < x0 keeps every candidate above r, so no prime is crossed off.
     """
-    tries = 0
-    while tries < budget:
-        p = numt.random_prime(p_bits, rng, rounds=_SEARCH_ROUNDS)
-        lo = max(1 << (z_bits - 1), -(-(1 << (target_bits - 2)) // p))
-        hi = min(1 << z_bits, ((1 << (target_bits - 1)) - 1) // p + 1)
-        if lo >= hi:
-            tries += 1
-            continue
-        for _ in range(512):
-            tries += 1
-            if tries > budget:
-                break
-            z = rng.randrange(lo, hi) | 1
-            if z >= hi or z == p:
-                continue
-            cand = 2 * p * z + 1
-            if cand.bit_length() != target_bits:
-                continue
-            if not numt.is_probable_prime(z, _SEARCH_ROUNDS, rng):
-                continue
-            if numt.is_probable_prime(cand, _SEARCH_ROUNDS, rng):
-                return p, z, cand
-    raise ExhaustedAttempts(
-        f"no (p, z) with prime 2pz+1 of {target_bits} bits in {budget} draws"
-    )
+    flags = bytearray(b"\x01") * n
+    zeros = bytes(n)
+    for r in _sieve_primes():
+        if r >= x0:
+            break
+        half = (r + 1) // 2  # 1/2 mod r
+        i = -x0 * half % r  # first i with r | x
+        flags[i::r] = zeros[: (n - i + r - 1) // r]
+        if m % r:
+            i = (i - pow(4 * m, -1, r)) % r  # first i with r | 2*m*x + 1
+            flags[i::r] = zeros[: (n - i + r - 1) // r]
+    return flags
+
+
+def _pair_search(lo: int, hi: int, m: int, rng: Rng, budget: int) -> int:
+    """Prime x in [lo, hi) with 2*m*x + 1 also prime.
+
+    Each window of odd candidates starts at a random x0 and is combined-
+    sieved; Miller-Rabin screens survivors in order, x first.  Taking the
+    first hit after a random start favours primes after long gaps a little
+    (Brandt-Damgard, CRYPTO '92).  A range no wider than one window is swept
+    once.  The budget counts windows plus Miller-Rabin calls.
+    """
+    base = lo | 1
+    total = max(0, (hi - base + 1) // 2)
+    n = min(_WINDOW, total)
+    spent = 0
+    while spent < budget:
+        x0 = base + 2 * rng.randrange(0, total - n + 1)
+        spent += 1
+        for i in compress(range(n), _sieve_window(x0, n, m)):
+            x = x0 + 2 * i
+            spent += 1
+            if numt.is_probable_prime(x, _SEARCH_ROUNDS, rng):
+                spent += 1
+                if numt.is_probable_prime(2 * m * x + 1, _SEARCH_ROUNDS, rng):
+                    return x
+        if n == total:
+            break
+    raise ExhaustedAttempts(f"no prime x in [{lo}, {hi}) with 2*{m}*x + 1 prime")
 
 
 def _check_forced(primes: tuple[int, int, int]) -> tuple[int, int, int, int, int]:
@@ -182,41 +192,45 @@ def setup(
     level: SecurityLevel,
     rng: Rng,
     forced_primes: tuple[int, int, int] | None = None,
-    budget: int = 500_000,
+    budget: int | None = None,
 ) -> tuple[PublicParams, MasterSecret]:
     """Generate a parameter set for the given level.
 
     With forced_primes=(p, z, q) the search is skipped and only the
     structural constraints are enforced (the exact-width requirement does
-    not apply to forced toy instances).
+    not apply to forced toy instances).  `budget` bounds each prime-pair
+    search in sieve windows plus Miller-Rabin calls (default 8 per modulus
+    bit); a search that runs out is retried with a fresh p.
     """
     if forced_primes is not None:
         p, z, q, p_prime, q_prime = _check_forced(forced_primes)
     else:
         M = level.modulus_bits
-        p_bits, z_bits, q_bits, pp_bits, qp_bits = _bit_split(M)
-        found = False
+        budget = 8 * M if budget is None else budget
+        p_bits, z_bits, pp_bits = _bit_split(M)
         for _ in range(32):
-            p, z, p_prime = _search_p_side(p_bits, z_bits, pp_bits, rng, budget)
-            # the q side is cheap: re-draw it until the product width is
-            # exact, giving up on this p side only after several misses
-            for _ in range(16):
-                q, q_prime = _search_q_side(q_bits, rng, budget)
-                if len({p, z, q, p_prime, q_prime}) != 5:
-                    continue
-                if (p_prime * q_prime).bit_length() != M:
-                    continue
-                # certify at full strength what the search only screened
-                if all(
-                    numt.is_probable_prime(v, rng=rng)
-                    for v in (p, z, q, p_prime, q_prime)
-                ):
-                    found = True
-                    break
-            if found:
+            try:
+                p = numt.random_prime(p_bits, rng, rounds=_SEARCH_ROUNDS)
+                # z puts p*z in [2**(pp_bits-2), 2**(pp_bits-1)): p' has pp_bits bits
+                z_lo = max(1 << (z_bits - 1), -(-(1 << (pp_bits - 2)) // p))
+                z_hi = min(1 << z_bits, ((1 << (pp_bits - 1)) - 1) // p + 1)
+                z = _pair_search(z_lo, z_hi, p, rng, budget)
+                p_prime = 2 * p * z + 1
+                # q' = 2q + 1 in [2**(M-1) / p', 2**M / p'): N has exactly M bits
+                q_lo = -(-(1 << (M - 1)) // p_prime) // 2
+                q_hi = (((1 << M) - 1) // p_prime + 1) // 2
+                q = _pair_search(q_lo, q_hi, 1, rng, budget)
+            except ExhaustedAttempts:
+                continue
+            q_prime = 2 * q + 1
+            primes = (p, z, q, p_prime, q_prime)
+            # certify at full strength what the search only screened
+            if len(set(primes)) == 5 and all(
+                numt.is_probable_prime(v, rng=rng) for v in primes
+            ):
                 break
-        if not found:
-            raise ExhaustedAttempts(f"could not hit an exact {M}-bit modulus")
+        else:
+            raise ExhaustedAttempts(f"no {M}-bit parameter set in 32 attempts")
     N = p_prime * q_prime
     g = find_generator(p, z, q, N, rng)
     g_p = pow(g, p, N)

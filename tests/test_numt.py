@@ -166,6 +166,16 @@ class TestRandomPrime:
         with pytest.raises(ExhaustedAttempts):
             numt.random_prime(32, Rng(7), budget=0)
 
+    def test_draws_only_odd_candidates(self, monkeypatch):
+        seen = []
+        real = numt.is_probable_prime
+        monkeypatch.setattr(
+            numt, "is_probable_prime", lambda n, *a: seen.append(n) or real(n, *a)
+        )
+        for bits in (3, 9, 64, 341):
+            numt.random_prime(bits, Rng(bits))
+        assert len(seen) > 4 and all(n % 2 for n in seen)
+
     def test_rejects_tiny_width(self):
         with pytest.raises(InvalidInput):
             numt.random_prime(1, Rng(8))

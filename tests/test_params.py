@@ -1,7 +1,11 @@
+import math
 import os
 from dataclasses import replace
 
 import pytest
+import sympy
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mpnike import numt, params
 from mpnike.errors import ExhaustedAttempts, FormatError, InvalidInput
@@ -103,6 +107,90 @@ class TestRandomSetup:
         assert pp.gamma == "80"
         report = params.validate(pp, msk)
         assert report.ok, report.failures()
+
+
+class TestCombinedSieve:
+    @settings(max_examples=50, deadline=None)
+    @given(
+        x0=st.one_of(
+            st.integers(1, 1 << 20), st.integers(1 << 1023, (1 << 1024) - 1)
+        ).map(lambda v: v | 1),
+        n=st.integers(0, 400),
+        m=st.one_of(
+            st.just(1),
+            st.sampled_from([3, 5, 7, 11, 13, 65537]),
+            st.integers(2, 1 << 512).map(sympy.nextprime),
+        ),
+    )
+    def test_survivors_are_exactly_the_coprime_pairs(self, x0, n, m):
+        # one gcd against the product of the sieving primes below x0
+        P = math.prod(r for r in params._sieve_primes() if r < x0)
+        flags = params._sieve_window(x0, n, m)
+        assert len(flags) == n
+        for i in range(n):
+            x = x0 + 2 * i
+            assert flags[i] == (math.gcd(x * (2 * m * x + 1), P) == 1), (x0, i, m)
+
+    def test_sieving_primes_are_the_odd_primes_below_the_bound(self):
+        assert params._sieve_primes() == tuple(sympy.primerange(3, params._SIEVE_BOUND))
+
+    def test_search_returns_a_pair_in_range(self):
+        for m in (1, 5, 104729):
+            x = params._pair_search(1 << 40, 1 << 41, m, Rng(m), 10_000)
+            assert (1 << 40) <= x < (1 << 41)
+            assert sympy.isprime(x) and sympy.isprime(2 * m * x + 1)
+
+    def test_narrow_range_is_swept_once(self):
+        # 25 and 27 are composite: one window covers the range, then it gives up
+        with pytest.raises(ExhaustedAttempts):
+            params._pair_search(24, 28, 1, Rng(1), 10**9)
+        assert params._pair_search(24, 30, 1, Rng(1), 10**9) == 29  # 59 is prime
+
+    def test_empty_range_and_zero_budget(self):
+        with pytest.raises(ExhaustedAttempts):
+            params._pair_search(100, 100, 1, Rng(1), 10**9)
+        with pytest.raises(ExhaustedAttempts):
+            params._pair_search(1 << 40, 1 << 41, 1, Rng(1), 0)
+
+
+class TestSearchCost:
+    @pytest.mark.parametrize("bits", [16, 17, 20, 23, 32, 48, 64, 96])
+    def test_toy_widths_exact_valid_deterministic(self, bits):
+        lvl = security_level("toy", bits)
+        for seed in range(4):
+            pp, msk = params.setup(lvl, Rng(seed))
+            assert pp.N.bit_length() == bits
+            report = params.validate(pp, msk)
+            assert report.ok, report.failures()
+            assert params.setup(lvl, Rng(seed)) == (pp, msk)
+
+    def test_exhausted_p_side_is_retried(self, monkeypatch):
+        real = params._pair_search
+        calls = []
+
+        def unlucky_once(*args):
+            calls.append(args)
+            if len(calls) == 1:
+                raise ExhaustedAttempts("no z in this window")
+            return real(*args)
+
+        monkeypatch.setattr(params, "_pair_search", unlucky_once)
+        pp, msk = params.setup(security_level("toy", 64), Rng(3))
+        assert calls[0][2] != 1 and len(calls) >= 3  # p side raised, then a full retry
+        assert pp.N.bit_length() == 64
+        assert params.validate(pp, msk).ok
+
+    def test_level80_prime_tests_bounded(self, monkeypatch):
+        # machine-independent guard: the sieve-less search needed ~186k per set
+        calls = []
+        real = numt.is_probable_prime
+        monkeypatch.setattr(
+            numt, "is_probable_prime", lambda n, *a, **k: calls.append(n) or real(n, *a, **k)
+        )
+        pp, msk = params.setup(security_level("80"), Rng(2))
+        assert len(calls) <= 20_000
+        assert pp.N.bit_length() == 1024
+        assert params.validate(pp, msk).ok
 
 
 class TestFindGenerator:
