@@ -51,8 +51,14 @@ def write_bound(path: str, tag: str, digest: str, lines: Iterable[str], private:
 
 
 def read_bound(path: str, tag: str, digest: Optional[str] = None) -> tuple[str, list[str]]:
-    """(header digest, body lines); the digest must match when one is given."""
-    lines = read_text(path).splitlines()
+    """(header digest, body lines); the digest must match when one is given.
+
+    Lines end in "\n" only (a user id may hold any other line break), and
+    the last line must end in one too.
+    """
+    lines = read_text(path).split("\n")
+    if lines.pop():
+        raise FormatError(f"{path}: last line has no newline")
     header = lines[0].split("\t") if lines else []
     if len(header) != 2 or header[0] != tag:
         raise FormatError(f"{path}: missing or bad {tag} header line")

@@ -19,12 +19,11 @@ values so the unknown exponents cancel.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterable, Optional, Sequence
+from typing import Iterable, Sequence
 
-from . import nike, numt
+from . import kgc, nike, numt
 from .errors import InvalidInput, NotCoprime
-from .kgc import KeyPair
-from .params import PublicParams
+from .params import MasterSecret, PublicParams
 
 
 def bezout_pos(x: int, y: int) -> tuple[int, int, int]:
@@ -89,27 +88,27 @@ class ProbeReport:
     gcd: int
     a: int
     b: int
-    combined_e: int
     combined_d: int
     forged_F: int
     forged_K: bytes
-    combined_passes_audit: Optional[bool]
-    matches_honest: Optional[bool]
+    combined_passes_audit: bool
+    matches_honest: bool
 
 
 def proposed_scheme_attack_probe(
     pp: PublicParams,
-    pairs: Sequence[KeyPair],
+    msk: MasterSecret,
+    pairs: Sequence[kgc.KeyPair],
     target_es: Iterable[int],
-    honest_key: Optional[bytes] = None,
-    pair_checker: Optional[Callable[[int, int], bool]] = None,
+    honest_key: bytes,
 ) -> ProbeReport:
     """Run the two-colluder Euclidean pipeline against the main scheme.
 
     Combines the two lowest-e colluders into (gcd, d_i**a * d_j**-b) and
     derives a forged key for target_es with it.  The combined pair is
-    expected to pass the issuer audit (pair_checker) while the forged key
-    fails to match honest_key, since gcd >= 2 for honestly issued keys.
+    expected to pass the issuer audit (kgc.verify_pair under msk) while the
+    forged key fails to match honest_key, since gcd >= 2 for honestly
+    issued keys.
     """
     if len(pairs) < 2:
         raise InvalidInput("need at least two colluding key pairs")
@@ -125,12 +124,9 @@ def proposed_scheme_attack_probe(
         gcd=c,
         a=a,
         b=b,
-        combined_e=c,
         combined_d=combined_d,
         forged_F=F,
         forged_K=forged_K,
-        combined_passes_audit=(
-            None if pair_checker is None else bool(pair_checker(c, combined_d))
-        ),
-        matches_honest=(None if honest_key is None else forged_K == honest_key),
+        combined_passes_audit=kgc.verify_pair(pp, msk, c, combined_d),
+        matches_honest=forged_K == honest_key,
     )

@@ -254,13 +254,7 @@ def _attack_probe(args: argparse.Namespace) -> int:
     ]
     target_es = [t.e for t in targets]
     honest = nike.shared_key(pp, targets[0], target_es[1:])
-    report = attacks.proposed_scheme_attack_probe(
-        pp,
-        colluders,
-        target_es,
-        honest_key=honest.K,
-        pair_checker=lambda e, d: kgc.verify_pair(pp, msk, e, d),
-    )
+    report = attacks.proposed_scheme_attack_probe(pp, msk, colluders, target_es, honest.K)
     verdict = "MATCH" if report.matches_honest else "NO-MATCH"
     _emit(
         args,

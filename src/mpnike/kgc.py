@@ -14,7 +14,6 @@ through d == g_p**(e * p^-1 mod z*q) (mod N).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from datetime import datetime, timezone
 from typing import Optional
 
 from . import artifact, numt
@@ -29,7 +28,7 @@ from .errors import (
 from .numt import Rng
 from .params import MasterSecret, PublicParams, params_digest
 
-_STORE_HEADER = "mpnike-keystore/1"
+_STORE_HEADER = "mpnike-keystore/2"
 _COLLISION_BUDGET = 16
 MAX_USER_ID_BYTES = 256
 
@@ -43,37 +42,20 @@ class KeyPair:
     d: int = field(repr=False)
 
 
-@dataclass(frozen=True)
-class IssuanceRecord:
-    """Keystore row; y and k are retained for audit unless redacted."""
-
-    user_id: str
-    e: int
-    d: int = field(repr=False)
-    y: Optional[int] = field(repr=False, default=None)
-    k: Optional[int] = field(repr=False, default=None)
-    issued_at: str = ""
-
-    def pair(self) -> KeyPair:
-        return KeyPair(self.user_id, self.e, self.d)
-
-
 @dataclass
 class Keystore:
     """Issuer-side database, bound to one parameter set by digest."""
 
     params_ref: str
-    records: dict[str, IssuanceRecord] = field(default_factory=dict)
+    records: dict[str, KeyPair] = field(default_factory=dict)
 
     def pair(self, user_id: str) -> KeyPair:
         if user_id not in self.records:
             raise UnknownUser(user_id)
-        return self.records[user_id].pair()
+        return self.records[user_id]
 
     def public_key(self, user_id: str) -> int:
-        if user_id not in self.records:
-            raise UnknownUser(user_id)
-        return self.records[user_id].e
+        return self.pair(user_id).e
 
 
 def new_keystore(pp: PublicParams) -> Keystore:
@@ -134,17 +116,9 @@ def keygen(
     if e is None:
         raise CollisionBudgetExceeded(f"could not find a fresh e for {user_id!r}")
     assert e % 2 == 0
-    d = pow(msk.g, msk.p * y, pp.N)
-    record = IssuanceRecord(
-        user_id=user_id,
-        e=e,
-        d=d,
-        y=y,
-        k=k,
-        issued_at=datetime.now(timezone.utc).isoformat(timespec="seconds"),
-    )
-    store.records[user_id] = record
-    return record.pair()
+    pair = KeyPair(user_id, e, pow(msk.g, msk.p * y, pp.N))
+    store.records[user_id] = pair
+    return pair
 
 
 def verify_pair(pp: PublicParams, msk: MasterSecret, e: int, d: int) -> bool:
@@ -160,16 +134,12 @@ def verify_pair(pp: PublicParams, msk: MasterSecret, e: int, d: int) -> bool:
     return pow(pp.g_p, (e * p_inv) % zq, pp.N) == d % pp.N
 
 
-def store_save(store: Keystore, path: str, include_exponents: bool = True):
-    """Tab-separated rows sorted by user id; y/k written as '-' if redacted; mode 0600."""
-    rows = []
-    for user_id in sorted(store.records):
-        r = store.records[user_id]
-        y = numt.int_to_hex(r.y) if include_exponents and r.y is not None else "-"
-        k = numt.int_to_hex(r.k) if include_exponents and r.k is not None else "-"
-        rows.append(
-            "\t".join((user_id, numt.int_to_hex(r.e), numt.int_to_hex(r.d), y, k, r.issued_at))
-        )
+def store_save(store: Keystore, path: str):
+    """Tab-separated `user_id, e, d` rows sorted by user id; mode 0600."""
+    rows = (
+        f"{u}\t{numt.int_to_hex(r.e)}\t{numt.int_to_hex(r.d)}"
+        for u, r in sorted(store.records.items())
+    )
     artifact.write_bound(path, _STORE_HEADER, store.params_ref, rows, private=True)
 
 
@@ -179,24 +149,22 @@ def store_load(path: str, pp: Optional[PublicParams] = None) -> Keystore:
     )
     store = Keystore(params_ref=params_ref)
     seen_e: set[int] = set()
+    previous = ""
     for lineno, line in enumerate(lines, 2):
         cols = line.split("\t")
-        if len(cols) != 6:
-            raise FormatError(f"{path}:{lineno}: expected 6 tab-separated fields")
-        user_id, e_hex, d_hex, y_hex, k_hex, issued_at = cols
-        _check_user_id(user_id)
-        if user_id in store.records:
-            raise FormatError(f"{path}:{lineno}: duplicate user id {user_id!r}")
+        if len(cols) != 3:
+            raise FormatError(f"{path}:{lineno}: expected 3 tab-separated fields")
+        user_id, e_hex, d_hex = cols
+        try:
+            _check_user_id(user_id)
+        except InvalidInput as exc:
+            raise FormatError(f"{path}:{lineno}: {exc}") from None
+        if user_id <= previous:
+            raise FormatError(f"{path}:{lineno}: user id {user_id!r} duplicate or out of order")
+        previous = user_id
         e = numt.hex_to_int(e_hex)
         if e in seen_e:
             raise FormatError(f"{path}:{lineno}: duplicate public key")
         seen_e.add(e)
-        store.records[user_id] = IssuanceRecord(
-            user_id=user_id,
-            e=e,
-            d=numt.hex_to_int(d_hex),
-            y=None if y_hex == "-" else numt.hex_to_int(y_hex),
-            k=None if k_hex == "-" else numt.hex_to_int(k_hex),
-            issued_at=issued_at,
-        )
+        store.records[user_id] = KeyPair(user_id, e, numt.hex_to_int(d_hex))
     return store

@@ -1,4 +1,5 @@
 import pytest
+from hypothesis import strategies as st
 
 import acceptance_log
 from mpnike import kgc, legacy, params
@@ -6,6 +7,29 @@ from mpnike.numt import Rng
 
 MASTER_SEED = 20260814
 FAST_1024_SEED = 9
+
+# byte edits of a valid artifact: (kind, position, byte)
+EDITS = st.lists(
+    st.tuples(
+        st.sampled_from(("set", "insert", "delete")), st.integers(0, 1 << 16), st.integers(0, 255)
+    ),
+    min_size=1,
+    max_size=4,
+)
+
+
+def apply_edits(raw: bytes, edits) -> bytes:
+    """raw with each (kind, position, byte) edit applied; positions wrap."""
+    out = bytearray(raw)
+    for kind, pos, byte in edits:
+        pos %= len(out) + 1
+        if kind == "insert":
+            out.insert(pos, byte)
+        elif pos < len(out) and kind == "set":
+            out[pos] = byte
+        elif pos < len(out):
+            del out[pos]
+    return bytes(out)
 
 
 def pytest_terminal_summary(terminalreporter, exitstatus, config):

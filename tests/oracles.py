@@ -46,3 +46,16 @@ def closed_form_group_element(msk, N: int, ys: list[int]) -> int:
     for y in ys:
         exp = (exp * y) % pzq
     return pow(msk.g, exp, N)
+
+
+def issuance_exponents(msk, e: int) -> tuple[int, int]:
+    """(y, k) with e = p*y + z*q*k, recovered from e and the master secret.
+
+    y < z*q always (y has about m/2 bits, z*q about 2m/3), so y is the
+    residue e * p^-1 mod z*q and k is what remains.
+    """
+    zq = msk.z * msk.q
+    y = e * pow(msk.p, -1, zq) % zq
+    k, rest = divmod(e - msk.p * y, zq)
+    assert rest == 0 and 0 < y < zq and k > 0
+    return y, k

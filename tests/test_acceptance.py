@@ -77,7 +77,7 @@ def test_criterion_02_closed_form_oracle(toy16, toy16_users):
     checked = 0
     for size in range(2, 6):
         for combo in itertools.combinations(six, size):
-            ys = [store.records[kp.user_id].y for kp in combo]
+            ys = [oracles.issuance_exponents(msk, kp.e)[0] for kp in combo]
             expected = oracles.closed_form_group_element(msk, pp.N, ys)
             for me in combo:
                 peer_es = [kp.e for kp in combo if kp is not me]
@@ -235,13 +235,7 @@ def test_criterion_06_probe_never_matches(toy64):
             honest = nike.shared_key(pp, targets[0], target_es[1:])
         except DegenerateResult:
             continue
-        report = attacks.proposed_scheme_attack_probe(
-            pp,
-            colluders,
-            target_es,
-            honest_key=honest.K,
-            pair_checker=lambda e, d: kgc.verify_pair(pp, msk, e, d),
-        )
+        report = attacks.proposed_scheme_attack_probe(pp, msk, colluders, target_es, honest.K)
         trials += 1
         if report.gcd < 2:
             failures.append(f"trial {trials}: colluder gcd {report.gcd} below 2")
@@ -403,10 +397,8 @@ def test_criterion_10_cli_determinism(tmp_path, capsys):
             name, _, value = line.partition("=")
             if name == "key":
                 key = value
-        rows = [line.split("\t") for line in open(ks_f).read().splitlines()]
-        timeless = [rows[0]] + [row[:-1] for row in rows[1:]]
         artifacts.append(
-            (codes, open(pp_f).read(), open(msk_f).read(), timeless, key)
+            (codes, open(pp_f).read(), open(msk_f).read(), open(ks_f).read(), key)
         )
     if artifacts[0][0] != [0, 0, 0, 0, 0]:
         failures.append(f"exit codes {artifacts[0][0]}")

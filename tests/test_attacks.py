@@ -1,6 +1,6 @@
 import pytest
 
-from mpnike import attacks, kgc, legacy, nike, numt
+from mpnike import attacks, legacy, nike, numt
 from mpnike.errors import InvalidInput, NotCoprime, NotInvertible
 from mpnike.kgc import KeyPair
 from mpnike.numt import Rng
@@ -135,13 +135,7 @@ class TestProposedSchemeProbe:
         targets = pairs[2:5]
         target_es = [t.e for t in targets]
         honest = nike.shared_key(pp, targets[0], target_es[1:])
-        report = attacks.proposed_scheme_attack_probe(
-            pp,
-            colluders,
-            target_es,
-            honest_key=honest.K,
-            pair_checker=lambda e, d: kgc.verify_pair(pp, msk, e, d),
-        )
+        report = attacks.proposed_scheme_attack_probe(pp, msk, colluders, target_es, honest.K)
         # even exponents force a common factor >= 2
         assert report.gcd >= 2 and report.gcd % 2 == 0
         assert report.a * report.e_i - report.b * report.e_j == report.gcd
@@ -155,19 +149,19 @@ class TestProposedSchemeProbe:
     def test_combined_pair_is_valid_linear_combination(self, toy64, toy64_users):
         pp, msk = toy64
         _, pairs = toy64_users
-        report = attacks.proposed_scheme_attack_probe(pp, pairs[:2], [pairs[3].e])
+        honest = nike.shared_key(pp, pairs[3], [pairs[4].e])
+        report = attacks.proposed_scheme_attack_probe(
+            pp, msk, pairs[:2], [pairs[3].e, pairs[4].e], honest.K
+        )
         i = next(p for p in pairs[:2] if p.e == report.e_i)
         j = next(p for p in pairs[:2] if p.e == report.e_j)
         expect = (
             numt.mod_exp(i.d, report.a, pp.N) * numt.mod_exp(j.d, -report.b, pp.N)
         ) % pp.N
         assert report.combined_d == expect
-        assert report.combined_e == report.gcd
-        assert report.combined_passes_audit is None
-        assert report.matches_honest is None
 
     def test_needs_two_pairs(self, toy64, toy64_users):
-        pp, _ = toy64
+        pp, msk = toy64
         _, pairs = toy64_users
         with pytest.raises(InvalidInput):
-            attacks.proposed_scheme_attack_probe(pp, pairs[:1], [pairs[2].e])
+            attacks.proposed_scheme_attack_probe(pp, msk, pairs[:1], [pairs[2].e], b"")

@@ -1,7 +1,7 @@
 import pytest
 from hypothesis import example, given, settings
-from hypothesis import strategies as st
 
+from conftest import EDITS, apply_edits
 from mpnike import broadcast, kgc, nike, params
 from mpnike.errors import (
     AuthFailure,
@@ -12,16 +12,6 @@ from mpnike.errors import (
     UnknownUser,
 )
 from mpnike.numt import Rng
-
-
-# byte edits of a valid ciphertext: (kind, position, byte)
-EDITS = st.lists(
-    st.tuples(
-        st.sampled_from(("set", "insert", "delete")), st.integers(0, 1 << 16), st.integers(0, 255)
-    ),
-    min_size=1,
-    max_size=4,
-)
 
 
 @pytest.fixture(scope="module")
@@ -216,17 +206,9 @@ class TestWireFormat:
     def test_accepted_bytes_reserialise_exactly(self, system, edits):
         pp, _, store = system
         bc = broadcast.brod_encrypt(store, pp, ["user001", "user002"], b"m", Rng(81))
-        raw = bytearray(broadcast.ct_to_bytes(bc))
-        for kind, pos, byte in edits:
-            pos %= len(raw) + 1
-            if kind == "insert":
-                raw.insert(pos, byte)
-            elif pos < len(raw) and kind == "set":
-                raw[pos] = byte
-            elif pos < len(raw):
-                del raw[pos]
+        raw = apply_edits(broadcast.ct_to_bytes(bc), edits)
         try:
-            parsed = broadcast.ct_from_bytes(bytes(raw))
+            parsed = broadcast.ct_from_bytes(raw)
         except FormatError:
             return
-        assert broadcast.ct_to_bytes(parsed) == bytes(raw)
+        assert broadcast.ct_to_bytes(parsed) == raw

@@ -4,8 +4,10 @@ import sys
 
 import pytest
 
-from mpnike import params
+from mpnike import kgc, params
 from mpnike.cli import main
+
+from oracles import issuance_exponents
 
 
 def kv(out: str) -> dict[str, str]:
@@ -249,13 +251,76 @@ class TestDeterminism:
         for sub in ("a", "b"):
             d = tmp_path / sub
             d.mkdir()
-            run(
-                capsys,
-                "setup", "--security", "toy", "--toy-bits", "16", "--seed", "feed",
-                "--params", str(d / "pp.txt"), "--msk", str(d / "msk.txt"),
-            )
-            outs.append((d / "pp.txt").read_bytes() + (d / "msk.txt").read_bytes())
+            files = _setup(capsys, d, "16")
+            for user, seed in (("alice", "01"), ("bob", "02")):
+                assert _issue(capsys, files, user, seed) == 0
+            outs.append([open(files[k], "rb").read() for k in ("pp", "msk", "ks")])
         assert outs[0] == outs[1]
+
+
+def _setup(capsys, d, bits: str) -> dict[str, str]:
+    files = {"pp": str(d / "pp.txt"), "msk": str(d / "msk.txt"), "ks": str(d / "ks.tsv")}
+    code, _, _ = run(
+        capsys,
+        "setup", "--security", "toy", "--toy-bits", bits, "--seed", "feed",
+        "--params", files["pp"], "--msk", files["msk"],
+    )
+    assert code == 0
+    return files
+
+
+def _issue(capsys, files, user: str, seed: str) -> int:
+    return run(
+        capsys,
+        "issue", "--params", files["pp"], "--msk", files["msk"],
+        "--keystore", files["ks"], "--user", user, "--seed", seed,
+    )[0]
+
+
+def _derive(capsys, files, group: str) -> tuple[int, str, str]:
+    return run(
+        capsys,
+        "derive", "--params", files["pp"], "--keystore", files["ks"],
+        "--user", group.split(",")[0], "--group", group,
+    )
+
+
+class TestKeystoreFile:
+    def test_rows_hold_only_key_pairs(self, tmp_path, capsys):
+        # 64-bit system: hex(y) and hex(k) are 8 digits, too long to match by chance
+        files = _setup(capsys, tmp_path, "64")
+        for user, seed in (("alice", "01"), ("bob", "02"), ("carol", "03")):
+            assert _issue(capsys, files, user, seed) == 0
+        text = open(files["ks"]).read()
+        rows = [line.split("\t") for line in text.splitlines()[1:]]
+        assert [len(row) for row in rows] == [3, 3, 3]
+        _, msk = params.load_master(files["msk"])
+        for pair in kgc.store_load(files["ks"]).records.values():
+            y, k = issuance_exponents(msk, pair.e)
+            assert format(y, "x") not in text
+            assert format(k, "x") not in text
+
+    def test_unicode_line_break_in_user_id(self, tmp_path, capsys):
+        files = _setup(capsys, tmp_path, "16")
+        assert _issue(capsys, files, "alice", "01") == 0
+        assert _issue(capsys, files, "b\u2028ob", "02") == 0
+        assert _issue(capsys, files, "carol", "03") == 0
+        assert _derive(capsys, files, "alice,carol")[0] == 0
+
+    def test_version_1_keystore_rejected(self, tmp_path, capsys):
+        files = _setup(capsys, tmp_path, "16")
+        for user, seed in (("alice", "01"), ("bob", "02")):
+            assert _issue(capsys, files, user, seed) == 0
+        # the old layout: y, k and a timestamp after user_id, e, d
+        header, *rows = open(files["ks"]).read().splitlines()
+        old = [header.replace("/2\t", "/1\t")]
+        old += [f"{row}\t3\t5\t2026-01-01T00:00:00+00:00" for row in rows]
+        with open(files["ks"], "w") as fh:
+            fh.write("\n".join(old) + "\n")
+        code, _, err = _derive(capsys, files, "alice,bob")
+        assert code == 1
+        assert "error[FormatError]" in err
+        assert "Traceback" not in err
 
 
 class TestHygiene:

@@ -1,6 +1,8 @@
 import pytest
+from hypothesis import given, settings
 
-from mpnike import kgc, params
+from conftest import EDITS, apply_edits
+from mpnike import artifact, kgc
 from mpnike.errors import (
     CollisionBudgetExceeded,
     DuplicateUser,
@@ -11,7 +13,7 @@ from mpnike.errors import (
 )
 from mpnike.numt import Rng
 
-from oracles import slow_pow
+from oracles import issuance_exponents, slow_pow
 
 
 class ScriptedRng:
@@ -35,9 +37,7 @@ class TestKeygen:
         # e = 3*5 + (5*11)*3 and d = g^(3*5)
         assert pair.e == 180
         assert pair.d == slow_pow(msk.g, 15, pp.N)
-        record = store.records["alice"]
-        assert (record.y, record.k) == (5, 3)
-        assert record.issued_at  # ISO timestamp present
+        assert store.records["alice"] == pair
 
     def test_exponent_shape(self, toy16):
         pp, msk = toy16
@@ -46,19 +46,19 @@ class TestKeygen:
         half = (pp.m + 1) // 2
         for i in range(200):
             pair = kgc.keygen(pp, msk, store, f"u{i}", rng)
-            record = store.records[f"u{i}"]
-            for v in (record.y, record.k):
+            y, k = issuance_exponents(msk, pair.e)
+            for v in (y, k):
                 assert v % 2 == 1
                 assert v.bit_length() == half
             assert pair.e % 2 == 0
-            assert pair.e == msk.p * record.y + msk.z * msk.q * record.k
+            assert pair.e == msk.p * y + msk.z * msk.q * k
             assert 1 < pair.d < pp.N
 
     def test_private_key_oracle(self, toy16):
         pp, msk = toy16
         store = kgc.new_keystore(pp)
         pair = kgc.keygen(pp, msk, store, "alice", Rng(3))
-        y = store.records["alice"].y
+        y, _ = issuance_exponents(msk, pair.e)
         assert pair.d == slow_pow(msk.g, msk.p * y, pp.N)
 
     def test_public_keys_unique(self, toy16_users):
@@ -71,11 +71,11 @@ class TestKeygen:
         store = kgc.new_keystore(pp)
         half = (pp.m + 1) // 2
         first = kgc.keygen(pp, msk, store, "a", ScriptedRng([0, 0], seed=1))
-        rec = store.records["a"]
+        y, k = issuance_exponents(msk, first.e)
         # replay the same y and k for the next user: forces one resample
-        second = kgc.keygen(pp, msk, store, "b", ScriptedRng([rec.y, rec.k], seed=2))
+        second = kgc.keygen(pp, msk, store, "b", ScriptedRng([y, k], seed=2))
         assert second.e != first.e
-        assert store.records["b"].y == rec.y  # y kept, only k re-drawn
+        assert issuance_exponents(msk, second.e)[0] == y  # y kept, only k re-drawn
 
     def test_forced_collision_exhausts(self, toy16):
         pp, msk = toy16
@@ -161,19 +161,6 @@ class TestKeystoreFiles:
         kgc.store_save(store, path)
         assert kgc.store_load(path, pp) == store
 
-    def test_redacted_save(self, toy16, tmp_path):
-        pp, msk = toy16
-        store = kgc.new_keystore(pp)
-        kgc.keygen(pp, msk, store, "alice", Rng(12))
-        path = str(tmp_path / "ks.tsv")
-        kgc.store_save(store, path, include_exponents=False)
-        with open(path) as fh:
-            assert "\t-\t-\t" in fh.read()
-        loaded = kgc.store_load(path, pp)
-        rec = loaded.records["alice"]
-        assert rec.y is None and rec.k is None
-        assert rec.e == store.records["alice"].e
-
     def test_params_mismatch(self, toy16, forced713, tmp_path):
         pp, msk = toy16
         store = kgc.new_keystore(pp)
@@ -198,6 +185,7 @@ class TestKeystoreFiles:
             lambda lines: lines + [lines[1]],  # duplicate user row
             lambda lines: lines + ["short\trow"],  # wrong column count
             lambda lines: lines + [lines[1].replace("a00", "b00", 1)],  # dup e
+            lambda lines: lines + [lines[1].replace("a00", "b\r0", 1)],  # bad id
         ],
     )
     def test_load_rejects_malformed(self, toy16, tmp_path, mutation):
@@ -212,3 +200,43 @@ class TestKeystoreFiles:
             fh.write("\n".join(mutation(lines)) + "\n")
         with pytest.raises(FormatError):
             kgc.store_load(path)
+
+    def test_unsorted_rows_rejected(self, toy16, tmp_path):
+        pp, msk = toy16
+        store = kgc.new_keystore(pp)
+        for i, uid in enumerate(("alice", "bob")):
+            kgc.keygen(pp, msk, store, uid, Rng(14 + i))
+        path = str(tmp_path / "ks.tsv")
+        kgc.store_save(store, path)
+        header, alice, bob = artifact.read_text(path).splitlines()
+        artifact.write(path, f"{header}\n{bob}\n{alice}\n")
+        with pytest.raises(FormatError, match="out of order"):
+            kgc.store_load(path, pp)
+
+    def test_missing_final_newline_rejected(self, toy16, tmp_path):
+        pp, msk = toy16
+        store = kgc.new_keystore(pp)
+        kgc.keygen(pp, msk, store, "alice", Rng(16))
+        path = str(tmp_path / "ks.tsv")
+        kgc.store_save(store, path)
+        artifact.write(path, artifact.read(path)[:-1])
+        with pytest.raises(FormatError, match="newline"):
+            kgc.store_load(path, pp)
+
+    @settings(max_examples=200, deadline=None)
+    @given(edits=EDITS)
+    def test_accepted_bytes_reserialise_exactly(self, toy16, tmp_path_factory, edits):
+        pp, msk = toy16
+        store = kgc.new_keystore(pp)
+        for i, uid in enumerate(("a00", "a01", "é")):
+            kgc.keygen(pp, msk, store, uid, Rng(17 + i))
+        path = str(tmp_path_factory.getbasetemp() / "ks-edits.tsv")
+        kgc.store_save(store, path)
+        raw = apply_edits(artifact.read(path), edits)
+        artifact.write(path, raw)
+        try:
+            loaded = kgc.store_load(path, pp)
+        except (FormatError, ParamsMismatch):
+            return
+        kgc.store_save(loaded, path)
+        assert artifact.read(path) == raw

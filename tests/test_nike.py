@@ -1,8 +1,10 @@
 import itertools
 
 import pytest
+from hypothesis import given, settings
 
-from mpnike import kgc, nike, params
+from conftest import EDITS, apply_edits
+from mpnike import artifact, kgc, nike, params
 from mpnike.errors import (
     AlreadyMember,
     DegenerateResult,
@@ -17,7 +19,7 @@ from mpnike.kgc import KeyPair
 from mpnike.numt import Rng, count_mod_exps
 from mpnike.params import PublicParams
 
-from oracles import closed_form_group_element, element_order
+from oracles import closed_form_group_element, element_order, issuance_exponents
 
 GOLDEN_PP = PublicParams(N=713, g_p=233, hash_id="sha256", lambda_bits=256, m=8, gamma="toy")
 # sha256(b"MPNIKEv1" + big-endian F padded to the modulus byte width)
@@ -74,7 +76,7 @@ class TestSharedKey:
         store, pairs = toy16_users
         for subset in itertools.combinations(range(6), 3):
             group = [pairs[i] for i in subset]
-            ys = [store.records[p.user_id].y for p in group]
+            ys = [issuance_exponents(msk, p.e)[0] for p in group]
             expected = closed_form_group_element(msk, pp.N, ys)
             es = [p.e for p in group]
             if expected == 1:
@@ -262,3 +264,21 @@ class TestGroupFiles:
             fh.write(f"mpnike-group/1\t{params.params_digest(pp)}\na0\na0\n")
         with pytest.raises(FormatError):
             nike.load_group(path)
+
+    @settings(max_examples=200, deadline=None)
+    @given(edits=EDITS)
+    def test_accepted_bytes_reserialise_exactly(
+        self, toy16, toy16_users, tmp_path_factory, edits
+    ):
+        pp, _ = toy16
+        _, pairs = toy16_users
+        path = str(tmp_path_factory.getbasetemp() / "group-edits.txt")
+        nike.save_group(pp, [p.e for p in pairs[:4]], path)
+        raw = apply_edits(artifact.read(path), edits)
+        artifact.write(path, raw)
+        try:
+            members = nike.load_group(path, pp)
+        except (FormatError, ParamsMismatch):
+            return
+        nike.save_group(pp, members, path)
+        assert artifact.read(path) == raw
