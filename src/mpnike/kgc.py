@@ -8,7 +8,8 @@ A member's key pair is (e, d) with
 for fresh odd half-width exponents y, k.  Since p, z, q, y, k are all odd,
 e is always even; that parity is load-bearing for the collusion argument,
 so issuance enforces it.  The issuer can audit a pair without knowing y
-through d == g_p**(e * p^-1 mod z*q) (mod N).
+through d == g_p**(e * p^-1 mod z*q) (mod N).  Both d = g_p**y and the audit
+are computed by CRT, as g_p has order z mod p' and order q mod q'.
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ _COLLISION_BUDGET = 16
 MAX_USER_ID_BYTES = 256
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class KeyPair:
     """What a member holds: public e, private d."""
 
@@ -67,13 +68,22 @@ def _check_user_id(user_id: str):
         raise InvalidInput("user id must be nonempty")
     if len(user_id.encode("utf-8")) > MAX_USER_ID_BYTES:
         raise InvalidInput(f"user id exceeds {MAX_USER_ID_BYTES} UTF-8 bytes")
-    if any(c in user_id for c in "\t\n\r"):
-        raise InvalidInput("user id must not contain tabs or newlines")
+    if "\t" in user_id or user_id.splitlines() != [user_id]:
+        raise InvalidInput("user id must not contain tabs or line breaks")
 
 
 def _sample_half_odd(bits: int, rng: Rng) -> int:
     # top bit forced for full width, low bit forced for parity
     return rng.getrandbits(bits) | (1 << (bits - 1)) | 1
+
+
+def _issuer_pow(pp: PublicParams, msk: MasterSecret, x: int) -> int:
+    """g_p**x mod N from two half-size pows: g_p has order z mod p' and q mod q'."""
+    if msk.p_prime * msk.q_prime != pp.N:
+        raise ParamsMismatch("master secret belongs to different parameters")
+    a = pow(pp.g_p, x % msk.z, msk.p_prime)
+    b = pow(pp.g_p, x % msk.q, msk.q_prime)
+    return b + msk.q_prime * ((a - b) * pow(msk.q_prime, -1, msk.p_prime) % msk.p_prime)
 
 
 def keygen(
@@ -101,14 +111,13 @@ def keygen(
     y = forced_y if forced_y is not None else _sample_half_odd(half, rng)
     if y % 2 == 0 or y < 1:
         raise InvalidInput("y must be a positive odd integer")
-    issued = {r.e for r in store.records.values()}
     e = None
     for _ in range(_COLLISION_BUDGET):
         k = forced_k if forced_k is not None else _sample_half_odd(half, rng)
         if k % 2 == 0 or k < 1:
             raise InvalidInput("k must be a positive odd integer")
         cand = msk.p * y + zq * k
-        if cand not in issued:
+        if not any(r.e == cand for r in store.records.values()):
             e = cand
             break
         if forced_k is not None:
@@ -116,7 +125,7 @@ def keygen(
     if e is None:
         raise CollisionBudgetExceeded(f"could not find a fresh e for {user_id!r}")
     assert e % 2 == 0
-    pair = KeyPair(user_id, e, pow(msk.g, msk.p * y, pp.N))
+    pair = KeyPair(user_id, e, _issuer_pow(pp, msk, y))  # g**(p*y) = g_p**y
     store.records[user_id] = pair
     return pair
 
@@ -130,8 +139,7 @@ def verify_pair(pp: PublicParams, msk: MasterSecret, e: int, d: int) -> bool:
     well-formedness, not provenance.
     """
     zq = msk.z * msk.q
-    p_inv = numt.mod_inverse(msk.p, zq)
-    return pow(pp.g_p, (e * p_inv) % zq, pp.N) == d % pp.N
+    return _issuer_pow(pp, msk, e * pow(msk.p, -1, zq) % zq) == d % pp.N
 
 
 def store_save(store: Keystore, path: str):

@@ -303,7 +303,14 @@ class TestKeystoreFile:
     def test_unicode_line_break_in_user_id(self, tmp_path, capsys):
         files = _setup(capsys, tmp_path, "16")
         assert _issue(capsys, files, "alice", "01") == 0
-        assert _issue(capsys, files, "b\u2028ob", "02") == 0
+        code, _, err = run(
+            capsys,
+            "issue", "--params", files["pp"], "--msk", files["msk"],
+            "--keystore", files["ks"], "--user", "b\u2028ob", "--seed", "02",
+        )
+        assert code == 1
+        assert "error[InvalidInput]" in err
+        assert "Traceback" not in err
         assert _issue(capsys, files, "carol", "03") == 0
         assert _derive(capsys, files, "alice,carol")[0] == 0
 

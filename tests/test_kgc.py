@@ -1,8 +1,9 @@
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import EDITS, apply_edits
-from mpnike import artifact, kgc
+from mpnike import artifact, kgc, params
 from mpnike.errors import (
     CollisionBudgetExceeded,
     DuplicateUser,
@@ -98,7 +99,10 @@ class TestKeygen:
             kgc.keygen(pp, msk, other_store, "alice", Rng(8))
 
     @pytest.mark.parametrize(
-        "bad_id", ["", "a\tb", "a\nb", "a\rb", "x" * 257, "é" * 129]
+        "bad_id",
+        ["", "a\tb", "a\nb", "a\rb", "x" * 257, "é" * 129]
+        # every other line break str.splitlines splits on
+        + [f"a{c}b" for c in "\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"],
     )
     def test_bad_user_ids(self, toy16, bad_id):
         pp, msk = toy16
@@ -148,6 +152,46 @@ class TestVerifyPair:
             assert matches == [expected]
             if e >= 8:  # a few classes are enough
                 break
+
+
+def _matches_full_modulus(pp, msk, rng):
+    """keygen and verify_pair against the full-modulus formulas mod N."""
+    zq = msk.z * msk.q
+    store = kgc.new_keystore(pp)
+    pairs = [kgc.keygen(pp, msk, store, f"u{i}", rng) for i in range(3)]
+    for pair, other in zip(pairs, pairs[1:] + pairs[:1]):
+        y, _ = issuance_exponents(msk, pair.e)
+        assert pair.d == pow(msk.g, msk.p * y, pp.N)
+        for e, d in (
+            (pair.e, pair.d),
+            (pair.e, pair.d + 1),
+            (pair.e, other.d),
+            (pair.e + zq, pair.d),
+        ):
+            full = pow(pp.g_p, e * pow(msk.p, -1, zq) % zq, pp.N) == d % pp.N
+            assert kgc.verify_pair(pp, msk, e, d) == full
+
+
+class TestIssuerCrt:
+    @settings(max_examples=60, deadline=None)
+    @given(bits=st.integers(16, 96), seed=st.integers(0, 1 << 32))
+    def test_matches_full_modulus_toy(self, bits, seed):
+        pp, msk = params.setup(params.security_level("toy", bits), Rng(seed))
+        _matches_full_modulus(pp, msk, Rng(seed + 1))
+
+    def test_matches_full_modulus_level80(self, big1024):
+        _matches_full_modulus(*big1024, Rng(21))
+
+    def test_foreign_master_secret_rejected(self, toy64):
+        pp, _ = toy64
+        _, other = params.setup(params.security_level("toy", 64), Rng(22))
+        store = kgc.new_keystore(pp)
+        with pytest.raises(ParamsMismatch):
+            kgc.keygen(pp, other, store, "alice", Rng(23))
+        assert not store.records
+        pair = kgc.keygen(pp, toy64[1], store, "alice", Rng(23))
+        with pytest.raises(ParamsMismatch):
+            kgc.verify_pair(pp, other, pair.e, pair.d)
 
 
 class TestKeystoreFiles:
