@@ -10,14 +10,12 @@ from __future__ import annotations
 import argparse
 import hashlib
 import os
-import statistics
 import sys
-import time
 from typing import Optional, Sequence
 
 from . import artifact, attacks, broadcast, kgc, legacy, nike, numt, params
 from .errors import InvalidInput, MpnikeError, ParamsMismatch
-from .numt import Rng, count_mod_exps
+from .numt import Rng
 
 _FP_TAG = b"MPNIKE-FP"
 
@@ -78,11 +76,17 @@ def cmd_setup(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_issue(args: argparse.Namespace) -> int:
+def _issuer_view(args: argparse.Namespace) -> tuple[params.PublicParams, params.MasterSecret]:
+    """(params, master secret) from --params and --msk, which must describe one set."""
     pp = params.load_public(args.params)
     pp_m, msk = params.load_master(args.msk)
     if params.params_digest(pp_m) != params.params_digest(pp):
         raise ParamsMismatch("params file and msk file disagree")
+    return pp, msk
+
+
+def cmd_issue(args: argparse.Namespace) -> int:
+    pp, msk = _issuer_view(args)
     if os.path.exists(args.keystore):
         store = kgc.store_load(args.keystore, pp)
     else:
@@ -157,11 +161,7 @@ def cmd_broadcast_decrypt(args: argparse.Namespace) -> int:
 
 
 def cmd_validate(args: argparse.Namespace) -> int:
-    pp = params.load_public(args.params)
-    pp_m, msk = params.load_master(args.msk)
-    if params.params_digest(pp_m) != params.params_digest(pp):
-        _emit(args, [("error", "params and msk files disagree")])
-        return 1
+    pp, msk = _issuer_view(args)
     report = params.validate(pp, msk)
     items = []
     for c in report.checks:
@@ -284,61 +284,6 @@ def cmd_attack(args: argparse.Namespace) -> int:
     return _attack_probe(args)
 
 
-def _parse_range(raw: str) -> tuple[int, int]:
-    """lo:hi with 2 <= lo < hi; the cost-law fit needs at least two sizes."""
-    lo_s, _, hi_s = raw.partition(":")
-    try:
-        lo, hi = int(lo_s), int(hi_s)
-    except ValueError:
-        raise InvalidInput(f"bad party range {raw!r}") from None
-    if lo < 2 or hi <= lo:
-        raise InvalidInput(f"bad party range {raw!r}: need lo:hi with 2 <= lo < hi")
-    return lo, hi
-
-
-def cmd_bench(args: argparse.Namespace) -> int:
-    lo, hi = _parse_range(args.parties)
-    rng = Rng(args.seed)
-    level = params.security_level(args.security, args.toy_bits)
-    pp, msk = params.setup(level, rng)
-    store = kgc.new_keystore(pp)
-    pairs = [kgc.keygen(pp, msk, store, f"bench{i:03d}", rng) for i in range(hi)]
-    es = [p.e for p in pairs]
-    rows = []
-    counts_ok = True
-    for size in range(lo, hi + 1):
-        others = es[1:size]
-        best = None
-        count = 0
-        for _ in range(args.reps):
-            with count_mod_exps() as counter:
-                t0 = time.perf_counter()
-                nike.shared_key(pp, pairs[0], others)
-                dt = time.perf_counter() - t0
-            count = counter.count
-            best = dt if best is None else min(best, dt)
-        counts_ok = counts_ok and count == size - 1
-        rows.append((size, count, best))
-    sizes = [float(r[0]) for r in rows]
-    times = [r[2] for r in rows]
-    slope, _ = statistics.linear_regression(sizes, times)
-    r2 = statistics.correlation(sizes, times) ** 2
-    if args.csv:
-        body = "".join(f"{size},{count},{secs:.9f}\n" for size, count, secs in rows)
-        artifact.write(args.csv, "parties,mod_exps,seconds\n" + body)
-    _emit(
-        args,
-        [
-            ("parties", f"{lo}:{hi}"),
-            ("counts_match_parties_minus_one", "yes" if counts_ok else "no"),
-            ("slope_ms_per_party", f"{slope * 1000:.4f}"),
-            ("r_squared", f"{r2:.6f}"),
-        ]
-        + ([("csv_file", args.csv)] if args.csv else []),
-    )
-    return 0 if counts_ok else 1
-
-
 def _hex(raw: str) -> int:
     return int(raw, 16)
 
@@ -417,10 +362,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--bits", type=int, help="legacy modulus bits")
     p.add_argument("--group-size", type=_int_from(2), default=3, help="target group size")
     command("validate", cmd_validate, "check a parameter set", pfile, msk)
-    p = command("bench", cmd_bench, "derivation cost law", _level("80", 16))
-    p.add_argument("--parties", default="2:64", help="size range lo:hi")
-    p.add_argument("--reps", type=_int_from(1), default=3)
-    p.add_argument("--csv", help="write per-size rows here")
     return ap
 
 

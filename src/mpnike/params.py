@@ -322,7 +322,7 @@ def _digest_bits(hash_id: str) -> int:
     """Digest width of hash_id in bits; 0 when hashlib has no such fixed-width hash."""
     try:
         return 8 * hashlib.new(hash_id).digest_size
-    except ValueError:
+    except (TypeError, ValueError):  # TypeError: a name holding NUL
         return 0
 
 
@@ -364,20 +364,15 @@ def params_digest(pp: PublicParams) -> str:
 
 
 def _parse_kv(text: str, fields: tuple[str, ...], path: str) -> dict[str, str]:
+    """Exactly one 'key = value' line per field, in order, each ending in a newline."""
+    lines = text.split("\n")
+    if lines.pop() or len(lines) != len(fields):
+        raise FormatError(f"{path}: expected {len(fields)} lines, each ending in a newline")
     values: dict[str, str] = {}
-    for lineno, line in enumerate(text.splitlines(), 1):
-        if not line.strip():
-            continue
-        key, sep, value = line.partition(" = ")
-        if not sep or not key or key != key.strip():
-            raise FormatError(f"{path}:{lineno}: expected 'key = value'")
-        if key in values:
-            raise FormatError(f"{path}:{lineno}: duplicate key {key!r}")
-        values[key] = value
-    missing = [k for k in fields if k not in values]
-    extra = [k for k in values if k not in fields]
-    if missing or extra:
-        raise FormatError(f"{path}: missing {missing}, unexpected {extra}")
+    for lineno, (line, key) in enumerate(zip(lines, fields), 1):
+        found, sep, values[key] = line.partition(" = ")
+        if found != key or not sep:
+            raise FormatError(f"{path}:{lineno}: expected '{key} = value'")
     return values
 
 

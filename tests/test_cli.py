@@ -1,11 +1,12 @@
 import os
+import re
 import subprocess
 import sys
 
 import pytest
 
 from mpnike import kgc, params
-from mpnike.cli import main
+from mpnike.cli import build_parser, main
 
 from oracles import issuance_exponents
 
@@ -189,11 +190,13 @@ class TestValidate:
             )[0]
             == 0
         )
-        code, out, _ = run(
+        code, out, err = run(
             capsys, "validate", "--params", ws["pp"], "--msk", other_msk,
             "--format", "line-record",
         )
         assert code == 1
+        assert "error[ParamsMismatch]" in err
+        assert out == ""
 
 
 class TestAttacks:
@@ -224,25 +227,6 @@ class TestAttacks:
         assert record["verdict"] == "NO-MATCH"
         assert record["combined_passes_audit"] == "yes"
         assert int(record["gcd"]) >= 2
-
-
-class TestBench:
-    def test_toy_bench(self, tmp_path, capsys):
-        csv_path = str(tmp_path / "bench.csv")
-        code, out, _ = run(
-            capsys,
-            "bench", "--security", "toy", "--toy-bits", "16",
-            "--parties", "2:8", "--reps", "1", "--seed", "11",
-            "--csv", csv_path, "--format", "line-record",
-        )
-        assert code == 0
-        assert kv(out)["counts_match_parties_minus_one"] == "yes"
-        rows = open(csv_path).read().strip().splitlines()
-        assert rows[0] == "parties,mod_exps,seconds"
-        assert len(rows) == 8
-        for row in rows[1:]:
-            size, count, _ = row.split(",")
-            assert int(count) == int(size) - 1
 
 
 class TestDeterminism:
@@ -395,6 +379,25 @@ class TestHygiene:
     def test_msk_file_permissions(self, ws):
         assert os.stat(ws["msk"]).st_mode & 0o777 == 0o600
 
+    def test_nul_in_hash_id_is_a_format_error(self, tmp_path, capsys):
+        files = _setup(capsys, tmp_path, "16")
+        assert _issue(capsys, files, "alice", "01") == 0
+        assert _issue(capsys, files, "bob", "02") == 0
+        text = open(files["pp"]).read()
+        with open(files["pp"], "w") as fh:
+            fh.write(text.replace("hash_id = sha256", "hash_id = s\x00ha256"))
+        code, _, err = _derive(capsys, files, "alice,bob")
+        assert code == 1
+        assert "error[FormatError]" in err
+        assert "Traceback" not in err
+
+    def test_readme_names_every_subcommand(self):
+        readme = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "README.md")
+        # command lines in code blocks, and `mpnike <cmd>` in backticks
+        named = set(re.findall(r"(?:^|`)mpnike ([a-z][a-z-]*)", open(readme).read(), re.M))
+        sub = next(a for a in build_parser()._actions if a.dest == "command")
+        assert named == set(sub.choices)
+
 
 @pytest.mark.parametrize(
     "argv",
@@ -403,8 +406,7 @@ class TestHygiene:
         ["attack", "probe", "--group-size", "0"],
         ["attack", "probe", "--group-size", "-1"],
         ["attack", "eskeland", "--group-size", "0"],
-        ["bench", "--reps", "0"],
-        ["bench", "--parties", "5:5"],
+        ["bench"],  # removed subcommand: argparse's invalid-choice error
     ],
     ids=" ".join,
 )

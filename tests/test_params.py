@@ -4,7 +4,7 @@ from dataclasses import replace
 
 import pytest
 import sympy
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from mpnike import numt, params
@@ -12,6 +12,7 @@ from mpnike.errors import ExhaustedAttempts, FormatError, InvalidInput
 from mpnike.numt import Rng
 from mpnike.params import PublicParams, security_level
 
+from conftest import EDITS, apply_edits
 from oracles import element_order
 
 # fixed instance used for file-format golden values
@@ -268,14 +269,56 @@ class TestFiles:
             lambda t: t.replace("lambda = 100", "lambda = 108"),  # wider than the digest
             lambda t: t.replace("lambda = 100", "lambda = 4"),  # not whole bytes
             lambda t: t.replace("lambda = 100", "lambda = 0"),
+            lambda t: t.replace("n = 2c9\ng_p = e9", "g_p = e9\nn = 2c9"),  # fields swapped
+            lambda t: t.replace("m = 8\n", "\nm = 8\n"),  # blank line
+            lambda t: t.replace("\n", "\r\n"),  # CRLF endings
+            lambda t: t.replace("\n", "\u2028"),  # lines joined by U+2028
+            lambda t: t[:-1],  # no final newline
         ],
     )
     def test_load_rejects_malformed(self, tmp_path, mutation):
-        path = str(tmp_path / "pp.txt")
-        with open(path, "w") as fh:
-            fh.write(mutation(GOLDEN_TEXT))
+        path = tmp_path / "pp.txt"
+        path.write_bytes(mutation(GOLDEN_TEXT).encode())
         with pytest.raises(FormatError):
-            params.load_public(path)
+            params.load_public(str(path))
+
+    def test_master_load_rejects_reordered_fields(self, toy16, tmp_path):
+        pp, msk = toy16
+        lines = params.render_master(pp, msk).splitlines(keepends=True)
+        lines[-1], lines[-2] = lines[-2], lines[-1]  # q_prime before p_prime
+        path = tmp_path / "msk.txt"
+        path.write_bytes("".join(lines).encode())
+        with pytest.raises(FormatError):
+            params.load_master(str(path))
+
+    # toy64's hash_id value starts at byte 78 of both files; position -2 wraps to the last byte
+    @settings(max_examples=200, deadline=None)
+    @given(edits=EDITS)
+    @example(edits=[("insert", 79, 0)])  # hash_id = s\x00ha256
+    @example(edits=[("delete", -2, 0)])  # final newline dropped
+    def test_accepted_public_files_reserialise_exactly(self, toy64, tmp_path_factory, edits):
+        raw = apply_edits(params.render_public(toy64[0]).encode(), edits)
+        path = tmp_path_factory.getbasetemp() / "pp-edits.txt"
+        path.write_bytes(raw)
+        try:
+            pp = params.load_public(str(path))
+        except FormatError:
+            return
+        assert params.render_public(pp).encode() == raw
+
+    @settings(max_examples=200, deadline=None)
+    @given(edits=EDITS)
+    @example(edits=[("insert", 79, 0)])
+    @example(edits=[("delete", -2, 0)])
+    def test_accepted_master_files_reserialise_exactly(self, toy64, tmp_path_factory, edits):
+        raw = apply_edits(params.render_master(*toy64).encode(), edits)
+        path = tmp_path_factory.getbasetemp() / "msk-edits.txt"
+        path.write_bytes(raw)
+        try:
+            loaded = params.load_master(str(path))
+        except FormatError:
+            return
+        assert params.render_master(*loaded).encode() == raw
 
     def test_load_missing_file_is_oserror(self, tmp_path):
         with pytest.raises(OSError):
