@@ -406,7 +406,9 @@ class TestHygiene:
         ["attack", "probe", "--group-size", "0"],
         ["attack", "probe", "--group-size", "-1"],
         ["attack", "eskeland", "--group-size", "0"],
-        ["bench"],  # removed subcommand: argparse's invalid-choice error
+        # removed subcommand: argparse's invalid-choice error
+        ["bench", "--reps", "0"],
+        ["bench", "--parties", "5:5"],
     ],
     ids=" ".join,
 )
