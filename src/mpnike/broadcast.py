@@ -8,8 +8,9 @@ associated data, so tampering with the recipient set breaks the tag.
 
 Wire format (also in README): the magic bytes "MPNIKEBC" followed by
 length-prefixed sections, each a 4-byte big-endian length plus payload:
-version (2 bytes), parameter digest, member count (4 bytes), one section
-per authorized public key (minimal big-endian), nonce, AEAD ciphertext.
+version (2 bytes), parameter digest (32 bytes), member count (4 bytes),
+one section per authorized public key (minimal big-endian), nonce, AEAD
+ciphertext.
 """
 
 from __future__ import annotations
@@ -38,7 +39,7 @@ MAGIC = b"MPNIKEBC"
 FORMAT_VERSION = 1
 TRANSPORT_TAG = b"MPNIKE-BC1"
 NONCE_LEN = 12
-TRANSPORT_KEY_LEN = 32
+DIGEST_LEN = 32
 
 
 @dataclass(frozen=True)
@@ -67,15 +68,9 @@ def brod_setup(
     return pp, msk, store
 
 
-def _transport_key(pp: PublicParams, group_key: bytes) -> bytes:
-    out = b""
-    counter = 0
-    while len(out) < TRANSPORT_KEY_LEN:
-        out += hashlib.new(
-            pp.hash_id, TRANSPORT_TAG + bytes([counter]) + group_key
-        ).digest()
-        counter += 1
-    return out[:TRANSPORT_KEY_LEN]
+def _transport_key(group_key: bytes) -> bytes:
+    """AES-256 key: one SHA-256 block over tag || counter byte 0 || K."""
+    return hashlib.sha256(TRANSPORT_TAG + b"\x00" + group_key).digest()
 
 
 def _section(payload: bytes) -> bytes:
@@ -118,7 +113,7 @@ def brod_encrypt(
     sender = store.pair(ids[0])
     others = [store.records[u].e for u in ids[1:]]
     state = nike.shared_key(pp, sender, others)
-    key = _transport_key(pp, state.K)
+    key = _transport_key(state.K)
     nonce = rng.randbytes(NONCE_LEN)
     aad = _header_bytes(digest, state.members)
     ct = AESGCM(key).encrypt(nonce, message, aad)
@@ -135,7 +130,7 @@ def brod_decrypt(pp: PublicParams, my_pair: KeyPair, bc: BroadcastCiphertext) ->
         raise NotAuthorized(f"public key {my_pair.e} is not in the authorized set")
     others = [e for e in bc.authorized if e != my_pair.e]
     state = nike.shared_key(pp, my_pair, others)
-    key = _transport_key(pp, state.K)
+    key = _transport_key(state.K)
     aad = _header_bytes(bc.params_ref, bc.authorized)
     try:
         return AESGCM(key).decrypt(bc.nonce, bc.ct, aad)
@@ -172,7 +167,9 @@ def ct_from_bytes(data: bytes) -> BroadcastCiphertext:
     version_raw = take()
     if len(version_raw) != 2 or int.from_bytes(version_raw, "big") != FORMAT_VERSION:
         raise FormatError(f"unsupported format version {version_raw.hex()}")
-    params_ref = take().hex()
+    digest_raw = take()
+    if len(digest_raw) != DIGEST_LEN:
+        raise FormatError(f"parameter digest must be {DIGEST_LEN} bytes")
     count_raw = take()
     if len(count_raw) != 4:
         raise FormatError("member count must be 4 bytes")
@@ -192,7 +189,7 @@ def ct_from_bytes(data: bytes) -> BroadcastCiphertext:
     if offset != len(data):
         raise FormatError("trailing bytes after final section")
     return BroadcastCiphertext(
-        params_ref=params_ref, authorized=tuple(authorized), nonce=nonce, ct=ct
+        params_ref=digest_raw.hex(), authorized=tuple(authorized), nonce=nonce, ct=ct
     )
 
 

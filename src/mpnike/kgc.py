@@ -70,6 +70,9 @@ def _check_user_id(user_id: str):
         raise InvalidInput(f"user id exceeds {MAX_USER_ID_BYTES} UTF-8 bytes")
     if "\t" in user_id or user_id.splitlines() != [user_id]:
         raise InvalidInput("user id must not contain tabs or line breaks")
+    # the CLI's --group/--authorized lists split on "," and strip each id
+    if "," in user_id or user_id.strip() != user_id:
+        raise InvalidInput("user id must not contain ',' or start or end with whitespace")
 
 
 def _sample_half_odd(bits: int, rng: Rng) -> int:

@@ -45,14 +45,10 @@ class GroupKeyState:
 
 
 def kdf(pp: PublicParams, F: int) -> bytes:
-    """lambda-bit key: hash of tag plus F in fixed-width big-endian form."""
+    """256-bit key: SHA-256 of tag plus F in fixed-width big-endian form."""
     if not 0 < F < pp.N:
         raise OutOfRange(f"group element must lie in (0, N), got {F}")
-    data = KDF_TAG + F.to_bytes((pp.N.bit_length() + 7) // 8, "big")
-    digest = hashlib.new(pp.hash_id, data).digest()
-    if pp.lambda_bits > 8 * len(digest) or pp.lambda_bits % 8:
-        raise InvalidInput(f"lambda = {pp.lambda_bits} unusable with {pp.hash_id}")
-    return digest[: pp.lambda_bits // 8]
+    return hashlib.sha256(KDF_TAG + F.to_bytes((pp.N.bit_length() + 7) // 8, "big")).digest()
 
 
 def shared_key(pp: PublicParams, my_pair: KeyPair, others: Iterable[int]) -> GroupKeyState:

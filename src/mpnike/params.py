@@ -26,10 +26,10 @@ from .errors import ExhaustedAttempts, FormatError, InvalidInput
 from .numt import Rng
 
 _LEVEL_BITS = {"80": 1024, "112": 2048, "128": 3072}
-DEFAULT_LAMBDA_BITS = 256
-DEFAULT_HASH_ID = "sha256"
 TOY_MIN_BITS = 16
-FILE_VERSION = 1
+# lines every version-1 parameter file carries verbatim: H is SHA-256 and
+# derived keys are lambda = 0x100 = 256 bits wide
+_FIXED_VALUES = {"version": "1", "hash_id": "sha256", "lambda": "100"}
 
 _PUBLIC_FIELDS = ("version", "gamma", "n", "g_p", "hash_id", "lambda", "m")
 _SECRET_FIELDS = ("p", "z", "q", "g", "p_prime", "q_prime")
@@ -38,11 +38,10 @@ _MASTER_FIELDS = _PUBLIC_FIELDS + _SECRET_FIELDS
 
 @dataclass(frozen=True)
 class SecurityLevel:
-    """Named level mapped to a modulus width and a derived-key width."""
+    """Named level mapped to a modulus width."""
 
     gamma: str
     modulus_bits: int
-    lambda_bits: int
 
 
 def security_level(name: str, toy_bits: int = TOY_MIN_BITS) -> SecurityLevel:
@@ -50,9 +49,9 @@ def security_level(name: str, toy_bits: int = TOY_MIN_BITS) -> SecurityLevel:
     if name == "toy":
         if toy_bits < TOY_MIN_BITS:
             raise InvalidInput(f"toy modulus must be >= {TOY_MIN_BITS} bits")
-        return SecurityLevel("toy", toy_bits, DEFAULT_LAMBDA_BITS)
+        return SecurityLevel("toy", toy_bits)
     if name in _LEVEL_BITS:
-        return SecurityLevel(name, _LEVEL_BITS[name], DEFAULT_LAMBDA_BITS)
+        return SecurityLevel(name, _LEVEL_BITS[name])
     raise InvalidInput(f"unknown security level {name!r}")
 
 
@@ -62,8 +61,6 @@ class PublicParams:
 
     N: int
     g_p: int
-    hash_id: str
-    lambda_bits: int
     m: int
     gamma: str
 
@@ -192,21 +189,19 @@ def setup(
     level: SecurityLevel,
     rng: Rng,
     forced_primes: tuple[int, int, int] | None = None,
-    budget: int | None = None,
 ) -> tuple[PublicParams, MasterSecret]:
     """Generate a parameter set for the given level.
 
     With forced_primes=(p, z, q) the search is skipped and only the
     structural constraints are enforced (the exact-width requirement does
-    not apply to forced toy instances).  `budget` bounds each prime-pair
-    search in sieve windows plus Miller-Rabin calls (default 8 per modulus
-    bit); a search that runs out is retried with a fresh p.
+    not apply to forced toy instances).  Each prime-pair search is bounded
+    by 8 sieve windows plus Miller-Rabin calls per modulus bit; a search
+    that runs out is retried with a fresh p.
     """
     if forced_primes is not None:
         p, z, q, p_prime, q_prime = _check_forced(forced_primes)
     else:
         M = level.modulus_bits
-        budget = 8 * M if budget is None else budget
         p_bits, z_bits, pp_bits = _bit_split(M)
         for _ in range(32):
             try:
@@ -214,12 +209,12 @@ def setup(
                 # z puts p*z in [2**(pp_bits-2), 2**(pp_bits-1)): p' has pp_bits bits
                 z_lo = max(1 << (z_bits - 1), -(-(1 << (pp_bits - 2)) // p))
                 z_hi = min(1 << z_bits, ((1 << (pp_bits - 1)) - 1) // p + 1)
-                z = _pair_search(z_lo, z_hi, p, rng, budget)
+                z = _pair_search(z_lo, z_hi, p, rng, 8 * M)
                 p_prime = 2 * p * z + 1
                 # q' = 2q + 1 in [2**(M-1) / p', 2**M / p'): N has exactly M bits
                 q_lo = -(-(1 << (M - 1)) // p_prime) // 2
                 q_hi = (((1 << M) - 1) // p_prime + 1) // 2
-                q = _pair_search(q_lo, q_hi, 1, rng, budget)
+                q = _pair_search(q_lo, q_hi, 1, rng, 8 * M)
             except ExhaustedAttempts:
                 continue
             q_prime = 2 * q + 1
@@ -235,14 +230,7 @@ def setup(
     g = find_generator(p, z, q, N, rng)
     g_p = pow(g, p, N)
     m = (p * z * q).bit_length()
-    pp = PublicParams(
-        N=N,
-        g_p=g_p,
-        hash_id=DEFAULT_HASH_ID,
-        lambda_bits=level.lambda_bits,
-        m=m,
-        gamma=level.gamma,
-    )
+    pp = PublicParams(N=N, g_p=g_p, m=m, gamma=level.gamma)
     msk = MasterSecret(p=p, z=z, q=q, g=g, p_prime=p_prime, q_prime=q_prime)
     return pp, msk
 
@@ -308,26 +296,7 @@ def validate(pp: PublicParams, msk: MasterSecret) -> ValidationReport:
     check("g_p_value", pp.g_p == pow(g, p, N) and pp.g_p != 1)
     check("g_p_order_zq", _has_order(pp.g_p, z * q, (z, q), N))
     check("m_matches", pp.m == pzq.bit_length(), f"m = {pp.m}, bitlen = {pzq.bit_length()}")
-    digest_bits = _digest_bits(pp.hash_id)
-    check("hash_known", digest_bits > 0, pp.hash_id)
-    check(
-        "lambda_fits",
-        _lambda_fits(pp.lambda_bits, digest_bits),
-        f"lambda = {pp.lambda_bits}, digest = {digest_bits}",
-    )
     return ValidationReport(tuple(checks))
-
-
-def _digest_bits(hash_id: str) -> int:
-    """Digest width of hash_id in bits; 0 when hashlib has no such fixed-width hash."""
-    try:
-        return 8 * hashlib.new(hash_id).digest_size
-    except (TypeError, ValueError):  # TypeError: a name holding NUL
-        return 0
-
-
-def _lambda_fits(lambda_bits: int, digest_bits: int) -> bool:
-    return 0 < lambda_bits <= digest_bits and lambda_bits % 8 == 0
 
 
 def _render(fields: tuple[str, ...], values: dict[str, str]) -> str:
@@ -336,12 +305,10 @@ def _render(fields: tuple[str, ...], values: dict[str, str]) -> str:
 
 def _public_values(pp: PublicParams) -> dict[str, str]:
     return {
-        "version": numt.int_to_hex(FILE_VERSION),
+        **_FIXED_VALUES,
         "gamma": pp.gamma,
         "n": numt.int_to_hex(pp.N),
         "g_p": numt.int_to_hex(pp.g_p),
-        "hash_id": pp.hash_id,
-        "lambda": numt.int_to_hex(pp.lambda_bits),
         "m": numt.int_to_hex(pp.m),
     }
 
@@ -358,9 +325,8 @@ def render_master(pp: PublicParams, msk: MasterSecret) -> str:
 
 
 def params_digest(pp: PublicParams) -> str:
-    """Hex digest (lambda bits) of the canonical public file bytes."""
-    dig = hashlib.new(pp.hash_id, render_public(pp).encode()).digest()
-    return dig[: pp.lambda_bits // 8].hex()
+    """Hex SHA-256 of the canonical public file bytes."""
+    return hashlib.sha256(render_public(pp).encode()).hexdigest()
 
 
 def _parse_kv(text: str, fields: tuple[str, ...], path: str) -> dict[str, str]:
@@ -377,19 +343,12 @@ def _parse_kv(text: str, fields: tuple[str, ...], path: str) -> dict[str, str]:
 
 
 def _params_from_values(values: dict[str, str], path: str) -> PublicParams:
-    if numt.hex_to_int(values["version"]) != FILE_VERSION:
-        raise FormatError(f"{path}: unsupported version {values['version']!r}")
-    digest_bits = _digest_bits(values["hash_id"])
-    if not digest_bits:
-        raise FormatError(f"{path}: unsupported hash_id {values['hash_id']!r}")
-    lambda_bits = numt.hex_to_int(values["lambda"])
-    if not _lambda_fits(lambda_bits, digest_bits):
-        raise FormatError(f"{path}: lambda {lambda_bits} unusable with {values['hash_id']}")
+    for key, want in _FIXED_VALUES.items():
+        if values[key] != want:
+            raise FormatError(f"{path}: {key} must be {want!r}, got {values[key]!r}")
     return PublicParams(
         N=numt.hex_to_int(values["n"]),
         g_p=numt.hex_to_int(values["g_p"]),
-        hash_id=values["hash_id"],
-        lambda_bits=lambda_bits,
         m=numt.hex_to_int(values["m"]),
         gamma=values["gamma"],
     )

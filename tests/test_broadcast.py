@@ -178,6 +178,8 @@ class TestWireFormat:
             lambda raw: raw + b"\x00",  # trailing
             lambda raw: raw[:8] + b"\x00\x00\x00\x02\x00\x02" + raw[14:],  # version
             lambda raw: raw[:50] + b"\x00\x00\x00\x05\x00" + raw[54:],  # 5-byte count
+            # 31-byte digest section, its length prefix fixed up
+            lambda raw: raw[:14] + (31).to_bytes(4, "big") + raw[18:49] + raw[50:],
         ],
     )
     def test_malformed_rejected(self, system, mangle):

@@ -298,6 +298,19 @@ class TestKeystoreFile:
         assert _issue(capsys, files, "carol", "03") == 0
         assert _derive(capsys, files, "alice,carol")[0] == 0
 
+    @pytest.mark.parametrize("user", ["dave,eve", " frank", "frank "])
+    def test_user_id_an_id_list_cannot_name(self, tmp_path, capsys, user):
+        # --group and --authorized split on "," and strip each id
+        files = _setup(capsys, tmp_path, "16")
+        code, _, err = run(
+            capsys,
+            "issue", "--params", files["pp"], "--msk", files["msk"],
+            "--keystore", files["ks"], "--user", user, "--seed", "04",
+        )
+        assert code == 1
+        assert "error[InvalidInput]" in err
+        assert "Traceback" not in err
+
     def test_version_1_keystore_rejected(self, tmp_path, capsys):
         files = _setup(capsys, tmp_path, "16")
         for user, seed in (("alice", "01"), ("bob", "02")):

@@ -101,6 +101,8 @@ class TestKeygen:
     @pytest.mark.parametrize(
         "bad_id",
         ["", "a\tb", "a\nb", "a\rb", "x" * 257, "é" * 129]
+        # the CLI's comma-separated id lists could never name these
+        + ["dave,eve", ",", " frank", "frank ", " ", "a\u3000"]
         # every other line break str.splitlines splits on
         + [f"a{c}b" for c in "\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"],
     )
@@ -230,6 +232,8 @@ class TestKeystoreFiles:
             lambda lines: lines + ["short\trow"],  # wrong column count
             lambda lines: lines + [lines[1].replace("a00", "b00", 1)],  # dup e
             lambda lines: lines + [lines[1].replace("a00", "b\r0", 1)],  # bad id
+            lambda lines: [lines[0], lines[1].replace("a00", "a,00", 1)],  # id with ","
+            lambda lines: [lines[0], lines[1].replace("a00", "a00 ", 1)],  # trailing space
         ],
     )
     def test_load_rejects_malformed(self, toy16, tmp_path, mutation):

@@ -21,7 +21,7 @@ from mpnike.params import PublicParams
 
 from oracles import closed_form_group_element, element_order, issuance_exponents
 
-GOLDEN_PP = PublicParams(N=713, g_p=233, hash_id="sha256", lambda_bits=256, m=8, gamma="toy")
+GOLDEN_PP = PublicParams(N=713, g_p=233, m=8, gamma="toy")
 # sha256(b"MPNIKEv1" + big-endian F padded to the modulus byte width)
 GOLDEN_KDF_2 = "37b139ef0063e6baf6d9a3277b25faf1af219b8b503c32e29554584236a9e260"
 GOLDEN_KDF_712 = "46baba553b3a1ec343c425d22c690241a2a7c2631bc45d90f9734750b6d5e711"
@@ -41,7 +41,7 @@ class TestKdf:
 
     def test_length_is_lambda(self, toy16):
         pp, _ = toy16
-        assert len(nike.kdf(pp, 2)) == pp.lambda_bits // 8
+        assert len(nike.kdf(pp, 2)) == 32
 
     def test_out_of_range(self, toy16):
         pp, _ = toy16

@@ -16,7 +16,7 @@ from conftest import EDITS, apply_edits
 from oracles import element_order
 
 # fixed instance used for file-format golden values
-GOLDEN_PP = PublicParams(N=713, g_p=233, hash_id="sha256", lambda_bits=256, m=8, gamma="toy")
+GOLDEN_PP = PublicParams(N=713, g_p=233, m=8, gamma="toy")
 GOLDEN_TEXT = (
     "version = 1\n"
     "gamma = toy\n"
@@ -34,7 +34,6 @@ class TestSecurityLevel:
         assert security_level("80").modulus_bits == 1024
         assert security_level("112").modulus_bits == 2048
         assert security_level("128").modulus_bits == 3072
-        assert security_level("80").lambda_bits == 256
 
     def test_toy_width(self):
         assert security_level("toy", 40).modulus_bits == 40
@@ -228,10 +227,6 @@ class TestValidate:
         pp, msk = toy16
         assert not params.validate(replace(pp, gamma="80"), msk).ok
 
-    def test_detects_unknown_hash(self, toy16):
-        pp, msk = toy16
-        assert not params.validate(replace(pp, hash_id="nope"), msk).ok
-
 
 class TestFiles:
     def test_golden_render(self):
@@ -274,6 +269,11 @@ class TestFiles:
             lambda t: t.replace("\n", "\r\n"),  # CRLF endings
             lambda t: t.replace("\n", "\u2028"),  # lines joined by U+2028
             lambda t: t[:-1],  # no final newline
+            # other spellings and other hashes: the version-1 format fixes SHA-256
+            lambda t: t.replace("hash_id = sha256", "hash_id = SHA256"),
+            lambda t: t.replace("hash_id = sha256", "hash_id = sha-256"),
+            lambda t: t.replace("hash_id = sha256", "hash_id = sha512"),
+            lambda t: t.replace("hash_id = sha256\nlambda = 100", "hash_id = md5\nlambda = 80"),
         ],
     )
     def test_load_rejects_malformed(self, tmp_path, mutation):
