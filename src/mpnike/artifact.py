@@ -11,7 +11,7 @@ same path had.  Text artifacts bound to one parameter set start with a
 from __future__ import annotations
 
 import os
-from typing import Iterable, Optional
+from typing import Iterable
 
 from .errors import FormatError, ParamsMismatch
 
@@ -50,8 +50,8 @@ def write_bound(path: str, tag: str, digest: str, lines: Iterable[str], private:
     write(path, "".join(f"{line}\n" for line in (f"{tag}\t{digest}", *lines)), private)
 
 
-def read_bound(path: str, tag: str, digest: Optional[str] = None) -> tuple[str, list[str]]:
-    """(header digest, body lines); the digest must match when one is given.
+def read_bound(path: str, tag: str, digest: str) -> list[str]:
+    """Body lines of a `tag<TAB>digest` file; another digest is ParamsMismatch.
 
     Lines end in "\n" only (a user id may hold any other line break), and
     the last line must end in one too.
@@ -62,6 +62,6 @@ def read_bound(path: str, tag: str, digest: Optional[str] = None) -> tuple[str, 
     header = lines[0].split("\t") if lines else []
     if len(header) != 2 or header[0] != tag:
         raise FormatError(f"{path}: missing or bad {tag} header line")
-    if digest is not None and header[1] != digest:
+    if header[1] != digest:
         raise ParamsMismatch(f"{path}: {tag} file bound to other parameters")
-    return header[1], lines[1:]
+    return lines[1:]

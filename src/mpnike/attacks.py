@@ -19,6 +19,7 @@ values so the unknown exponents cancel.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import gcd
 from typing import Iterable, Sequence
 
 from . import kgc, nike, numt
@@ -27,26 +28,24 @@ from .params import MasterSecret, PublicParams
 
 
 def bezout_pos(x: int, y: int) -> tuple[int, int, int]:
-    """(g, a, b) with a*x - b*y = g = gcd(x, y) and a > 0."""
+    """(g, a, b) with a*x - b*y = g = gcd(x, y) and 0 < a <= y // g (a is unique)."""
     if x < 1 or y < 1:
         raise InvalidInput("both values must be positive")
-    g, s, t = numt.ext_gcd(x, y)
-    a, b = s, -t
-    while a <= 0:
-        a += y // g
-        b += x // g
-    return g, a, b
+    g = gcd(x, y)
+    a = pow(x // g, -1, y // g) or 1  # the inverse mod 1 is 0
+    return g, a, (a * x - g) // y
 
 
 def fiat_naor_recover_g(N: int, e_i: int, d_i: int, e_j: int, d_j: int) -> int:
     """Recover the Fiat-Naor master generator from two coprime-e colluders.
 
-    s*e_i + t*e_j = 1 gives d_i**s * d_j**t = g**(s*e_i + t*e_j) = g mod N.
+    s*e_i + t*e_j = 1 gives d_i**s * d_j**t = g**(s*e_i + t*e_j) = g mod N,
+    with s = a and t = -b from bezout_pos.
     """
-    c, s, t = numt.ext_gcd(e_i, e_j)
+    c, a, b = bezout_pos(e_i, e_j)
     if c != 1:
         raise NotCoprime(f"colluder exponents share gcd {c}")
-    return (numt.mod_exp(d_i, s, N) * numt.mod_exp(d_j, t, N)) % N
+    return (numt.mod_exp(d_i, a, N) * numt.mod_exp(d_j, -b, N)) % N
 
 
 def fiat_naor_forge_key(N: int, g: int, member_es: Iterable[int]) -> int:

@@ -174,7 +174,7 @@ def cmd_validate(args: argparse.Namespace) -> int:
 
 def _attack_fiatnaor(args: argparse.Namespace) -> int:
     rng = Rng(args.seed)
-    fn = legacy.fn_setup(args.bits or 24, rng)
+    fn = legacy.fn_setup(args.bits, rng)
     colluder_i = legacy.fn_keygen(fn, rng)
     colluder_j = legacy.fn_keygen(fn, rng)
     targets = [legacy.fn_keygen(fn, rng) for _ in range(3)]
@@ -184,7 +184,7 @@ def _attack_fiatnaor(args: argparse.Namespace) -> int:
     target_es = [t.e for t in targets]
     forged = attacks.fiat_naor_forge_key(fn.N, recovered, target_es)
     honest = legacy.fn_shared_key(fn.N, targets[0], target_es[1:])
-    _, s, t = numt.ext_gcd(colluder_i.e, colluder_j.e)
+    _, s, b = attacks.bezout_pos(colluder_i.e, colluder_j.e)
     verdict = "MATCH" if recovered == fn.g % fn.N and forged == honest else "NO-MATCH"
     _emit(
         args,
@@ -194,7 +194,7 @@ def _attack_fiatnaor(args: argparse.Namespace) -> int:
             ("colluder_e_i", numt.int_to_hex(colluder_i.e)),
             ("colluder_e_j", numt.int_to_hex(colluder_j.e)),
             ("bezout_s", str(s)),
-            ("bezout_t", str(t)),
+            ("bezout_t", str(-b)),
             ("recovered_g", numt.int_to_hex(recovered)),
             ("generator_recovered", "yes" if recovered == fn.g % fn.N else "no"),
             ("forged_key", numt.int_to_hex(forged)),
@@ -207,7 +207,7 @@ def _attack_fiatnaor(args: argparse.Namespace) -> int:
 
 def _attack_eskeland(args: argparse.Namespace) -> int:
     rng = Rng(args.seed)
-    esk = legacy.esk_setup(args.bits or 64, rng)
+    esk = legacy.esk_setup(args.bits, rng)
     exps = []
     while len(exps) < 2 + args.group_size:
         e = numt.random_prime(17, rng)
@@ -276,14 +276,6 @@ def _attack_probe(args: argparse.Namespace) -> int:
     return 0 if verdict == "NO-MATCH" else 1
 
 
-def cmd_attack(args: argparse.Namespace) -> int:
-    if args.scheme == "fiatnaor":
-        return _attack_fiatnaor(args)
-    if args.scheme == "eskeland":
-        return _attack_eskeland(args)
-    return _attack_probe(args)
-
-
 def _hex(raw: str) -> int:
     return int(raw, 16)
 
@@ -307,12 +299,6 @@ def _parent(*flags: str, **kwargs) -> argparse.ArgumentParser:
     return parent
 
 
-def _level(default: str, toy_bits: int) -> argparse.ArgumentParser:
-    parent = _parent("--security", choices=("toy", "80", "112", "128"), default=default)
-    parent.add_argument("--toy-bits", type=int, default=toy_bits, help="modulus bits (toy only)")
-    return parent
-
-
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="mpnike",
@@ -326,42 +312,55 @@ def build_parser() -> argparse.ArgumentParser:
         help="output style (default: text)",
     )
     pfile = _parent("--params", required=True, help="public parameter file")
-    msk = _parent("--msk", required=True, help="master secret file")
     store = _parent("--keystore", required=True, help="keystore file (issue creates it)")
     user = _parent("--user", required=True, help="acting member's user id")
-    group = _parent("--group", help="comma-separated user ids (full group)")
-    group.add_argument("--group-file", help="group descriptor file instead of --group")
-    reveal = _parent("--reveal", action="store_true", help="print the private or derived key")
-    io = _parent("--in", dest="infile", required=True)
-    io.add_argument("--out", dest="outfile", required=True)
     member = (pfile, store, user)
-    sub = ap.add_subparsers(dest="command", required=True)
+    sub = ap.add_subparsers(dest="command", required=True, prog=ap.prog)
 
-    def command(name: str, func, summary: str, *parents: argparse.ArgumentParser):
-        p = sub.add_parser(name, parents=[common, *parents], help=summary)
+    def command(name: str, func, summary: str, *parents: argparse.ArgumentParser, under=sub):
+        p = under.add_parser(name, parents=[common, *parents], help=summary)
         p.set_defaults(func=func)
         return p
 
-    command("setup", cmd_setup, "generate parameters", _level("80", 16), pfile, msk)
-    command("issue", cmd_issue, "issue a member key pair", *member, msk, reveal)
-    p = command("derive", cmd_derive, "derive a group key", *member, group, reveal)
-    p.add_argument("--write-group", help="write a group descriptor here")
-    p = command("join", cmd_join, "grow a group by one member", *member, group, reveal)
-    p.add_argument("--new", required=True, help="joining user id")
-    p = command(
-        "broadcast-encrypt", cmd_broadcast_encrypt, "encrypt to an authorized set",
-        pfile, store, io,
+    setup = command("setup", cmd_setup, "generate parameters", pfile)
+    issue = command("issue", cmd_issue, "issue a member key pair", *member)
+    derive = command("derive", cmd_derive, "derive a group key", *member)
+    derive.add_argument("--write-group", help="write a group descriptor here")
+    join = command("join", cmd_join, "grow a group by one member", *member)
+    join.add_argument("--new", required=True, help="joining user id")
+    enc = command(
+        "broadcast-encrypt", cmd_broadcast_encrypt, "encrypt to an authorized set", pfile, store
     )
-    p.add_argument("--authorized", required=True, help="comma-separated user ids")
-    command(
-        "broadcast-decrypt", cmd_broadcast_decrypt, "decrypt as an authorized user",
-        *member, io,
+    enc.add_argument("--authorized", required=True, help="comma-separated user ids")
+    dec = command(
+        "broadcast-decrypt", cmd_broadcast_decrypt, "decrypt as an authorized user", *member
     )
-    p = command("attack", cmd_attack, "run an attack demonstration", _level("toy", 64))
-    p.add_argument("scheme", choices=("fiatnaor", "eskeland", "probe"))
-    p.add_argument("--bits", type=int, help="legacy modulus bits")
-    p.add_argument("--group-size", type=_int_from(2), default=3, help="target group size")
-    command("validate", cmd_validate, "check a parameter set", pfile, msk)
+    # one sub-parser per scheme, each declaring only the options it reads
+    attack = sub.add_parser("attack", help="run an attack demonstration")
+    schemes = attack.add_subparsers(dest="scheme", required=True, prog=attack.prog)
+    fn = command("fiatnaor", _attack_fiatnaor, "break Fiat-Naor", under=schemes)
+    fn.add_argument("--bits", type=int, default=24, help="legacy modulus bits")
+    esk = command("eskeland", _attack_eskeland, "break Eskeland", under=schemes)
+    esk.add_argument("--bits", type=int, default=64, help="legacy modulus bits")
+    probe = command("probe", _attack_probe, "probe the main scheme", under=schemes)
+    validate = command("validate", cmd_validate, "check a parameter set", pfile)
+    # arguments of two or three commands: declared on each, which is cheaper
+    # than a parent parser (build_parser runs on every main call)
+    for p, security, toy_bits in ((setup, "80", 16), (probe, "toy", 64)):
+        p.add_argument("--security", choices=("toy", "80", "112", "128"), default=security)
+        p.add_argument("--toy-bits", type=int, default=toy_bits, help="modulus bits (toy only)")
+    for p in (setup, issue, validate):
+        p.add_argument("--msk", required=True, help="master secret file")
+    for p in (issue, derive, join):
+        p.add_argument("--reveal", action="store_true", help="print the private or derived key")
+    for p in (derive, join):
+        p.add_argument("--group", help="comma-separated user ids (full group)")
+        p.add_argument("--group-file", help="group descriptor file instead of --group")
+    for p in (enc, dec):
+        p.add_argument("--in", dest="infile", required=True)
+        p.add_argument("--out", dest="outfile", required=True)
+    for p in (esk, probe):
+        p.add_argument("--group-size", type=_int_from(2), default=3, help="target group size")
     return ap
 
 

@@ -154,11 +154,10 @@ def store_save(store: Keystore, path: str):
     artifact.write_bound(path, _STORE_HEADER, store.params_ref, rows, private=True)
 
 
-def store_load(path: str, pp: Optional[PublicParams] = None) -> Keystore:
-    params_ref, lines = artifact.read_bound(
-        path, _STORE_HEADER, None if pp is None else params_digest(pp)
-    )
-    store = Keystore(params_ref=params_ref)
+def store_load(path: str, pp: PublicParams) -> Keystore:
+    digest = params_digest(pp)
+    lines = artifact.read_bound(path, _STORE_HEADER, digest)
+    store = Keystore(params_ref=digest)
     seen_e: set[int] = set()
     previous = ""
     for lineno, line in enumerate(lines, 2):

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass, field
-from typing import Iterable, Optional
+from typing import Iterable
 
 from . import artifact, numt
 from .errors import (
@@ -94,8 +94,8 @@ def save_group(pp: PublicParams, members: Iterable[int], path: str):
     artifact.write_bound(path, _GROUP_HEADER, params_digest(pp), map(numt.int_to_hex, member_list))
 
 
-def load_group(path: str, pp: Optional[PublicParams] = None) -> tuple[int, ...]:
-    _, lines = artifact.read_bound(path, _GROUP_HEADER, None if pp is None else params_digest(pp))
+def load_group(path: str, pp: PublicParams) -> tuple[int, ...]:
+    lines = artifact.read_bound(path, _GROUP_HEADER, params_digest(pp))
     members = [numt.hex_to_int(line) for line in lines]
     if not members:
         raise FormatError(f"{path}: no members")

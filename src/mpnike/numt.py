@@ -1,9 +1,10 @@
 """Arbitrary-precision modular arithmetic, primality testing and prime search.
 
 Everything here is pure integer math.  Callers supply an entropy source
-(`Rng`) so seeded runs reproduce byte for byte, and every modular
-exponentiation is routed through `mod_exp` so callers can count group
-operations with `count_mod_exps`.
+(`Rng`) so seeded runs reproduce byte for byte.  Group key derivation,
+join and the collusion attacks exponentiate through `mod_exp`, so
+`count_mod_exps` counts their group operations; issuer-side and setup
+exponentiations call the builtin `pow` directly.
 """
 
 from __future__ import annotations
@@ -11,6 +12,7 @@ from __future__ import annotations
 import random
 import re
 from contextlib import contextmanager
+from math import gcd
 from typing import Iterable, Iterator, Optional
 
 from .errors import ExhaustedAttempts, FormatError, InvalidInput, NotInvertible
@@ -91,38 +93,11 @@ def count_mod_exps() -> Iterator[ModExpCounter]:
         _ACTIVE_COUNTERS.remove(counter)
 
 
-def ext_gcd(a: int, b: int) -> tuple[int, int, int]:
-    """Extended Euclid: return (g, x, y) with g = gcd(a, b) > 0 = a*x + b*y."""
-    if a == 0 and b == 0:
-        raise InvalidInput("gcd(0, 0) is undefined")
-    old_r, r = a, b
-    old_x, x = 1, 0
-    old_y, y = 0, 1
-    while r != 0:
-        q = old_r // r
-        old_r, r = r, old_r - q * r
-        old_x, x = x, old_x - q * x
-        old_y, y = y, old_y - q * y
-    if old_r < 0:
-        old_r, old_x, old_y = -old_r, -old_x, -old_y
-    return old_r, old_x, old_y
-
-
-def mod_inverse(a: int, n: int) -> int:
-    """Inverse of a modulo n; raises NotInvertible carrying the shared gcd."""
-    if n < 2:
-        raise InvalidInput(f"modulus must be >= 2, got {n}")
-    g, x, _ = ext_gcd(a % n, n)
-    if g != 1:
-        raise NotInvertible(a, n, g)
-    return x % n
-
-
 def mod_exp(base: int, exp: int, n: int) -> int:
     """base**exp mod n for any integer exponent; n must be odd and >= 15.
 
-    Negative exponents go through the modular inverse of the base, so a
-    base sharing a factor with n raises NotInvertible.
+    A negative exponent needs the inverse of the base, so a base sharing
+    a factor with n raises NotInvertible carrying that factor.
     """
     if n < 15 or n % 2 == 0:
         raise InvalidInput(f"modulus must be odd and >= 15, got {n}")
@@ -131,7 +106,10 @@ def mod_exp(base: int, exp: int, n: int) -> int:
     b = base % n
     if exp >= 0:
         return pow(b, exp, n)
-    return pow(mod_inverse(b, n), -exp, n)
+    g = gcd(b, n)
+    if g != 1:
+        raise NotInvertible(b, n, g)
+    return pow(b, exp, n)
 
 
 def exp_chain(base: int, exps: Iterable[int], n: int) -> int:

@@ -146,21 +146,14 @@ def _pair_search(lo: int, hi: int, m: int, rng: Rng, budget: int) -> int:
     raise ExhaustedAttempts(f"no prime x in [{lo}, {hi}) with 2*{m}*x + 1 prime")
 
 
-def _check_forced(primes: tuple[int, int, int]) -> tuple[int, int, int, int, int]:
-    p, z, q = primes
-    for v in (p, z, q):
-        if v < 3 or not numt.is_probable_prime(v):
-            raise InvalidInput(f"forced value {v} is not an odd prime")
-    if len({p, z, q}) != 3:
-        raise InvalidInput("forced primes must be pairwise distinct")
-    p_prime = 2 * p * z + 1
-    q_prime = 2 * q + 1
-    for v in (p_prime, q_prime):
-        if not numt.is_probable_prime(v):
-            raise InvalidInput(f"derived factor {v} is not prime")
-    if len({p, z, q, p_prime, q_prime}) != 5:
-        raise InvalidInput("derived factors collide with the forced primes")
-    return p, z, q, p_prime, q_prime
+def _certified(p: int, z: int, q: int, rng: Rng | None = None) -> tuple[int, ...] | None:
+    """(p, z, q, p', q') if all five are distinct odd primes at full strength, else None."""
+    primes = (p, z, q, 2 * p * z + 1, 2 * q + 1)
+    if min(primes) >= 3 and len(set(primes)) == 5 and all(
+        numt.is_probable_prime(v, rng=rng) for v in primes
+    ):
+        return primes
+    return None
 
 
 def _has_order(x: int, order: int, primes: tuple[int, ...], N: int) -> bool:
@@ -199,7 +192,9 @@ def setup(
     that runs out is retried with a fresh p.
     """
     if forced_primes is not None:
-        p, z, q, p_prime, q_prime = _check_forced(forced_primes)
+        primes = _certified(*forced_primes)
+        if primes is None:
+            raise InvalidInput(f"forced {forced_primes} give no five distinct odd primes")
     else:
         M = level.modulus_bits
         p_bits, z_bits, pp_bits = _bit_split(M)
@@ -217,15 +212,13 @@ def setup(
                 q = _pair_search(q_lo, q_hi, 1, rng, 8 * M)
             except ExhaustedAttempts:
                 continue
-            q_prime = 2 * q + 1
-            primes = (p, z, q, p_prime, q_prime)
             # certify at full strength what the search only screened
-            if len(set(primes)) == 5 and all(
-                numt.is_probable_prime(v, rng=rng) for v in primes
-            ):
+            primes = _certified(p, z, q, rng)
+            if primes is not None:
                 break
         else:
             raise ExhaustedAttempts(f"no {M}-bit parameter set in 32 attempts")
+    p, z, q, p_prime, q_prime = primes
     N = p_prime * q_prime
     g = find_generator(p, z, q, N, rng)
     g_p = pow(g, p, N)

@@ -1,3 +1,5 @@
+import math
+
 import pytest
 
 from mpnike import attacks, legacy, nike, numt
@@ -18,12 +20,20 @@ class TestBezoutPos:
             y = rng.randrange(1, 1 << 64)
             g, a, b = attacks.bezout_pos(x, y)
             assert a * x - b * y == g
-            assert a > 0
+            assert 0 < a <= y // g
             assert x % g == 0 and y % g == 0
 
     def test_equal_inputs(self):
         g, a, b = attacks.bezout_pos(7, 7)
         assert g == 7 and a * 7 - b * 7 == 7 and a > 0
+
+    @pytest.mark.parametrize("x, y", [(7, 7), (14, 7), (7, 14), (1, 5), (5, 1)])
+    def test_divisor_edge_cases(self, x, y):
+        # y // g == 1 where one value divides the other: the inverse mod 1 is 0
+        g, a, b = attacks.bezout_pos(x, y)
+        assert g == math.gcd(x, y)
+        assert a * x - b * y == g
+        assert 0 < a <= y // g
 
     def test_rejects_nonpositive(self):
         with pytest.raises(InvalidInput):

@@ -279,7 +279,7 @@ class TestKeystoreFile:
         rows = [line.split("\t") for line in text.splitlines()[1:]]
         assert [len(row) for row in rows] == [3, 3, 3]
         _, msk = params.load_master(files["msk"])
-        for pair in kgc.store_load(files["ks"]).records.values():
+        for pair in kgc.store_load(files["ks"], params.load_public(files["pp"])).records.values():
             y, k = issuance_exponents(msk, pair.e)
             assert format(y, "x") not in text
             assert format(k, "x") not in text
@@ -405,11 +405,24 @@ class TestHygiene:
         assert "Traceback" not in err
 
     def test_readme_names_every_subcommand(self):
-        readme = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "README.md")
         # command lines in code blocks, and `mpnike <cmd>` in backticks
-        named = set(re.findall(r"(?:^|`)mpnike ([a-z][a-z-]*)", open(readme).read(), re.M))
-        sub = next(a for a in build_parser()._actions if a.dest == "command")
-        assert named == set(sub.choices)
+        named = set(re.findall(r"(?:^|`)mpnike ([a-z][a-z-]*)", _readme(), re.M))
+        assert named == set(_subparsers(build_parser(), "command").choices)
+
+    def test_readme_names_every_attack_scheme(self):
+        named = set(re.findall(r"(?:^|`)mpnike attack ([a-z]+)", _readme(), re.M))
+        attack = _subparsers(build_parser(), "command").choices["attack"]
+        assert named == set(_subparsers(attack, "scheme").choices)
+
+
+def _readme() -> str:
+    path = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "README.md")
+    with open(path) as fh:
+        return fh.read()
+
+
+def _subparsers(parser, dest: str):
+    return next(a for a in parser._actions if a.dest == dest)
 
 
 @pytest.mark.parametrize(
@@ -419,6 +432,11 @@ class TestHygiene:
         ["attack", "probe", "--group-size", "0"],
         ["attack", "probe", "--group-size", "-1"],
         ["attack", "eskeland", "--group-size", "0"],
+        # options of another scheme
+        ["attack", "probe", "--bits", "64"],
+        ["attack", "fiatnaor", "--group-size", "5"],
+        ["attack", "fiatnaor", "--security", "80"],
+        ["attack", "eskeland", "--toy-bits", "32"],
         # removed subcommand: argparse's invalid-choice error
         ["bench", "--reps", "0"],
         ["bench", "--parties", "5:5"],

@@ -247,7 +247,7 @@ class TestKeystoreFiles:
         with open(path, "w") as fh:
             fh.write("\n".join(mutation(lines)) + "\n")
         with pytest.raises(FormatError):
-            kgc.store_load(path)
+            kgc.store_load(path, pp)
 
     def test_unsorted_rows_rejected(self, toy16, tmp_path):
         pp, msk = toy16

@@ -240,22 +240,19 @@ class TestGroupFiles:
             ["mpnike-group/1"],  # header missing digest
             None,  # filled in below: unsorted
             ["not-a-header\tx", "4"],
-            ["mpnike-group/1\tab"],  # header only: no members
+            ["mpnike-group/1\t{digest}"],  # header only: no members
         ],
     )
     def test_malformed(self, toy16, tmp_path, lines):
         pp, _ = toy16
+        digest = params.params_digest(pp)
         if lines is None:
-            lines = [
-                f"mpnike-group/1\t{params.params_digest(pp)}",
-                "a2",
-                "a0",
-            ]
+            lines = ["mpnike-group/1\t{digest}", "a2", "a0"]
         path = str(tmp_path / "group.txt")
         with open(path, "w") as fh:
-            fh.write("\n".join(lines) + "\n")
+            fh.write("".join(line.format(digest=digest) + "\n" for line in lines))
         with pytest.raises(FormatError):
-            nike.load_group(path)
+            nike.load_group(path, pp)
 
     def test_duplicate_members_rejected(self, toy16, tmp_path):
         pp, _ = toy16
@@ -263,7 +260,7 @@ class TestGroupFiles:
         with open(path, "w") as fh:
             fh.write(f"mpnike-group/1\t{params.params_digest(pp)}\na0\na0\n")
         with pytest.raises(FormatError):
-            nike.load_group(path)
+            nike.load_group(path, pp)
 
     @settings(max_examples=200, deadline=None)
     @given(edits=EDITS)

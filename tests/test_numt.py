@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from mpnike import numt
 from mpnike.errors import ExhaustedAttempts, FormatError, InvalidInput, NotInvertible
-from mpnike.numt import Rng, count_mod_exps, exp_chain, ext_gcd, mod_exp
+from mpnike.numt import Rng, count_mod_exps, exp_chain, mod_exp
 
 from oracles import sieve, slow_pow
 
@@ -89,35 +89,6 @@ class TestExpChain:
         with count_mod_exps() as counter:
             exp_chain(base, exps + exps, n)
         assert counter.count == len(set(exps))
-
-
-class TestExtGcd:
-    def test_known_values(self):
-        assert ext_gcd(5, 7) == (1, 3, -2)
-        assert ext_gcd(6, 9) == (3, -1, 1)
-        assert ext_gcd(0, 5) == (5, 0, 1)
-        assert ext_gcd(5, 0) == (5, 1, 0)
-
-    def test_rejects_double_zero(self):
-        with pytest.raises(InvalidInput):
-            ext_gcd(0, 0)
-
-    def test_bezout_identity_random(self):
-        rng = Rng(3)
-        for _ in range(2000):
-            a = rng.randrange(-(1 << 128), 1 << 128)
-            b = rng.randrange(-(1 << 128), 1 << 128)
-            if a == 0 and b == 0:
-                continue
-            g, x, y = ext_gcd(a, b)
-            assert g == math.gcd(a, b) > 0
-            assert a * x + b * y == g
-
-    def test_mod_inverse(self):
-        assert numt.mod_inverse(23, 35) == 32
-        with pytest.raises(NotInvertible) as exc:
-            numt.mod_inverse(21, 35)
-        assert exc.value.factor == 7
 
 
 class TestPrimality:
