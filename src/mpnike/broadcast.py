@@ -23,14 +23,7 @@ from cryptography.exceptions import InvalidTag
 from cryptography.hazmat.primitives.ciphers.aead import AESGCM
 
 from . import artifact, kgc, nike, params
-from .errors import (
-    AuthFailure,
-    FormatError,
-    GroupTooSmall,
-    NotAuthorized,
-    ParamsMismatch,
-    UnknownUser,
-)
+from .errors import AuthFailure, FormatError, GroupTooSmall, NotAuthorized, ParamsMismatch
 from .kgc import KeyPair, Keystore
 from .numt import Rng
 from .params import MasterSecret, PublicParams, SecurityLevel
@@ -101,18 +94,13 @@ def brod_encrypt(
     The group key is derived from the lexicographically first authorized
     user's key pair; any member's view produces the same key.
     """
-    ids = sorted(set(authorized_ids))
-    for user_id in ids:
-        if user_id not in store.records:
-            raise UnknownUser(user_id)
-    if len(ids) < 2:
+    pairs = [store.pair(u) for u in sorted(set(authorized_ids))]
+    if len(pairs) < 2:
         raise GroupTooSmall("need at least two authorized users")
     digest = params.params_digest(pp)
     if store.params_ref != digest:
         raise ParamsMismatch("keystore belongs to different parameters")
-    sender = store.pair(ids[0])
-    others = [store.records[u].e for u in ids[1:]]
-    state = nike.shared_key(pp, sender, others)
+    state = nike.shared_key(pp, pairs[0], [pair.e for pair in pairs[1:]])
     key = _transport_key(state.K)
     nonce = rng.randbytes(NONCE_LEN)
     aad = _header_bytes(digest, state.members)

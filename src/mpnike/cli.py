@@ -280,92 +280,95 @@ def _hex(raw: str) -> int:
     return int(raw, 16)
 
 
-def _int_from(lo: int):
-    """argparse type for an integer no smaller than lo."""
-
-    def parse(raw: str) -> int:
-        value = int(raw)
-        if value < lo:
-            raise argparse.ArgumentTypeError(f"must be >= {lo}, got {value}")
-        return value
-
-    return parse
+def _group_size(raw: str) -> int:
+    value = int(raw)
+    if value < 2:
+        raise argparse.ArgumentTypeError(f"must be >= 2, got {value}")
+    return value
 
 
-def _parent(*flags: str, **kwargs) -> argparse.ArgumentParser:
-    """Parent parser declaring one argument, shared by the subcommands that take it."""
-    parent = argparse.ArgumentParser(add_help=False)
-    parent.add_argument(*flags, **kwargs)
-    return parent
+# every option, declared once: flag -> add_argument keywords
+_OPTIONS = {
+    "--seed": dict(type=_hex, help="hex seed for deterministic runs"),
+    "--format": dict(
+        choices=("text", "line-record"), default="text", help="output style (default: text)"
+    ),
+    "--params": dict(required=True, help="public parameter file"),
+    "--keystore": dict(required=True, help="keystore file (issue creates it)"),
+    "--user": dict(required=True, help="acting member's user id"),
+    "--msk": dict(required=True, help="master secret file"),
+    "--security": dict(choices=("toy", *params._LEVEL_BITS)),
+    "--toy-bits": dict(type=int, help="modulus bits (toy only)"),
+    "--reveal": dict(action="store_true", help="print the private or derived key"),
+    "--write-group": dict(help="write a group descriptor here"),
+    "--group": dict(help="comma-separated user ids (full group)"),
+    "--group-file": dict(help="group descriptor file instead of --group"),
+    "--new": dict(required=True, help="joining user id"),
+    "--authorized": dict(required=True, help="comma-separated user ids"),
+    "--in": dict(dest="infile", required=True),
+    "--out": dict(dest="outfile", required=True),
+    "--bits": dict(type=int, help="legacy modulus bits"),
+    "--group-size": dict(type=_group_size, default=3, help="target group size"),
+}
 
 
-def build_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(
-        prog="mpnike",
-        description="Multi-party non-interactive key exchange toolkit",
-    )
-    common = _parent("--seed", type=_hex, help="hex seed for deterministic runs")
-    common.add_argument(
-        "--format",
-        choices=("text", "line-record"),
-        default="text",
-        help="output style (default: text)",
-    )
-    pfile = _parent("--params", required=True, help="public parameter file")
-    store = _parent("--keystore", required=True, help="keystore file (issue creates it)")
-    user = _parent("--user", required=True, help="acting member's user id")
-    member = (pfile, store, user)
-    sub = ap.add_subparsers(dest="command", required=True, prog=ap.prog)
+class Command:
+    """A table row: a summary and a handler with its options and defaults, or a nested table."""
 
-    def command(name: str, func, summary: str, *parents: argparse.ArgumentParser, under=sub):
-        p = under.add_parser(name, parents=[common, *parents], help=summary)
-        p.set_defaults(func=func)
-        return p
+    def __init__(self, summary: str, run, *options: str, **defaults):
+        self.summary, self.run, self.options, self.defaults = summary, run, options, defaults
 
-    setup = command("setup", cmd_setup, "generate parameters", pfile)
-    issue = command("issue", cmd_issue, "issue a member key pair", *member)
-    derive = command("derive", cmd_derive, "derive a group key", *member)
-    derive.add_argument("--write-group", help="write a group descriptor here")
-    join = command("join", cmd_join, "grow a group by one member", *member)
-    join.add_argument("--new", required=True, help="joining user id")
-    enc = command(
-        "broadcast-encrypt", cmd_broadcast_encrypt, "encrypt to an authorized set", pfile, store
-    )
-    enc.add_argument("--authorized", required=True, help="comma-separated user ids")
-    dec = command(
-        "broadcast-decrypt", cmd_broadcast_decrypt, "decrypt as an authorized user", *member
-    )
-    # one sub-parser per scheme, each declaring only the options it reads
-    attack = sub.add_parser("attack", help="run an attack demonstration")
-    schemes = attack.add_subparsers(dest="scheme", required=True, prog=attack.prog)
-    fn = command("fiatnaor", _attack_fiatnaor, "break Fiat-Naor", under=schemes)
-    fn.add_argument("--bits", type=int, default=24, help="legacy modulus bits")
-    esk = command("eskeland", _attack_eskeland, "break Eskeland", under=schemes)
-    esk.add_argument("--bits", type=int, default=64, help="legacy modulus bits")
-    probe = command("probe", _attack_probe, "probe the main scheme", under=schemes)
-    validate = command("validate", cmd_validate, "check a parameter set", pfile)
-    # arguments of two or three commands: declared on each, which is cheaper
-    # than a parent parser (build_parser runs on every main call)
-    for p, security, toy_bits in ((setup, "80", 16), (probe, "toy", 64)):
-        p.add_argument("--security", choices=("toy", "80", "112", "128"), default=security)
-        p.add_argument("--toy-bits", type=int, default=toy_bits, help="modulus bits (toy only)")
-    for p in (setup, issue, validate):
-        p.add_argument("--msk", required=True, help="master secret file")
-    for p in (issue, derive, join):
-        p.add_argument("--reveal", action="store_true", help="print the private or derived key")
-    for p in (derive, join):
-        p.add_argument("--group", help="comma-separated user ids (full group)")
-        p.add_argument("--group-file", help="group descriptor file instead of --group")
-    for p in (enc, dec):
-        p.add_argument("--in", dest="infile", required=True)
-        p.add_argument("--out", dest="outfile", required=True)
-    for p in (esk, probe):
-        p.add_argument("--group-size", type=_int_from(2), default=3, help="target group size")
-    return ap
+
+def _commands() -> Command:
+    """The command table; every command also takes --seed and --format.
+
+    Built per `main` call, not at import, so that a handler rebound on this
+    module (as perfbench's recorder does) is the one that runs.
+    """
+    member = ("--params", "--keystore", "--user")
+    group = ("--reveal", "--group", "--group-file")
+    schemes = {
+        "fiatnaor": Command("break Fiat-Naor", _attack_fiatnaor, "--bits", bits=24),
+        "eskeland": Command("break Eskeland", _attack_eskeland, "--bits", "--group-size", bits=64),
+        "probe": Command("probe the main scheme", _attack_probe, "--security", "--toy-bits",
+                         "--group-size", security="toy", toy_bits=64),
+    }
+    return Command("Multi-party non-interactive key exchange toolkit", {
+        "setup": Command("generate parameters", cmd_setup, "--params", "--security", "--toy-bits",
+                         "--msk", security="80", toy_bits=16),
+        "issue": Command("issue a member key pair", cmd_issue, *member, "--msk", "--reveal"),
+        "derive": Command("derive a group key", cmd_derive, *member, "--write-group", *group),
+        "join": Command("grow a group by one member", cmd_join, *member, "--new", *group),
+        "broadcast-encrypt": Command("encrypt to an authorized set", cmd_broadcast_encrypt,
+                                     "--params", "--keystore", "--authorized", "--in", "--out"),
+        "broadcast-decrypt": Command("decrypt as an authorized user", cmd_broadcast_decrypt,
+                                     *member, "--in", "--out"),
+        "attack": Command("run an attack demonstration", schemes),
+        "validate": Command("check a parameter set", cmd_validate, "--params", "--msk"),
+    })
+
+
+def _parse(prog: str, cmd: Command, argv: Optional[Sequence[str]], level: str):
+    """Parse argv for cmd with one parser per level: a table level reads only the
+    name of the next entry and leaves the rest of argv to that entry's parser."""
+    if isinstance(cmd.run, dict):
+        listing = "".join(f"\n  {name:<20}{sub.summary}" for name, sub in cmd.run.items())
+        ap = argparse.ArgumentParser(
+            prog=prog, description=cmd.summary, epilog=f"{level}s:{listing}",
+            formatter_class=argparse.RawDescriptionHelpFormatter,
+        )
+        ap.add_argument(level, nargs=argparse.PARSER, choices=cmd.run)
+        name, *rest = getattr(ap.parse_args(argv), level)
+        return _parse(f"{prog} {name}", cmd.run[name], rest, "scheme")
+    ap = argparse.ArgumentParser(prog=prog)
+    for flag in ("--seed", "--format", *cmd.options):
+        ap.add_argument(flag, **_OPTIONS[flag])
+    ap.set_defaults(func=cmd.run, **cmd.defaults)
+    return ap.parse_args(argv)
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parse("mpnike", _commands(), argv, "command")
     try:
         return args.func(args)
     except MpnikeError as exc:

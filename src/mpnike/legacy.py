@@ -26,7 +26,8 @@ from . import numt
 from .errors import EmptyGroup, ExhaustedAttempts, InvalidInput, SelfInGroup
 from .numt import Rng
 
-_E_BITS_DEFAULT = 16
+_E_BITS = 16
+_FACTOR_LIMIT = 1 << 20
 
 
 def _distinct_primes(bits: int, rng: Rng) -> tuple[int, int]:
@@ -40,29 +41,29 @@ def _distinct_primes(bits: int, rng: Rng) -> tuple[int, int]:
     raise ExhaustedAttempts("could not draw two distinct primes")
 
 
-def _factor_small(n: int, limit: int = 1 << 20) -> Optional[list[int]]:
+def _factor_small(n: int) -> Optional[list[int]]:
     """Prime factors of n by trial division, or None if n resists it."""
     factors = []
     rem = n
     d = 2
-    while d * d <= rem and d <= limit:
+    while d * d <= rem and d <= _FACTOR_LIMIT:
         while rem % d == 0:
             factors.append(d)
             rem //= d
         d += 1 if d == 2 else 2
     if rem > 1:
-        if rem <= limit * limit:
+        if rem <= _FACTOR_LIMIT * _FACTOR_LIMIT:
             factors.append(rem)
         else:
             return None
     return sorted(set(factors))
 
 
-def _max_order_unit(N: int, lam: int, rng: Rng, budget: int = 4096) -> int:
+def _max_order_unit(N: int, lam: int, rng: Rng) -> int:
     """Unit of multiplicative order lam when lam factors easily, else a
     random unit (the schemes only need g to generate a large subgroup)."""
     primes = _factor_small(lam)
-    for _ in range(budget):
+    for _ in range(4096):
         x = rng.randrange(2, N)
         if gcd(x, N) != 1:
             continue
@@ -99,9 +100,9 @@ def fn_setup(bits: int, rng: Rng) -> FnParams:
     return FnParams(N=N, g=g, p=p, q=q)
 
 
-def fn_keygen(fn: FnParams, rng: Rng, e_bits: int = _E_BITS_DEFAULT) -> FnKeyPair:
+def fn_keygen(fn: FnParams, rng: Rng) -> FnKeyPair:
     for _ in range(256):
-        e = numt.random_prime(e_bits, rng)
+        e = numt.random_prime(_E_BITS, rng)
         if e not in fn.issued:
             fn.issued.add(e)
             return FnKeyPair(e=e, d=pow(fn.g, e, fn.N))

@@ -97,10 +97,6 @@ def save_group(pp: PublicParams, members: Iterable[int], path: str):
 def load_group(path: str, pp: PublicParams) -> tuple[int, ...]:
     lines = artifact.read_bound(path, _GROUP_HEADER, params_digest(pp))
     members = [numt.hex_to_int(line) for line in lines]
-    if not members:
-        raise FormatError(f"{path}: no members")
-    if len(set(members)) != len(members):
-        raise FormatError(f"{path}: duplicate members")
-    if members != sorted(members):
-        raise FormatError(f"{path}: members not in canonical order")
+    if not members or sorted(set(members)) != members:
+        raise FormatError(f"{path}: members not nonempty, sorted and distinct")
     return tuple(members)

@@ -12,7 +12,7 @@ from __future__ import annotations
 import random
 import re
 from contextlib import contextmanager
-from math import gcd
+from math import gcd, prod
 from typing import Iterable, Iterator, Optional
 
 from .errors import ExhaustedAttempts, FormatError, InvalidInput, NotInvertible
@@ -29,9 +29,10 @@ def _sieve(limit: int) -> list[int]:
     return [i for i in range(limit) if flags[i]]
 
 
-# Dividing by every prime below 256 proves primality for candidates below
-# 2**16; the longer tail just cheapens Miller-Rabin on large candidates.
-_SMALL_PRIMES = _sieve(4096)
+# A candidate below 2**16 with no prime factor below 256 is prime; the
+# longer tail just screens large candidates before Miller-Rabin.
+_SMALL_PRIMES = frozenset(_sieve(4096))
+_SMALL_PRODUCT = prod(_SMALL_PRIMES)
 _TRIAL_PROOF_LIMIT = 1 << 16
 
 
@@ -125,16 +126,13 @@ def exp_chain(base: int, exps: Iterable[int], n: int) -> int:
 
 
 def is_probable_prime(n: int, rounds: int = _MR_ROUNDS, rng: Optional[Rng] = None) -> bool:
-    """Trial division below 2**16 (exact there), Miller-Rabin above."""
+    """Small-factor screen (exact below 2**16), Miller-Rabin above."""
     if rounds < 1:
         raise InvalidInput("rounds must be >= 1")
     if n < 2:
         return False
-    for p in _SMALL_PRIMES:
-        if n == p:
-            return True
-        if n % p == 0:
-            return False
+    if gcd(n, _SMALL_PRODUCT) != 1:
+        return n in _SMALL_PRIMES
     if n < _TRIAL_PROOF_LIMIT:
         return True
     rng = rng or _SYSTEM_RNG

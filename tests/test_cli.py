@@ -5,8 +5,8 @@ import sys
 
 import pytest
 
-from mpnike import kgc, params
-from mpnike.cli import build_parser, main
+from mpnike import cli, kgc, params
+from mpnike.cli import main
 
 from oracles import issuance_exponents
 
@@ -407,12 +407,21 @@ class TestHygiene:
     def test_readme_names_every_subcommand(self):
         # command lines in code blocks, and `mpnike <cmd>` in backticks
         named = set(re.findall(r"(?:^|`)mpnike ([a-z][a-z-]*)", _readme(), re.M))
-        assert named == set(_subparsers(build_parser(), "command").choices)
+        assert named == set(_COMMANDS)
 
     def test_readme_names_every_attack_scheme(self):
         named = set(re.findall(r"(?:^|`)mpnike attack ([a-z]+)", _readme(), re.M))
-        attack = _subparsers(build_parser(), "command").choices["attack"]
-        assert named == set(_subparsers(attack, "scheme").choices)
+        assert named == set(_SCHEMES)
+
+    def test_readme_attack_table_lists_each_schemes_options(self):
+        table = _readme().split("| scheme | options |\n", 1)[1].split("\n\n", 1)[0]
+        rows = re.findall(r"^\| `([a-z]+)` \| (.*) \|$", table, re.M)
+        listed = {name: set(re.findall(r"`(--[a-z-]+)`", cell)) for name, cell in rows}
+        assert listed == {name: set(s.options) for name, s in _SCHEMES.items()}
+
+
+_COMMANDS = cli._commands().run
+_SCHEMES = _COMMANDS["attack"].run
 
 
 def _readme() -> str:
@@ -421,8 +430,56 @@ def _readme() -> str:
         return fh.read()
 
 
-def _subparsers(parser, dest: str):
-    return next(a for a in parser._actions if a.dest == dest)
+@pytest.mark.parametrize(
+    "argv, prog, bad",
+    [
+        (["attack", "probe", "--bits", "64"], "mpnike attack probe", "--bits"),
+        (["validate", "--params", "x", "--msk", "y", "--bogus"], "mpnike validate", "--bogus"),
+        (
+            ["derive", "--params", "x", "--keystore", "y", "--user", "a", "--bogus"],
+            "mpnike derive",
+            "--bogus",
+        ),
+    ],
+)
+def test_usage_error_names_the_subcommand(capsys, argv, prog, bad):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"usage: {prog} ")
+    assert f"unrecognized arguments: {bad}" in err
+
+
+@pytest.mark.parametrize("path", [[], ["attack"]], ids=["mpnike", "attack"])
+def test_help_lists_every_entry_with_its_summary(capsys, path):
+    table = _SCHEMES if path else _COMMANDS
+    with pytest.raises(SystemExit) as exc:
+        main([*path, "-h"])
+    assert exc.value.code == 0
+    out = capsys.readouterr().out
+    for name, entry in table.items():
+        assert re.search(rf"^  {name} +{re.escape(entry.summary)}$", out, re.M), name
+
+
+@pytest.mark.parametrize(
+    "path",
+    [[name] for name in _COMMANDS if name != "attack"] + [["attack", s] for s in _SCHEMES],
+    ids=" ".join,
+)
+def test_main_builds_one_parser_per_level(monkeypatch, capsys, path):
+    built = []
+    init = cli.argparse.ArgumentParser.__init__
+
+    def counting(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(cli.argparse.ArgumentParser, "__init__", counting)
+    with pytest.raises(SystemExit):
+        main([*path, "-h"])
+    capsys.readouterr()
+    assert len(built) == len(path) + 1, built
 
 
 @pytest.mark.parametrize(

@@ -103,6 +103,12 @@ class TestPrimality:
         for n in range(10_000):
             assert numt.is_probable_prime(n) == (n in primes)
 
+    def test_exhaustive_across_table_and_proof_bounds(self):
+        # the small-prime table ends at 4096 and the exact range at 2**16
+        primes = set(sieve(70_000))
+        for n in range(10_000, 70_000):
+            assert numt.is_probable_prime(n) == (n in primes)
+
     def test_large_pseudoprime_rejected(self):
         # strong pseudoprime to several small bases
         assert not numt.is_probable_prime(3215031751)
