@@ -82,6 +82,28 @@ def _header_bytes(params_ref: str, authorized: tuple[int, ...]) -> bytes:
     return b"".join(parts)
 
 
+def _group_state(store: Keystore, pp: PublicParams, pairs: list[KeyPair]) -> nike.GroupKeyState:
+    """The group state of pairs, from the keystore's memo where it can be.
+
+    An exact hit is reused; otherwise the largest remembered subset is
+    extended by the missing members, or on a miss the first pair derives
+    the state afresh.  The result becomes the memo's newest entry.
+    """
+    members = frozenset(pair.e for pair in pairs)
+    memo = store.derived
+    state = memo.pop(members, None)
+    if state is None:
+        base = max((key for key in memo if key < members), key=len, default=None)
+        if base is None:
+            state = nike.shared_key(pp, pairs[0], [pair.e for pair in pairs[1:]])
+        else:
+            state = nike.extend(pp, memo[base], [pair.e for pair in pairs if pair.e not in base])
+    memo[members] = state
+    if len(memo) > kgc.MEMO_SETS:
+        del memo[next(iter(memo))]
+    return state
+
+
 def brod_encrypt(
     store: Keystore,
     pp: PublicParams,
@@ -91,8 +113,9 @@ def brod_encrypt(
 ) -> BroadcastCiphertext:
     """Encrypt message so exactly the named users can decrypt.
 
-    The group key is derived from the lexicographically first authorized
-    user's key pair; any member's view produces the same key.
+    The group key comes from the keystore's memo of recent sets (see
+    `Keystore`) or else from the lexicographically first authorized user's
+    key pair; any member's view produces the same key.
     """
     pairs = [store.pair(u) for u in sorted(set(authorized_ids))]
     if len(pairs) < 2:
@@ -100,7 +123,7 @@ def brod_encrypt(
     digest = params.params_digest(pp)
     if store.params_ref != digest:
         raise ParamsMismatch("keystore belongs to different parameters")
-    state = nike.shared_key(pp, pairs[0], [pair.e for pair in pairs[1:]])
+    state = _group_state(store, pp, pairs)
     key = _transport_key(state.K)
     nonce = rng.randbytes(NONCE_LEN)
     aad = _header_bytes(digest, state.members)

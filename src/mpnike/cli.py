@@ -277,11 +277,17 @@ def _attack_probe(args: argparse.Namespace) -> int:
 
 
 def _hex(raw: str) -> int:
-    return int(raw, 16)
+    try:
+        return int(raw, 16)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not a hex number: {raw!r}") from None
 
 
 def _group_size(raw: str) -> int:
-    value = int(raw)
+    try:
+        value = int(raw)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not an integer: {raw!r}") from None
     if value < 2:
         raise argparse.ArgumentTypeError(f"must be >= 2, got {value}")
     return value

@@ -15,7 +15,7 @@ are computed by CRT, as g_p has order z mod p' and order q mod q'.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import TYPE_CHECKING, Optional
 
 from . import artifact, numt
 from .errors import (
@@ -29,9 +29,13 @@ from .errors import (
 from .numt import Rng
 from .params import MasterSecret, PublicParams, params_digest
 
+if TYPE_CHECKING:
+    from .nike import GroupKeyState
+
 _STORE_HEADER = "mpnike-keystore/2"
 _COLLISION_BUDGET = 16
 MAX_USER_ID_BYTES = 256
+MEMO_SETS = 16
 
 
 @dataclass(frozen=True, slots=True)
@@ -45,10 +49,28 @@ class KeyPair:
 
 @dataclass
 class Keystore:
-    """Issuer-side database, bound to one parameter set by digest."""
+    """Issuer-side database, bound to one parameter set by digest.
+
+    `records` is filled by `keygen` and `store_load`, which keep
+    `issued_keys`, the index of issued e, in step with it.  `derived`
+    remembers the last `MEMO_SETS` group states that `brod_encrypt`
+    derived from these pairs, keyed by member set: a remembered set costs no
+    exponentiation, a remembered subset one per missing member, and a miss
+    one per member but the first.  For honestly issued keys F_W is the same
+    whichever member derives it, so every path gives the same ciphertext.
+    Neither index nor memo takes part in equality or repr, and `store_save`
+    writes neither.
+    """
 
     params_ref: str
     records: dict[str, KeyPair] = field(default_factory=dict)
+    issued_keys: set[int] = field(init=False, compare=False, repr=False)
+    derived: dict[frozenset[int], GroupKeyState] = field(
+        default_factory=dict, init=False, compare=False, repr=False
+    )
+
+    def __post_init__(self):
+        self.issued_keys = {r.e for r in self.records.values()}
 
     def pair(self, user_id: str) -> KeyPair:
         if user_id not in self.records:
@@ -86,7 +108,7 @@ def _issuer_pow(pp: PublicParams, msk: MasterSecret, x: int) -> int:
         raise ParamsMismatch("master secret belongs to different parameters")
     a = pow(pp.g_p, x % msk.z, msk.p_prime)
     b = pow(pp.g_p, x % msk.q, msk.q_prime)
-    return b + msk.q_prime * ((a - b) * pow(msk.q_prime, -1, msk.p_prime) % msk.p_prime)
+    return b + msk.q_prime * ((a - b) * msk.q_prime_inv % msk.p_prime)
 
 
 def keygen(
@@ -120,7 +142,7 @@ def keygen(
         if k % 2 == 0 or k < 1:
             raise InvalidInput("k must be a positive odd integer")
         cand = msk.p * y + zq * k
-        if not any(r.e == cand for r in store.records.values()):
+        if cand not in store.issued_keys:
             e = cand
             break
         if forced_k is not None:
@@ -130,6 +152,7 @@ def keygen(
     assert e % 2 == 0
     pair = KeyPair(user_id, e, _issuer_pow(pp, msk, y))  # g**(p*y) = g_p**y
     store.records[user_id] = pair
+    store.issued_keys.add(e)
     return pair
 
 
@@ -158,7 +181,6 @@ def store_load(path: str, pp: PublicParams) -> Keystore:
     digest = params_digest(pp)
     lines = artifact.read_bound(path, _STORE_HEADER, digest)
     store = Keystore(params_ref=digest)
-    seen_e: set[int] = set()
     previous = ""
     for lineno, line in enumerate(lines, 2):
         cols = line.split("\t")
@@ -173,8 +195,8 @@ def store_load(path: str, pp: PublicParams) -> Keystore:
             raise FormatError(f"{path}:{lineno}: user id {user_id!r} duplicate or out of order")
         previous = user_id
         e = numt.hex_to_int(e_hex)
-        if e in seen_e:
+        if e in store.issued_keys:
             raise FormatError(f"{path}:{lineno}: duplicate public key")
-        seen_e.add(e)
+        store.issued_keys.add(e)
         store.records[user_id] = KeyPair(user_id, e, numt.hex_to_int(d_hex))
     return store

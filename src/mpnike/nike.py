@@ -9,7 +9,8 @@ d_i = g**(p*y_i) and e_j = p*y_j + z*q*k_j shows every member of W reaches
 the same g**(p^|W| * prod y) mod N, independent of evaluation order, so
 agreement needs no interaction.  The symmetric key is a hash of F_W.
 
-A group grows without a fresh derivation: F_{W+s} = F_W ** e_s mod N.
+A group grows without a fresh derivation: F_{W+s} = F_W ** e_s mod N, one
+exponentiation per new member (`extend`; `join` adds one).
 """
 
 from __future__ import annotations
@@ -73,17 +74,30 @@ def shared_key(pp: PublicParams, my_pair: KeyPair, others: Iterable[int]) -> Gro
     return GroupKeyState(members=members, F=F, K=kdf(pp, F))
 
 
-def join(pp: PublicParams, state: GroupKeyState, e_new: int) -> GroupKeyState:
-    """Extend an existing group by one member with a single exponentiation."""
-    if e_new in state.members:
-        raise AlreadyMember(f"public key {e_new} already in the group")
-    if e_new < 2:
+def extend(pp: PublicParams, state: GroupKeyState, new_es: Iterable[int]) -> GroupKeyState:
+    """Grow a group by new members with one exponentiation each.
+
+    new_es holds public keys outside the group (duplicates are collapsed,
+    order is irrelevant to the result).
+    """
+    new_list = list(dict.fromkeys(new_es))
+    if not new_list:
+        raise EmptyGroup("no new members supplied")
+    for e in new_list:
+        if e in state.members:
+            raise AlreadyMember(f"public key {e} already in the group")
+    if any(e < 2 for e in new_list):
         raise InvalidInput("public keys must be >= 2")
-    F = numt.mod_exp(state.F, e_new, pp.N)
+    F = numt.exp_chain(state.F, new_list, pp.N)
     if F == 1:
         raise DegenerateResult("group element collapsed to the identity")
-    members = tuple(sorted(state.members + (e_new,)))
+    members = tuple(sorted(state.members + tuple(new_list)))
     return GroupKeyState(members=members, F=F, K=kdf(pp, F))
+
+
+def join(pp: PublicParams, state: GroupKeyState, e_new: int) -> GroupKeyState:
+    """Extend an existing group by one member with a single exponentiation."""
+    return extend(pp, state, [e_new])
 
 
 def save_group(pp: PublicParams, members: Iterable[int], path: str):

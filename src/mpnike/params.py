@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass, field
-from functools import cache
+from functools import cache, cached_property
 from itertools import compress
 from math import gcd
 
@@ -75,6 +75,11 @@ class MasterSecret:
     g: int = field(repr=False)
     p_prime: int
     q_prime: int
+
+    @cached_property
+    def q_prime_inv(self) -> int:
+        """q'^-1 mod p', the CRT coefficient of issuer-side exponentiations."""
+        return pow(self.q_prime, -1, self.p_prime)
 
 
 def _bit_split(modulus_bits: int) -> tuple[int, int, int]:

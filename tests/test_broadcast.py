@@ -1,5 +1,6 @@
 import pytest
 from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from conftest import EDITS, apply_edits
 from mpnike import broadcast, kgc, nike, params
@@ -11,7 +12,7 @@ from mpnike.errors import (
     ParamsMismatch,
     UnknownUser,
 )
-from mpnike.numt import Rng
+from mpnike.numt import Rng, count_mod_exps
 
 
 @pytest.fixture(scope="module")
@@ -126,6 +127,87 @@ class TestEncryptDecrypt:
         bc = broadcast.brod_encrypt(store, pp, ids, b"m", Rng(75))
         for uid in ids:
             assert broadcast.brod_decrypt(pp, store.pair(uid), bc) == b"m"
+
+
+@pytest.fixture(scope="module")
+def roster():
+    return broadcast.brod_setup(12, params.security_level("toy", 64), Rng(90))
+
+
+def _ids(*numbers):
+    return [f"user{i:03d}" for i in numbers]
+
+
+def _fresh(store):
+    """A keystore with the same records and nothing remembered."""
+    return kgc.Keystore(store.params_ref, dict(store.records))
+
+
+def _encrypt_cost(store, pp, ids):
+    with count_mod_exps() as counter:
+        broadcast.brod_encrypt(store, pp, ids, b"m", Rng(0))
+    return counter.count
+
+
+_ROSTER_IDS = _ids(*range(1, 13))
+# prefixes of one roster order (nested, as a gateway's sets often are) or any subset
+_AUTHORIZED = st.one_of(
+    st.integers(2, 12).map(lambda n: _ROSTER_IDS[:n]),
+    st.sets(st.sampled_from(_ROSTER_IDS), min_size=2).map(sorted),
+)
+
+
+class TestKeystoreMemo:
+    @settings(max_examples=60, deadline=None)
+    @given(sets=st.lists(_AUTHORIZED, min_size=1, max_size=12), seed=st.integers(0, 1 << 32))
+    def test_ciphertexts_equal_a_fresh_keystores(self, roster, sets, seed):
+        pp, _, issued = roster
+        store = _fresh(issued)
+        for i, ids in enumerate(sets):
+            got = broadcast.brod_encrypt(store, pp, ids, b"payload", Rng(seed + i))
+            want = broadcast.brod_encrypt(_fresh(issued), pp, ids, b"payload", Rng(seed + i))
+            assert broadcast.ct_to_bytes(got) == broadcast.ct_to_bytes(want)
+            assert len(store.derived) <= kgc.MEMO_SETS
+
+    def test_exponentiation_counts(self, roster):
+        pp, _, issued = roster
+        store = _fresh(issued)
+        assert _encrypt_cost(store, pp, _ids(1, 2, 3, 4)) == 3  # miss: |W| - 1
+        assert _encrypt_cost(store, pp, _ids(4, 3, 2, 1)) == 0  # exact repeat
+        assert _encrypt_cost(store, pp, _ids(1, 2, 3, 4, 5, 6, 7)) == 3  # 3 new members
+        assert _encrypt_cost(store, pp, _ids(1, 2, 3, 4, 5, 6, 7, 8)) == 1  # largest subset
+        assert _encrypt_cost(store, pp, _ids(1, 2, 3, 9, 10)) == 4  # no remembered subset
+        assert _encrypt_cost(store, pp, _ids(1, 2, 3)) == 2  # a subset is a miss too
+
+    def test_memo_keeps_the_newest_sets(self, roster):
+        pp, _, issued = roster
+        store = _fresh(issued)
+        sets = [frozenset(_ids(1, i)) for i in range(2, 13)]
+        sets += [frozenset(_ids(2, i)) for i in range(3, 13)]
+        for ids in sets:
+            broadcast.brod_encrypt(store, pp, ids, b"m", Rng(1))
+            assert len(store.derived) <= kgc.MEMO_SETS
+        remembered = [frozenset(state.members) for state in store.derived.values()]
+        newest = [frozenset(store.public_key(u) for u in ids) for ids in sets[-kgc.MEMO_SETS :]]
+        assert remembered == newest
+        # a hit makes its set the newest, so the oldest left is the one evicted next
+        broadcast.brod_encrypt(store, pp, sets[-kgc.MEMO_SETS], b"m", Rng(1))
+        broadcast.brod_encrypt(store, pp, _ids(3, 4), b"m", Rng(1))
+        assert newest[0] in store.derived and newest[1] not in store.derived
+
+    def test_memo_is_not_part_of_the_keystore(self, roster, tmp_path):
+        pp, _, issued = roster
+        store = _fresh(issued)
+        before, after = str(tmp_path / "before.tsv"), str(tmp_path / "after.tsv")
+        kgc.store_save(store, before)
+        for n in range(2, 8):
+            broadcast.brod_encrypt(store, pp, _ROSTER_IDS[:n], b"m", Rng(n))
+        assert store.derived
+        kgc.store_save(store, after)
+        with open(before, "rb") as fh_before, open(after, "rb") as fh_after:
+            assert fh_before.read() == fh_after.read()
+        assert store == _fresh(issued) == kgc.store_load(after, pp)
+        assert repr(store) == repr(_fresh(issued))
 
 
 class TestWireFormat:

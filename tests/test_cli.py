@@ -1,9 +1,16 @@
+import contextlib
+import io
+import itertools
 import os
 import re
+import shutil
 import subprocess
 import sys
+import tempfile
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from mpnike import cli, kgc, params
 from mpnike.cli import main
@@ -482,25 +489,33 @@ def test_main_builds_one_parser_per_level(monkeypatch, capsys, path):
     assert len(built) == len(path) + 1, built
 
 
+def _bad(*argv, message=None):
+    return pytest.param(list(argv), message, id=" ".join(argv))
+
+
 @pytest.mark.parametrize(
-    "argv",
+    "argv, message",
     [
-        ["attack", "fiatnaor", "--seed", "zz"],
-        ["attack", "probe", "--group-size", "0"],
-        ["attack", "probe", "--group-size", "-1"],
-        ["attack", "eskeland", "--group-size", "0"],
+        _bad("attack", "fiatnaor", "--seed", "zz", message="--seed: not a hex number: 'zz'"),
+        _bad("attack", "probe", "--group-size", "0"),
+        _bad("attack", "probe", "--group-size", "-1"),
+        _bad("attack", "eskeland", "--group-size", "0"),
         # options of another scheme
-        ["attack", "probe", "--bits", "64"],
-        ["attack", "fiatnaor", "--group-size", "5"],
-        ["attack", "fiatnaor", "--security", "80"],
-        ["attack", "eskeland", "--toy-bits", "32"],
+        _bad("attack", "probe", "--bits", "64"),
+        _bad("attack", "fiatnaor", "--group-size", "5"),
+        _bad("attack", "fiatnaor", "--security", "80"),
+        _bad("attack", "eskeland", "--toy-bits", "32"),
         # removed subcommand: argparse's invalid-choice error
-        ["bench", "--reps", "0"],
-        ["bench", "--parties", "5:5"],
+        _bad("bench", "--reps", "0"),
+        _bad("bench", "--parties", "5:5"),
+        # a custom type names the input it expects, not its Python function
+        _bad("setup", "--seed", "0x", message="--seed: not a hex number: '0x'"),
+        _bad("attack", "eskeland", "--seed", "", message="--seed: not a hex number: ''"),
+        _bad("attack", "probe", "--group-size", "x", message="--group-size: not an integer: 'x'"),
+        _bad("attack", "eskeland", "--group-size", "2.5", message="not an integer: '2.5'"),
     ],
-    ids=" ".join,
 )
-def test_bad_arguments_exit_without_traceback(argv):
+def test_bad_arguments_exit_without_traceback(argv, message):
     src = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "src")
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(
@@ -511,4 +526,103 @@ def test_bad_arguments_exit_without_traceback(argv):
         timeout=120,
     )
     assert proc.returncode in (1, 2), proc.stderr
+    if message is not None:
+        assert message in proc.stderr
+        assert "_hex" not in proc.stderr and "_group_size" not in proc.stderr
     assert "Traceback" not in proc.stderr
+
+
+# the fuzzed argv below runs in a copy of this toy-16 workspace
+_USERS = ("alice", "bob", "carol", "nobody", "alice,bob", "")
+_SETS = ("alice,bob", "alice,bob,carol", "alice", "bob,nobody", ",", "")
+_FILES = ("pp.txt", "msk.txt", "ks.tsv", "group.txt", "plain.bin", "msg.ct", "missing", "")
+
+
+def _mostly(good, pool):
+    """Values to draw from: the good ones half the time, else any of pool."""
+    return good * (len(pool) // len(good)) + pool
+
+
+# option -> values to draw: good, wrong and junk; sizes stay toy, and no value
+# names a real security level, whose setup takes seconds
+_VALUES = {
+    "--seed": ("1", "beef", "2", "zz"),
+    "--format": ("text", "line-record", "xml"),
+    "--security": ("toy", "80x"),
+    "--toy-bits": ("16", "24", "8", "x"),
+    "--bits": ("8", "16", "5", "x"),
+    "--group-size": ("2", "3", "1", "x"),
+    "--user": _mostly(("alice",), _USERS),
+    "--new": _mostly(("carol",), _USERS),
+    "--group": _mostly(("alice,bob",), _SETS),
+    "--authorized": _mostly(("alice,carol",), _SETS),
+    "--params": _mostly(("pp.txt",), _FILES),
+    "--msk": _mostly(("msk.txt",), _FILES),
+    "--keystore": _mostly(("ks.tsv",), _FILES),
+    "--group-file": _mostly(("group.txt",), _FILES),
+    "--in": _mostly(("plain.bin", "msg.ct"), _FILES),
+    "--out": _mostly(("out.bin",), _FILES),
+    "--write-group": _mostly(("out.bin",), _FILES),
+}
+_JUNK = ("junk", "-x", "--bogus", "--", "-h", "alice", "=", "--seed=zz", "-1")
+_PATHS = [[name] for name in _COMMANDS if name != "attack"]
+_PATHS += [["attack", s] for s in _SCHEMES] + [["attack"], ["bench"], []]
+
+
+@pytest.fixture(scope="module")
+def fuzz_home(tmp_path_factory):
+    d = tmp_path_factory.mktemp("fuzz")
+    files = {name: str(d / name) for name in _FILES if name}
+    issuer = ["--params", files["pp.txt"], "--msk", files["msk.txt"]]
+    assert main(["setup", "--security", "toy", "--toy-bits", "16", "--seed", "5", *issuer]) == 0
+    for user in ("alice", "bob", "carol"):
+        assert main(["issue", *issuer, "--keystore", files["ks.tsv"], "--user", user]) == 0
+    member = ["--params", files["pp.txt"], "--keystore", files["ks.tsv"]]
+    argv = ["derive", *member, "--user", "alice", "--group", "alice,bob"]
+    assert main(argv + ["--write-group", files["group.txt"]]) == 0
+    (d / "plain.bin").write_bytes(b"fuzz")
+    argv = ["broadcast-encrypt", *member, "--authorized", "alice,carol"]
+    assert main(argv + ["--in", files["plain.bin"], "--out", files["msg.ct"]]) == 0
+    return d
+
+
+@st.composite
+def _argv(draw):
+    """A path through the command table, mostly its own options, then foreign flags and junk."""
+    path = draw(st.sampled_from(_PATHS))
+    cmd = _COMMANDS.get(path[0]) if path else None
+    if cmd is not None and isinstance(cmd.run, dict):
+        cmd = cmd.run.get(path[1]) if len(path) > 1 else None
+    own = ("--seed", "--format", *cmd.options) if cmd is not None else ()
+    tokens = []
+    for flag in own:
+        # required options always, so that most argvs reach their handler
+        if cli._OPTIONS[flag].get("required") or draw(st.booleans()):
+            value = () if flag == "--reveal" else (draw(st.sampled_from(_VALUES[flag])),)
+            tokens.append([flag, *value])
+    if not draw(st.integers(0, 2)):
+        extra = st.sampled_from([*cli._OPTIONS, *_JUNK]).map(lambda t: [t])
+        tokens += draw(st.lists(extra, min_size=1, max_size=3))
+    tokens = draw(st.permutations(tokens))
+    # an own --security drawn later overrides the toy level, never with a real one
+    lead = ["--security", "toy"] if "--security" in own else []
+    return [*path, *lead, *itertools.chain.from_iterable(tokens)]
+
+
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(argv=_argv())
+def test_fuzzed_argv_keeps_the_exit_contract(fuzz_home, argv):
+    out, err = io.StringIO(), io.StringIO()
+    here = os.getcwd()
+    with tempfile.TemporaryDirectory() as d:
+        shutil.copytree(fuzz_home, d, dirs_exist_ok=True)
+        os.chdir(d)
+        try:
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        finally:
+            os.chdir(here)
+    assert code in (0, 1, 2), (code, err.getvalue())
+    assert "Traceback" not in err.getvalue()

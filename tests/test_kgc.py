@@ -85,6 +85,19 @@ class TestKeygen:
         with pytest.raises(CollisionBudgetExceeded):
             kgc.keygen(pp, msk, store, "b", Rng(5), forced_y=65, forced_k=65)
 
+    def test_collision_with_loaded_or_given_records(self, toy16, tmp_path):
+        # the index of issued e is filled by store_load and by the constructor
+        pp, msk = toy16
+        store = kgc.new_keystore(pp)
+        kgc.keygen(pp, msk, store, "a", Rng(4), forced_y=65, forced_k=65)
+        path = str(tmp_path / "ks.tsv")
+        kgc.store_save(store, path)
+        built = kgc.Keystore(store.params_ref, dict(store.records))
+        for reloaded in (kgc.store_load(path, pp), built):
+            assert reloaded.issued_keys == {store.pair("a").e}
+            with pytest.raises(CollisionBudgetExceeded):
+                kgc.keygen(pp, msk, reloaded, "b", Rng(5), forced_y=65, forced_k=65)
+
     def test_duplicate_user(self, toy16):
         pp, msk = toy16
         store = kgc.new_keystore(pp)

@@ -195,6 +195,42 @@ class TestJoin:
         assert (state.members, state.F, state.K) == before
 
 
+class TestExtend:
+    def test_extend_equals_rederivation_and_successive_joins(self, toy64, toy64_users):
+        pp, _ = toy64
+        _, pairs = toy64_users
+        es = [p.e for p in pairs]
+        state = nike.shared_key(pp, pairs[0], es[1:3])
+        grown = nike.extend(pp, state, [es[7], es[4], es[5], es[4]])  # order, duplicates
+        assert grown == nike.shared_key(pp, pairs[5], [es[i] for i in (0, 1, 2, 4, 7)])
+        joined = state
+        for e in (es[4], es[5], es[7]):
+            joined = nike.join(pp, joined, e)
+        assert grown == joined
+
+    @pytest.mark.parametrize("k", [1, 2, 5])
+    def test_one_exponentiation_per_new_member(self, toy64, toy64_users, k):
+        pp, _ = toy64
+        _, pairs = toy64_users
+        state = nike.shared_key(pp, pairs[0], [pairs[1].e])
+        with count_mod_exps() as counter:
+            nike.extend(pp, state, [p.e for p in pairs[2 : 2 + k]])
+        assert counter.count == k
+
+    def test_checks(self, toy64, toy64_users):
+        pp, _ = toy64
+        _, pairs = toy64_users
+        state = nike.shared_key(pp, pairs[0], [pairs[1].e])
+        with pytest.raises(EmptyGroup):
+            nike.extend(pp, state, [])
+        with pytest.raises(AlreadyMember):
+            nike.extend(pp, state, [pairs[2].e, pairs[1].e])
+        with pytest.raises(InvalidInput):
+            nike.extend(pp, state, [pairs[2].e, 1])
+        with pytest.raises(InvalidInput):
+            nike.join(pp, state, 1)
+
+
 class TestOutsider:
     def test_outsider_derives_different_key(self, toy64, toy64_users):
         pp, _ = toy64
