@@ -66,20 +66,19 @@ def _transport_key(group_key: bytes) -> bytes:
     return hashlib.sha256(TRANSPORT_TAG + b"\x00" + group_key).digest()
 
 
-def _section(payload: bytes) -> bytes:
-    return len(payload).to_bytes(4, "big") + payload
+def _frame(*payloads: bytes) -> bytes:
+    """Sections: each payload after its 4-byte big-endian length."""
+    return b"".join(len(payload).to_bytes(4, "big") + payload for payload in payloads)
 
 
 def _header_bytes(params_ref: str, authorized: tuple[int, ...]) -> bytes:
     """Serialized header sections; used verbatim as AEAD associated data."""
-    parts = [
-        _section(FORMAT_VERSION.to_bytes(2, "big")),
-        _section(bytes.fromhex(params_ref)),
-        _section(len(authorized).to_bytes(4, "big")),
-    ]
-    for e in authorized:
-        parts.append(_section(e.to_bytes((e.bit_length() + 7) // 8, "big")))
-    return b"".join(parts)
+    return _frame(
+        FORMAT_VERSION.to_bytes(2, "big"),
+        bytes.fromhex(params_ref),
+        len(authorized).to_bytes(4, "big"),
+        *(e.to_bytes((e.bit_length() + 7) // 8, "big") for e in authorized),
+    )
 
 
 def _group_state(store: Keystore, pp: PublicParams, pairs: list[KeyPair]) -> nike.GroupKeyState:
@@ -150,57 +149,39 @@ def brod_decrypt(pp: PublicParams, my_pair: KeyPair, bc: BroadcastCiphertext) ->
 
 
 def ct_to_bytes(bc: BroadcastCiphertext) -> bytes:
-    return (
-        MAGIC
-        + _header_bytes(bc.params_ref, bc.authorized)
-        + _section(bc.nonce)
-        + _section(bc.ct)
-    )
+    return MAGIC + _header_bytes(bc.params_ref, bc.authorized) + _frame(bc.nonce, bc.ct)
 
 
 def ct_from_bytes(data: bytes) -> BroadcastCiphertext:
     if data[: len(MAGIC)] != MAGIC:
         raise FormatError("bad magic bytes")
-    offset = len(MAGIC)
-
-    def take() -> bytes:
-        nonlocal offset
-        if offset + 4 > len(data):
-            raise FormatError("truncated section length")
-        n = int.from_bytes(data[offset : offset + 4], "big")
-        offset += 4
-        if offset + n > len(data):
-            raise FormatError("truncated section payload")
-        payload = data[offset : offset + n]
-        offset += n
-        return payload
-
-    version_raw = take()
-    if len(version_raw) != 2 or int.from_bytes(version_raw, "big") != FORMAT_VERSION:
-        raise FormatError(f"unsupported format version {version_raw.hex()}")
-    digest_raw = take()
-    if len(digest_raw) != DIGEST_LEN:
+    sections, end = [], len(MAGIC)
+    while end < len(data):
+        start = end + 4
+        end = start + int.from_bytes(data[end:start], "big")
+        if end > len(data):
+            raise FormatError("truncated section")
+        sections.append(data[start:end])
+    if len(sections) < 5:
+        raise FormatError(f"expected at least 5 sections, got {len(sections)}")
+    version, digest, count, *keys, nonce, ct = sections
+    if version != FORMAT_VERSION.to_bytes(2, "big"):
+        raise FormatError(f"unsupported format version {version.hex()}")
+    if len(digest) != DIGEST_LEN:
         raise FormatError(f"parameter digest must be {DIGEST_LEN} bytes")
-    count_raw = take()
-    if len(count_raw) != 4:
+    if len(count) != 4:
         raise FormatError("member count must be 4 bytes")
-    count = int.from_bytes(count_raw, "big")
-    authorized = []
-    for _ in range(count):
-        raw = take()
-        if not raw or raw[0] == 0:
-            raise FormatError("public key not in minimal big-endian form")
-        authorized.append(int.from_bytes(raw, "big"))
+    if int.from_bytes(count, "big") != len(keys):
+        raise FormatError(f"member count {int.from_bytes(count, 'big')} but {len(keys)} keys")
+    if any(not raw or raw[0] == 0 for raw in keys):
+        raise FormatError("public key not in minimal big-endian form")
+    authorized = [int.from_bytes(raw, "big") for raw in keys]
     if sorted(set(authorized)) != authorized:
         raise FormatError("authorized set not sorted and distinct")
-    nonce = take()
     if len(nonce) != NONCE_LEN:
         raise FormatError(f"nonce must be {NONCE_LEN} bytes")
-    ct = take()
-    if offset != len(data):
-        raise FormatError("trailing bytes after final section")
     return BroadcastCiphertext(
-        params_ref=digest_raw.hex(), authorized=tuple(authorized), nonce=nonce, ct=ct
+        params_ref=digest.hex(), authorized=tuple(authorized), nonce=nonce, ct=ct
     )
 
 

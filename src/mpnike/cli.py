@@ -277,10 +277,9 @@ def _attack_probe(args: argparse.Namespace) -> int:
 
 
 def _hex(raw: str) -> int:
-    try:
-        return int(raw, 16)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"not a hex number: {raw!r}") from None
+    if not raw or not set(raw) <= set("0123456789abcdef"):
+        raise argparse.ArgumentTypeError(f"not a hex number: {raw!r}")
+    return int(raw, 16)
 
 
 def _group_size(raw: str) -> int:

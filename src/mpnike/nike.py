@@ -9,8 +9,8 @@ d_i = g**(p*y_i) and e_j = p*y_j + z*q*k_j shows every member of W reaches
 the same g**(p^|W| * prod y) mod N, independent of evaluation order, so
 agreement needs no interaction.  The symmetric key is a hash of F_W.
 
-A group grows without a fresh derivation: F_{W+s} = F_W ** e_s mod N, one
-exponentiation per new member (`extend`; `join` adds one).
+One growth step, F_{W+s} = F_W ** e_s mod N per new member s, runs from a
+key pair as W = {i}, F = d_i (`shared_key`) or from a state (`extend`, `join`).
 """
 
 from __future__ import annotations
@@ -55,23 +55,10 @@ def kdf(pp: PublicParams, F: int) -> bytes:
 def shared_key(pp: PublicParams, my_pair: KeyPair, others: Iterable[int]) -> GroupKeyState:
     """Derive the group key for my_pair's view of {me} + others.
 
-    others holds the public keys of every other member (duplicates are
-    collapsed, order is irrelevant to the result).
+    A key pair is the group {e} whose element is d; this grows it by others
+    (duplicates are collapsed, order is irrelevant, e itself is SelfInGroup).
     """
-    peer_list = list(dict.fromkeys(others))
-    if not peer_list:
-        raise EmptyGroup("no other members supplied")
-    if my_pair.e in peer_list:
-        raise SelfInGroup(f"own public key {my_pair.e} listed as a peer")
-    if not 1 < my_pair.d < pp.N:
-        raise InvalidInput("private key out of range")
-    if any(e < 2 for e in peer_list):
-        raise InvalidInput("public keys must be >= 2")
-    F = numt.exp_chain(my_pair.d, peer_list, pp.N)
-    if F == 1:
-        raise DegenerateResult("group element collapsed to the identity")
-    members = tuple(sorted(peer_list + [my_pair.e]))
-    return GroupKeyState(members=members, F=F, K=kdf(pp, F))
+    return _grow(pp, (my_pair.e,), my_pair.d, others)
 
 
 def extend(pp: PublicParams, state: GroupKeyState, new_es: Iterable[int]) -> GroupKeyState:
@@ -80,24 +67,30 @@ def extend(pp: PublicParams, state: GroupKeyState, new_es: Iterable[int]) -> Gro
     new_es holds public keys outside the group (duplicates are collapsed,
     order is irrelevant to the result).
     """
-    new_list = list(dict.fromkeys(new_es))
-    if not new_list:
-        raise EmptyGroup("no new members supplied")
-    for e in new_list:
-        if e in state.members:
-            raise AlreadyMember(f"public key {e} already in the group")
-    if any(e < 2 for e in new_list):
-        raise InvalidInput("public keys must be >= 2")
-    F = numt.exp_chain(state.F, new_list, pp.N)
-    if F == 1:
-        raise DegenerateResult("group element collapsed to the identity")
-    members = tuple(sorted(state.members + tuple(new_list)))
-    return GroupKeyState(members=members, F=F, K=kdf(pp, F))
+    return _grow(pp, state.members, state.F, new_es)
 
 
 def join(pp: PublicParams, state: GroupKeyState, e_new: int) -> GroupKeyState:
     """Extend an existing group by one member with a single exponentiation."""
     return extend(pp, state, [e_new])
+
+
+def _grow(pp: PublicParams, members: tuple[int, ...], F: int, es: Iterable[int]) -> GroupKeyState:
+    """The state of members + es, from members' element F: F ** prod(es) mod N."""
+    new_list = list(dict.fromkeys(es))
+    if not new_list:
+        raise EmptyGroup("no members to add")
+    for e in new_list:
+        if e in members:  # a group of one is a key pair, and e its holder's own key
+            raise (SelfInGroup if len(members) == 1 else AlreadyMember)(f"{e} already a member")
+    if not 1 < F < pp.N:
+        raise InvalidInput("private key or group element not in (1, N)")
+    if any(e < 2 for e in new_list):
+        raise InvalidInput("public keys must be >= 2")
+    F = numt.exp_chain(F, new_list, pp.N)
+    if F == 1:
+        raise DegenerateResult("group element collapsed to the identity")
+    return GroupKeyState(members=tuple(sorted(members + tuple(new_list))), F=F, K=kdf(pp, F))
 
 
 def save_group(pp: PublicParams, members: Iterable[int], path: str):

@@ -344,6 +344,8 @@ def _params_from_values(values: dict[str, str], path: str) -> PublicParams:
     for key, want in _FIXED_VALUES.items():
         if values[key] != want:
             raise FormatError(f"{path}: {key} must be {want!r}, got {values[key]!r}")
+    if values["gamma"] not in ("toy", *_LEVEL_BITS):
+        raise FormatError(f"{path}: unknown gamma {values['gamma']!r}")
     return PublicParams(
         N=numt.hex_to_int(values["n"]),
         g_p=numt.hex_to_int(values["g_p"]),

@@ -24,14 +24,13 @@ from mpnike.numt import Rng, int_to_hex
 
 OUT = os.path.join(os.path.dirname(os.path.abspath(__file__)), "vectors", "v1.json")
 
-# (name, gamma, toy bits, p, z, q): the primes of the toy-64 set the tests'
+# (name, gamma, p, z, q): the primes of the toy-64 set the tests'
 # conftest searches (seed 20260814), and those of perfbench/fixtures/level80.json
 PARAMETER_SETS = [
-    ("toy-64", "toy", 64, 0x1992BB, 0xA3F67, 0x238D5D),
+    ("toy-64", "toy", 0x1992BB, 0xA3F67, 0x238D5D),
     (
         "level-80",
         "80",
-        0,
         0x1664B6A3B468C8CF433517422EA71CD488A8A210AC2F6444F9E010EE70171BBCD6D03A44D775199836E915,
         0xE1E161577F8D7D833E61D323ACC725717155A6545AA4D9B3E6A20809A7D9539E1E9CFBEC2BB27C63A241D,
         0x1C5351573F218A166720F4BD3DA5F5E04B7697A6BE3DDE82C555890D92007DC151FBE13561FC43857530D9,
@@ -45,11 +44,15 @@ PAYLOAD = b"known-answer payload"
 
 
 class FixedNonce(Rng):
-    """An Rng whose randbytes is the fixed nonce; brod_encrypt draws nothing else."""
+    """An Rng whose randbytes is a fixed nonce; brod_encrypt draws nothing else."""
+
+    def __init__(self, nonce: bytes):
+        super().__init__(0)
+        self.nonce = nonce
 
     def randbytes(self, n: int) -> bytes:
-        assert n == len(NONCE)
-        return NONCE
+        assert n == len(self.nonce)
+        return self.nonce
 
 
 def generator(p: int, z: int, q: int, N: int) -> int:
@@ -86,9 +89,9 @@ def group_vector(pp, ids, state) -> dict:
     }
 
 
-def parameter_set(name, gamma, toy_bits, p, z, q) -> dict:
-    level = params.security_level(gamma, toy_bits)
-    pp, msk = params.setup(level, Rng(0), forced_primes=(p, z, q))
+def parameter_set(name, gamma, p, z, q) -> dict:
+    # forced primes skip the width check, so the level only names gamma
+    pp, msk = params.setup(params.security_level(gamma), Rng(0), forced_primes=(p, z, q))
     g = generator(p, z, q, pp.N)
     msk = params.MasterSecret(p=p, z=z, q=q, g=g, p_prime=msk.p_prime, q_prime=msk.q_prime)
     pp = params.PublicParams(N=pp.N, g_p=pow(g, p, pp.N), m=pp.m, gamma=gamma)
@@ -109,7 +112,7 @@ def parameter_set(name, gamma, toy_bits, p, z, q) -> dict:
 
     base, new = JOIN
     joined = nike.join(pp, derive(base), pairs[new].e)
-    bc = broadcast.brod_encrypt(store, pp, GROUPS[1], PAYLOAD, FixedNonce(0))
+    bc = broadcast.brod_encrypt(store, pp, GROUPS[1], PAYLOAD, FixedNonce(NONCE))
     return {
         "name": name,
         "gamma": gamma,

@@ -262,6 +262,9 @@ class TestWireFormat:
             lambda raw: raw[:50] + b"\x00\x00\x00\x05\x00" + raw[54:],  # 5-byte count
             # 31-byte digest section, its length prefix fixed up
             lambda raw: raw[:14] + (31).to_bytes(4, "big") + raw[18:49] + raw[50:],
+            # a count of 1 or 3 beside the two key sections
+            lambda raw: raw[:54] + (1).to_bytes(4, "big") + raw[58:],
+            lambda raw: raw[:54] + (3).to_bytes(4, "big") + raw[58:],
         ],
     )
     def test_malformed_rejected(self, system, mangle):

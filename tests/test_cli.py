@@ -513,6 +513,11 @@ def _bad(*argv, message=None):
         _bad("attack", "eskeland", "--seed", "", message="--seed: not a hex number: ''"),
         _bad("attack", "probe", "--group-size", "x", message="--group-size: not an integer: 'x'"),
         _bad("attack", "eskeland", "--group-size", "2.5", message="not an integer: '2.5'"),
+        # a seed is written one way: lowercase hex digits, leading zeros allowed
+        _bad("attack", "fiatnaor", "--seed", "0x05", message="--seed: not a hex number: '0x05'"),
+        _bad("attack", "probe", "--seed", " 5", message="--seed: not a hex number: ' 5'"),
+        _bad("setup", "--seed", "0_5", message="--seed: not a hex number: '0_5'"),
+        _bad("attack", "eskeland", "--seed=-5", message="--seed: not a hex number: '-5'"),
     ],
 )
 def test_bad_arguments_exit_without_traceback(argv, message):

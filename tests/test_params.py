@@ -274,6 +274,12 @@ class TestFiles:
             lambda t: t.replace("hash_id = sha256", "hash_id = sha-256"),
             lambda t: t.replace("hash_id = sha256", "hash_id = sha512"),
             lambda t: t.replace("hash_id = sha256\nlambda = 100", "hash_id = md5\nlambda = 80"),
+            # gamma names a level: toy, 80, 112 or 128
+            lambda t: t.replace("gamma = toy", "gamma = 81 = x"),
+            lambda t: t.replace("gamma = toy", "gamma = to\ty"),
+            lambda t: t.replace("gamma = toy", "gamma = 81"),
+            lambda t: t.replace("gamma = toy", "gamma = TOY"),
+            lambda t: t.replace("gamma = toy", "gamma = "),
         ],
     )
     def test_load_rejects_malformed(self, tmp_path, mutation):

@@ -18,6 +18,7 @@ from cryptography.hazmat.primitives.ciphers.aead import AESGCM
 from mpnike import broadcast, kgc, nike, params
 from mpnike.numt import Rng
 
+from make_vectors import FixedNonce
 from oracles import closed_form_group_element, issuance_exponents
 
 with open(os.path.join(os.path.dirname(os.path.abspath(__file__)), "vectors", "v1.json")) as fh:
@@ -27,16 +28,6 @@ with open(os.path.join(os.path.dirname(os.path.abspath(__file__)), "vectors", "v
 @pytest.fixture(params=VECTORS, ids=lambda vec: vec["name"])
 def vec(request):
     return request.param
-
-
-class FixedNonce(Rng):
-    def __init__(self, nonce: bytes):
-        super().__init__(0)
-        self.nonce = nonce
-
-    def randbytes(self, n: int) -> bytes:
-        assert n == len(self.nonce)
-        return self.nonce
 
 
 def _x(value: str) -> int:
