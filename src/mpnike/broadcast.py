@@ -32,6 +32,7 @@ MAGIC = b"MPNIKEBC"
 FORMAT_VERSION = 1
 TRANSPORT_TAG = b"MPNIKE-BC1"
 NONCE_LEN = 12
+TAG_LEN = 16
 DIGEST_LEN = 32
 
 
@@ -173,6 +174,8 @@ def ct_from_bytes(data: bytes) -> BroadcastCiphertext:
         raise FormatError("member count must be 4 bytes")
     if int.from_bytes(count, "big") != len(keys):
         raise FormatError(f"member count {int.from_bytes(count, 'big')} but {len(keys)} keys")
+    if len(keys) < 2:
+        raise FormatError(f"member count must be at least 2, got {len(keys)}")
     if any(not raw or raw[0] == 0 for raw in keys):
         raise FormatError("public key not in minimal big-endian form")
     authorized = [int.from_bytes(raw, "big") for raw in keys]
@@ -180,6 +183,8 @@ def ct_from_bytes(data: bytes) -> BroadcastCiphertext:
         raise FormatError("authorized set not sorted and distinct")
     if len(nonce) != NONCE_LEN:
         raise FormatError(f"nonce must be {NONCE_LEN} bytes")
+    if len(ct) < TAG_LEN:
+        raise FormatError(f"AEAD ciphertext shorter than its {TAG_LEN}-byte tag")
     return BroadcastCiphertext(
         params_ref=digest.hex(), authorized=tuple(authorized), nonce=nonce, ct=ct
     )

@@ -5,7 +5,8 @@ A member's key pair is (e, d) with
     e = p*y + z*q*k        (public)
     d = g**(p*y) mod N     (private)
 
-for fresh odd half-width exponents y, k.  Since p, z, q, y, k are all odd,
+for fresh odd exponents y < z*q and k < p, so e < 2*p*z*q has at most
+m + 1 bits and (y, k) -> e is injective.  Since p, z, q, y, k are all odd,
 e is always even; that parity is load-bearing for the collusion argument,
 so issuance enforces it.  The issuer can audit a pair without knowing y
 through d == g_p**(e * p^-1 mod z*q) (mod N).  Both d = g_p**y and the audit
@@ -97,11 +98,6 @@ def _check_user_id(user_id: str):
         raise InvalidInput("user id must not contain ',' or start or end with whitespace")
 
 
-def _sample_half_odd(bits: int, rng: Rng) -> int:
-    # top bit forced for full width, low bit forced for parity
-    return rng.getrandbits(bits) | (1 << (bits - 1)) | 1
-
-
 def _issuer_pow(pp: PublicParams, msk: MasterSecret, x: int) -> int:
     """g_p**x mod N from two half-size pows: g_p has order z mod p' and q mod q'."""
     if msk.p_prime * msk.q_prime != pp.N:
@@ -131,14 +127,13 @@ def keygen(
         raise ParamsMismatch("keystore belongs to different parameters")
     if user_id in store.records:
         raise DuplicateUser(user_id)
-    half = (pp.m + 1) // 2
     zq = msk.z * msk.q
-    y = forced_y if forced_y is not None else _sample_half_odd(half, rng)
+    y = forced_y if forced_y is not None else 2 * rng.randrange(0, (zq - 1) // 2) + 1
     if y % 2 == 0 or y < 1:
         raise InvalidInput("y must be a positive odd integer")
     e = None
     for _ in range(_COLLISION_BUDGET):
-        k = forced_k if forced_k is not None else _sample_half_odd(half, rng)
+        k = forced_k if forced_k is not None else 2 * rng.randrange(0, (msk.p - 1) // 2) + 1
         if k % 2 == 0 or k < 1:
             raise InvalidInput("k must be a positive odd integer")
         cand = msk.p * y + zq * k

@@ -51,8 +51,8 @@ def closed_form_group_element(msk, N: int, ys: list[int]) -> int:
 def issuance_exponents(msk, e: int) -> tuple[int, int]:
     """(y, k) with e = p*y + z*q*k, recovered from e and the master secret.
 
-    y < z*q always (y has about m/2 bits, z*q about 2m/3), so y is the
-    residue e * p^-1 mod z*q and k is what remains.
+    keygen draws y below z*q, and every forced y in the tests is below it
+    too, so y is the residue e * p^-1 mod z*q and k is what remains.
     """
     zq = msk.z * msk.q
     y = e * pow(msk.p, -1, zq) % zq

@@ -274,6 +274,26 @@ class TestWireFormat:
         with pytest.raises(FormatError):
             broadcast.ct_from_bytes(mangle(raw))
 
+    @pytest.mark.parametrize("authorized", [(), (2,)], ids=["count0", "count1"])
+    def test_fewer_than_two_members_rejected(self, system, authorized):
+        pp, _, _ = system
+        digest = params.params_digest(pp)
+        for ct, size in ((b"", 78), (bytes(16), 94)):
+            bc = broadcast.BroadcastCiphertext(digest, authorized, bytes(12), ct)
+            raw = broadcast.ct_to_bytes(bc)
+            assert len(raw) == size + 5 * len(authorized)
+            with pytest.raises(FormatError, match="at least 2"):
+                broadcast.ct_from_bytes(raw)
+
+    def test_ct_shorter_than_tag_rejected(self, system):
+        pp, _, store = system
+        bc = broadcast.brod_encrypt(store, pp, ["user001", "user002"], b"", Rng(82))
+        assert len(bc.ct) == broadcast.TAG_LEN
+        assert broadcast.ct_from_bytes(broadcast.ct_to_bytes(bc)) == bc
+        short = broadcast.BroadcastCiphertext(bc.params_ref, bc.authorized, bc.nonce, bc.ct[:15])
+        with pytest.raises(FormatError, match="16-byte tag"):
+            broadcast.ct_from_bytes(broadcast.ct_to_bytes(short))
+
     def test_non_minimal_integer_rejected(self, system):
         pp, _, store = system
         bc = broadcast.brod_encrypt(store, pp, ["user001", "user002"], b"m", Rng(80))

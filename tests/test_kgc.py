@@ -18,16 +18,16 @@ from oracles import issuance_exponents, slow_pow
 
 
 class ScriptedRng:
-    """Feeds a fixed sequence of getrandbits results, then falls back."""
+    """Feeds a fixed sequence of randrange results, then falls back."""
 
     def __init__(self, values, seed=0):
         self.values = list(values)
         self.fallback = Rng(seed)
 
-    def getrandbits(self, bits):
+    def randrange(self, lo, hi):
         if self.values:
             return self.values.pop(0)
-        return self.fallback.getrandbits(bits)
+        return self.fallback.randrange(lo, hi)
 
 
 class TestKeygen:
@@ -44,16 +44,30 @@ class TestKeygen:
         pp, msk = toy16
         store = kgc.new_keystore(pp)
         rng = Rng(10)
-        half = (pp.m + 1) // 2
         for i in range(200):
             pair = kgc.keygen(pp, msk, store, f"u{i}", rng)
             y, k = issuance_exponents(msk, pair.e)
-            for v in (y, k):
-                assert v % 2 == 1
-                assert v.bit_length() == half
+            assert y % 2 == 1 and y < msk.z * msk.q
+            assert k % 2 == 1 and k < msk.p
             assert pair.e % 2 == 0
             assert pair.e == msk.p * y + msk.z * msk.q * k
             assert 1 < pair.d < pp.N
+
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data())
+    def test_forced_exponents_round_trip(self, toy64, data):
+        # every odd y < zq and odd k < p comes back from e: (y, k) -> e is injective
+        pp, msk = toy64
+        zq = msk.z * msk.q
+        y = 2 * data.draw(st.integers(0, (zq - 3) // 2)) + 1
+        k = 2 * data.draw(st.integers(0, (msk.p - 3) // 2)) + 1
+        pair = kgc.keygen(pp, msk, kgc.new_keystore(pp), "a", Rng(0), forced_y=y, forced_k=k)
+        assert issuance_exponents(msk, pair.e) == (y, k)
+
+    def test_level80_keys_have_at_most_m_plus_1_bits(self, big1024, big1024_users):
+        pp, _ = big1024
+        _, pairs = big1024_users
+        assert max(pair.e.bit_length() for pair in pairs) <= pp.m + 1
 
     def test_private_key_oracle(self, toy16):
         pp, msk = toy16
@@ -70,11 +84,11 @@ class TestKeygen:
     def test_collision_resampled(self, toy16):
         pp, msk = toy16
         store = kgc.new_keystore(pp)
-        half = (pp.m + 1) // 2
-        first = kgc.keygen(pp, msk, store, "a", ScriptedRng([0, 0], seed=1))
+        first = kgc.keygen(pp, msk, store, "a", ScriptedRng([5, 3], seed=1))
         y, k = issuance_exponents(msk, first.e)
+        assert (y, k) == (11, 7)  # y = 2*5 + 1, k = 2*3 + 1
         # replay the same y and k for the next user: forces one resample
-        second = kgc.keygen(pp, msk, store, "b", ScriptedRng([y, k], seed=2))
+        second = kgc.keygen(pp, msk, store, "b", ScriptedRng([5, 3], seed=2))
         assert second.e != first.e
         assert issuance_exponents(msk, second.e)[0] == y  # y kept, only k re-drawn
 
