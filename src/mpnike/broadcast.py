@@ -50,12 +50,11 @@ def brod_setup(
     eta: int,
     level: SecurityLevel,
     rng: Rng,
-    forced_primes: tuple[int, int, int] | None = None,
 ) -> tuple[PublicParams, MasterSecret, Keystore]:
     """Provision parameters plus eta enrolled users (user001, user002, ...)."""
     if eta < 2:
         raise GroupTooSmall("a broadcast system needs at least two users")
-    pp, msk = params.setup(level, rng, forced_primes)
+    pp, msk = params.setup(level, rng)
     store = kgc.new_keystore(pp)
     for i in range(1, eta + 1):
         kgc.keygen(pp, msk, store, f"user{i:03d}", rng)

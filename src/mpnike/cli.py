@@ -208,11 +208,8 @@ def _attack_fiatnaor(args: argparse.Namespace) -> int:
 def _attack_eskeland(args: argparse.Namespace) -> int:
     rng = Rng(args.seed)
     esk = legacy.esk_setup(args.bits, rng)
-    exps = []
-    while len(exps) < 2 + args.group_size:
-        e = numt.random_prime(17, rng)
-        if e not in exps:
-            exps.append(e)
+    taken: set[int] = set()
+    exps = [legacy.fresh_prime(17, taken, rng) for _ in range(2 + args.group_size)]
     colluder_i = legacy.esk_keygen(esk, exps[0], rng)
     colluder_j = legacy.esk_keygen(esk, exps[1], rng)
     targets = [legacy.esk_keygen(esk, e, rng) for e in exps[2:]]
@@ -325,7 +322,8 @@ class Command:
 
 
 def _commands() -> Command:
-    """The command table; every command also takes --seed and --format.
+    """The command table; every command also takes --format, and a command
+    that draws randomness lists --seed among its options.
 
     Built per `main` call, not at import, so that a handler rebound on this
     module (as perfbench's recorder does) is the one that runs.
@@ -333,19 +331,22 @@ def _commands() -> Command:
     member = ("--params", "--keystore", "--user")
     group = ("--reveal", "--group", "--group-file")
     schemes = {
-        "fiatnaor": Command("break Fiat-Naor", _attack_fiatnaor, "--bits", bits=24),
-        "eskeland": Command("break Eskeland", _attack_eskeland, "--bits", "--group-size", bits=64),
-        "probe": Command("probe the main scheme", _attack_probe, "--security", "--toy-bits",
-                         "--group-size", security="toy", toy_bits=64),
+        "fiatnaor": Command("break Fiat-Naor", _attack_fiatnaor, "--seed", "--bits", bits=24),
+        "eskeland": Command("break Eskeland", _attack_eskeland, "--seed", "--bits", "--group-size",
+                            bits=64),
+        "probe": Command("probe the main scheme", _attack_probe, "--seed", "--security",
+                         "--toy-bits", "--group-size", security="toy", toy_bits=64),
     }
     return Command("Multi-party non-interactive key exchange toolkit", {
-        "setup": Command("generate parameters", cmd_setup, "--params", "--security", "--toy-bits",
-                         "--msk", security="80", toy_bits=16),
-        "issue": Command("issue a member key pair", cmd_issue, *member, "--msk", "--reveal"),
+        "setup": Command("generate parameters", cmd_setup, "--seed", "--params", "--security",
+                         "--toy-bits", "--msk", security="80", toy_bits=16),
+        "issue": Command("issue a member key pair", cmd_issue, "--seed", *member, "--msk",
+                         "--reveal"),
         "derive": Command("derive a group key", cmd_derive, *member, "--write-group", *group),
         "join": Command("grow a group by one member", cmd_join, *member, "--new", *group),
         "broadcast-encrypt": Command("encrypt to an authorized set", cmd_broadcast_encrypt,
-                                     "--params", "--keystore", "--authorized", "--in", "--out"),
+                                     "--seed", "--params", "--keystore", "--authorized", "--in",
+                                     "--out"),
         "broadcast-decrypt": Command("decrypt as an authorized user", cmd_broadcast_decrypt,
                                      *member, "--in", "--out"),
         "attack": Command("run an attack demonstration", schemes),
@@ -366,7 +367,7 @@ def _parse(prog: str, cmd: Command, argv: Optional[Sequence[str]], level: str):
         name, *rest = getattr(ap.parse_args(argv), level)
         return _parse(f"{prog} {name}", cmd.run[name], rest, "scheme")
     ap = argparse.ArgumentParser(prog=prog)
-    for flag in ("--seed", "--format", *cmd.options):
+    for flag in ("--format", *cmd.options):
         ap.add_argument(flag, **_OPTIONS[flag])
     ap.set_defaults(func=cmd.run, **cmd.defaults)
     return ap.parse_args(argv)

@@ -30,15 +30,29 @@ _E_BITS = 16
 _FACTOR_LIMIT = 1 << 20
 
 
-def _distinct_primes(bits: int, rng: Rng) -> tuple[int, int]:
+def _rsa_instance(bits: int, rng: Rng) -> tuple[int, int, int]:
+    """(p, q, g): distinct primes of bits - bits//2 and bits//2 bits, then
+    g = _max_order_unit modulo N = p*q."""
+    if bits < 6:
+        raise InvalidInput("modulus too small")
     p_bits = bits - bits // 2
     q_bits = bits // 2
     p = numt.random_prime(p_bits, rng)
     for _ in range(64):
         q = numt.random_prime(q_bits, rng)
         if q != p:
-            return p, q
+            return p, q, _max_order_unit(p * q, lcm(p - 1, q - 1), rng)
     raise ExhaustedAttempts("could not draw two distinct primes")
+
+
+def fresh_prime(bits: int, taken: set[int], rng: Rng) -> int:
+    """Prime of exactly `bits` bits outside `taken`, which it joins."""
+    for _ in range(256):
+        e = numt.random_prime(bits, rng)
+        if e not in taken:
+            taken.add(e)
+            return e
+    raise ExhaustedAttempts(f"no fresh {bits}-bit prime in 256 draws")
 
 
 def _factor_small(n: int) -> Optional[list[int]]:
@@ -92,21 +106,13 @@ class FnKeyPair:
 
 
 def fn_setup(bits: int, rng: Rng) -> FnParams:
-    if bits < 6:
-        raise InvalidInput("modulus too small")
-    p, q = _distinct_primes(bits, rng)
-    N = p * q
-    g = _max_order_unit(N, lcm(p - 1, q - 1), rng)
-    return FnParams(N=N, g=g, p=p, q=q)
+    p, q, g = _rsa_instance(bits, rng)
+    return FnParams(N=p * q, g=g, p=p, q=q)
 
 
 def fn_keygen(fn: FnParams, rng: Rng) -> FnKeyPair:
-    for _ in range(256):
-        e = numt.random_prime(_E_BITS, rng)
-        if e not in fn.issued:
-            fn.issued.add(e)
-            return FnKeyPair(e=e, d=pow(fn.g, e, fn.N))
-    raise ExhaustedAttempts("prime exponent space exhausted")
+    e = fresh_prime(_E_BITS, fn.issued, rng)
+    return FnKeyPair(e=e, d=pow(fn.g, e, fn.N))
 
 
 def _peers(my_e: int, others: Iterable[int]) -> list[int]:
@@ -141,17 +147,10 @@ class EskKeyPair:
     d: int = field(repr=False)
 
 
-def esk_setup(bits: int, rng: Rng, forced_u: Optional[int] = None) -> EskParams:
-    if bits < 6:
-        raise InvalidInput("modulus too small")
-    p, q = _distinct_primes(bits, rng)
-    N = p * q
+def esk_setup(bits: int, rng: Rng) -> EskParams:
+    p, q, g = _rsa_instance(bits, rng)
     phi = (p - 1) * (q - 1)
-    g = _max_order_unit(N, lcm(p - 1, q - 1), rng)
-    u = forced_u if forced_u is not None else rng.randrange(2, phi)
-    if not 1 < u < phi:
-        raise InvalidInput("u must lie in (1, phi)")
-    return EskParams(N=N, g=g, u=u, phi=phi, p=p, q=q)
+    return EskParams(N=p * q, g=g, u=rng.randrange(2, phi), phi=phi, p=p, q=q)
 
 
 def esk_keygen(esk: EskParams, e: int, rng: Rng, forced_v: Optional[int] = None) -> EskKeyPair:

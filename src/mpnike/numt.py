@@ -159,7 +159,6 @@ def random_prime(
     bits: int,
     rng: Rng,
     rounds: int = _MR_ROUNDS,
-    budget: Optional[int] = None,
 ) -> int:
     """Uniform probable prime with the top bit set (exactly `bits` bits).
 
@@ -167,8 +166,7 @@ def random_prime(
     """
     if bits < 2:
         raise InvalidInput(f"need bits >= 2, got {bits}")
-    if budget is None:
-        budget = max(256, 96 * bits)
+    budget = max(256, 96 * bits)
     top = 1 << (bits - 1)
     low = int(bits > 2)  # 2 is the only even prime
     for _ in range(budget):

@@ -166,21 +166,21 @@ def _has_order(x: int, order: int, primes: tuple[int, ...], N: int) -> bool:
     return pow(x, order, N) == 1 and all(pow(x, order // r, N) != 1 for r in primes)
 
 
-def find_generator(p: int, z: int, q: int, N: int, rng: Rng, budget: int = 1000) -> int:
+def find_generator(p: int, z: int, q: int, N: int, rng: Rng) -> int:
     """Generator of the order p*z*q subgroup mod N.
 
     Fourth powers of units land in the subgroup (the group of units has
     order 4*p*z*q); a candidate is accepted once no proper divisor of
     p*z*q annihilates it.
     """
-    for _ in range(budget):
+    for _ in range(1000):
         x = rng.randrange(2, N)
         if gcd(x, N) != 1:
             continue
         c = pow(x, 4, N)
         if _has_order(c, p * z * q, (p, z, q), N):
             return c
-    raise ExhaustedAttempts(f"no subgroup generator found in {budget} draws")
+    raise ExhaustedAttempts("no subgroup generator found in 1000 draws")
 
 
 def setup(

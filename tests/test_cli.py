@@ -447,6 +447,29 @@ def _readme() -> str:
             "mpnike derive",
             "--bogus",
         ),
+        # a command that draws no randomness takes no --seed
+        (
+            ["derive", "--params", "x", "--keystore", "y", "--user", "a", "--seed", "01"],
+            "mpnike derive",
+            "--seed 01",
+        ),
+        (
+            ["join", "--params", "x", "--keystore", "y", "--user", "a", "--new", "b",
+             "--seed", "01"],
+            "mpnike join",
+            "--seed 01",
+        ),
+        (
+            ["broadcast-decrypt", "--params", "x", "--keystore", "y", "--user", "a",
+             "--in", "c", "--out", "d", "--seed", "01"],
+            "mpnike broadcast-decrypt",
+            "--seed 01",
+        ),
+        (
+            ["validate", "--params", "x", "--msk", "y", "--seed", "01"],
+            "mpnike validate",
+            "--seed 01",
+        ),
     ],
 )
 def test_usage_error_names_the_subcommand(capsys, argv, prog, bad):
@@ -500,6 +523,8 @@ def _bad(*argv, message=None):
         _bad("attack", "probe", "--group-size", "0"),
         _bad("attack", "probe", "--group-size", "-1"),
         _bad("attack", "eskeland", "--group-size", "0"),
+        # more targets than there are 17-bit primes
+        _bad("attack", "eskeland", "--group-size", "6000", message="error[ExhaustedAttempts]"),
         # options of another scheme
         _bad("attack", "probe", "--bits", "64"),
         _bad("attack", "fiatnaor", "--group-size", "5"),
@@ -598,7 +623,7 @@ def _argv(draw):
     cmd = _COMMANDS.get(path[0]) if path else None
     if cmd is not None and isinstance(cmd.run, dict):
         cmd = cmd.run.get(path[1]) if len(path) > 1 else None
-    own = ("--seed", "--format", *cmd.options) if cmd is not None else ()
+    own = ("--format", *cmd.options) if cmd is not None else ()
     tokens = []
     for flag in own:
         # required options always, so that most argvs reach their handler

@@ -126,8 +126,6 @@ class TestEskeland:
             legacy.esk_shared_key(esk.N, esk.g, pair, [])
         with pytest.raises(SelfInGroup):
             legacy.esk_shared_key(esk.N, esk.g, pair, [5])
-        with pytest.raises(InvalidInput):
-            legacy.esk_setup(64, Rng(42), forced_u=1)
 
     def test_setup_properties(self):
         rng = Rng(43)

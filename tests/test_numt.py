@@ -140,8 +140,13 @@ class TestRandomPrime:
             assert sympy.isprime(p)
 
     def test_budget_exhaustion(self):
+        class Zeros(Rng):
+            def getrandbits(self, bits):
+                return 0
+
+        # every candidate is 2**31 + 1 = 3 * 715827883
         with pytest.raises(ExhaustedAttempts):
-            numt.random_prime(32, Rng(7), budget=0)
+            numt.random_prime(32, Zeros(7))
 
     def test_draws_only_odd_candidates(self, monkeypatch):
         seen = []

@@ -195,9 +195,11 @@ class TestSearchCost:
 
 class TestFindGenerator:
     def test_budget_exhaustion(self, forced713):
+        # the forced-713 set has q = 11; with 7 in its place no unit mod 713
+        # (order 660 = 4*3*5*11) has order 3*5*7
         pp, msk = forced713
         with pytest.raises(ExhaustedAttempts):
-            params.find_generator(msk.p, msk.z, msk.q, pp.N, Rng(1), budget=0)
+            params.find_generator(msk.p, msk.z, 7, pp.N, Rng(1))
 
     def test_never_full_order(self, forced713):
         # fourth powers cannot have order divisible by 4
