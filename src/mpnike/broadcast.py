@@ -34,6 +34,7 @@ TRANSPORT_TAG = b"MPNIKE-BC1"
 NONCE_LEN = 12
 TAG_LEN = 16
 DIGEST_LEN = 32
+MEMO_SETS = 16
 
 
 @dataclass(frozen=True)
@@ -82,11 +83,15 @@ def _header_bytes(params_ref: str, authorized: tuple[int, ...]) -> bytes:
 
 
 def _group_state(store: Keystore, pp: PublicParams, pairs: list[KeyPair]) -> nike.GroupKeyState:
-    """The group state of pairs, from the keystore's memo where it can be.
+    """The group state of pairs, from the keystore's sender memo where it can be.
 
-    An exact hit is reused; otherwise the largest remembered subset is
-    extended by the missing members, or on a miss the first pair derives
-    the state afresh.  The result becomes the memo's newest entry.
+    `store.derived` remembers the last `MEMO_SETS` group states derived
+    here, keyed by member set.  An exact hit is reused (no exponentiation);
+    otherwise the largest remembered subset is extended by the missing
+    members (one each), or on a miss the first pair derives the state
+    afresh (one per member but the first).  The result becomes the memo's
+    newest entry.  For honestly issued keys F_W is the same whichever
+    member derives it, so every path gives the same ciphertext.
     """
     members = frozenset(pair.e for pair in pairs)
     memo = store.derived
@@ -98,7 +103,7 @@ def _group_state(store: Keystore, pp: PublicParams, pairs: list[KeyPair]) -> nik
         else:
             state = nike.extend(pp, memo[base], [pair.e for pair in pairs if pair.e not in base])
     memo[members] = state
-    if len(memo) > kgc.MEMO_SETS:
+    if len(memo) > MEMO_SETS:
         del memo[next(iter(memo))]
     return state
 
@@ -113,8 +118,8 @@ def brod_encrypt(
     """Encrypt message so exactly the named users can decrypt.
 
     The group key comes from the keystore's memo of recent sets (see
-    `Keystore`) or else from the lexicographically first authorized user's
-    key pair; any member's view produces the same key.
+    `_group_state`) or else from the lexicographically first authorized
+    user's key pair; any member's view produces the same key.
     """
     pairs = [store.pair(u) for u in sorted(set(authorized_ids))]
     if len(pairs) < 2:

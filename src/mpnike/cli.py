@@ -51,7 +51,7 @@ def _member_view(
     if args.group_file:
         members = nike.load_group(args.group_file, pp)
     else:
-        members = tuple(sorted(store.public_key(u) for u in _split_ids(args.group)))
+        members = tuple(sorted(store.pair(u).e for u in _split_ids(args.group)))
     if pair.e not in members:
         raise InvalidInput(f"user {args.user!r} is not in the group")
     return pp, store, pair, [e for e in members if e != pair.e]
@@ -117,20 +117,19 @@ def cmd_derive(args: argparse.Namespace) -> int:
 
 def cmd_join(args: argparse.Namespace) -> int:
     pp, store, pair, others = _member_view(args)
-    e_new = store.public_key(args.new)
-    state = nike.shared_key(pp, pair, others)
-    grown = nike.join(pp, state, e_new)
-    # single-exponentiation join must agree with a from-scratch derivation
-    rederived = nike.shared_key(pp, pair, others + [e_new])
+    newcomer = store.pair(args.new)
+    grown = nike.join(pp, nike.shared_key(pp, pair, others), newcomer.e)
+    # the single-exponentiation join must agree with the newcomer's own derivation
+    theirs = nike.shared_key(pp, newcomer, [pair.e, *others])
     items = [
         ("members", str(len(grown.members))),
         ("key_fingerprint", _fingerprint(grown.K)),
-        ("consistent", "yes" if grown == rederived else "NO"),
+        ("consistent", "yes" if grown == theirs else "NO"),
     ]
     if args.reveal:
         items.append(("key", grown.K.hex()))
     _emit(args, items)
-    return 0 if grown == rederived else 1
+    return 0 if grown == theirs else 1
 
 
 def cmd_broadcast_encrypt(args: argparse.Namespace) -> int:

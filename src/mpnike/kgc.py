@@ -16,7 +16,7 @@ are computed by CRT, as g_p has order z mod p' and order q mod q'.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Optional
+from typing import Optional
 
 from . import artifact, numt
 from .errors import (
@@ -30,13 +30,9 @@ from .errors import (
 from .numt import Rng
 from .params import MasterSecret, PublicParams, params_digest
 
-if TYPE_CHECKING:
-    from .nike import GroupKeyState
-
 _STORE_HEADER = "mpnike-keystore/2"
 _COLLISION_BUDGET = 16
 MAX_USER_ID_BYTES = 256
-MEMO_SETS = 16
 
 
 @dataclass(frozen=True, slots=True)
@@ -53,22 +49,15 @@ class Keystore:
     """Issuer-side database, bound to one parameter set by digest.
 
     `records` is filled by `keygen` and `store_load`, which keep
-    `issued_keys`, the index of issued e, in step with it.  `derived`
-    remembers the last `MEMO_SETS` group states that `brod_encrypt`
-    derived from these pairs, keyed by member set: a remembered set costs no
-    exponentiation, a remembered subset one per missing member, and a miss
-    one per member but the first.  For honestly issued keys F_W is the same
-    whichever member derives it, so every path gives the same ciphertext.
-    Neither index nor memo takes part in equality or repr, and `store_save`
-    writes neither.
+    `issued_keys`, the index of issued e, in step with it.  `derived` is
+    the sender memo of `broadcast`, which sets its policy.  Neither index
+    nor memo takes part in equality or repr, and `store_save` writes neither.
     """
 
     params_ref: str
     records: dict[str, KeyPair] = field(default_factory=dict)
     issued_keys: set[int] = field(init=False, compare=False, repr=False)
-    derived: dict[frozenset[int], GroupKeyState] = field(
-        default_factory=dict, init=False, compare=False, repr=False
-    )
+    derived: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
     def __post_init__(self):
         self.issued_keys = {r.e for r in self.records.values()}
@@ -77,9 +66,6 @@ class Keystore:
         if user_id not in self.records:
             raise UnknownUser(user_id)
         return self.records[user_id]
-
-    def public_key(self, user_id: str) -> int:
-        return self.pair(user_id).e
 
 
 def new_keystore(pp: PublicParams) -> Keystore:

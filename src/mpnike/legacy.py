@@ -38,11 +38,8 @@ def _rsa_instance(bits: int, rng: Rng) -> tuple[int, int, int]:
     p_bits = bits - bits // 2
     q_bits = bits // 2
     p = numt.random_prime(p_bits, rng)
-    for _ in range(64):
-        q = numt.random_prime(q_bits, rng)
-        if q != p:
-            return p, q, _max_order_unit(p * q, lcm(p - 1, q - 1), rng)
-    raise ExhaustedAttempts("could not draw two distinct primes")
+    q = fresh_prime(q_bits, {p}, rng)
+    return p, q, _max_order_unit(p * q, lcm(p - 1, q - 1), rng)
 
 
 def fresh_prime(bits: int, taken: set[int], rng: Rng) -> int:
@@ -100,7 +97,9 @@ class FnParams:
 
 
 @dataclass(frozen=True)
-class FnKeyPair:
+class KeyPair:
+    """A member's public exponent e and private value d, in either scheme."""
+
     e: int
     d: int = field(repr=False)
 
@@ -110,9 +109,9 @@ def fn_setup(bits: int, rng: Rng) -> FnParams:
     return FnParams(N=p * q, g=g, p=p, q=q)
 
 
-def fn_keygen(fn: FnParams, rng: Rng) -> FnKeyPair:
+def fn_keygen(fn: FnParams, rng: Rng) -> KeyPair:
     e = fresh_prime(_E_BITS, fn.issued, rng)
-    return FnKeyPair(e=e, d=pow(fn.g, e, fn.N))
+    return KeyPair(e=e, d=pow(fn.g, e, fn.N))
 
 
 def _peers(my_e: int, others: Iterable[int]) -> list[int]:
@@ -124,7 +123,7 @@ def _peers(my_e: int, others: Iterable[int]) -> list[int]:
     return peer_list
 
 
-def fn_shared_key(N: int, my_pair: FnKeyPair, others: Iterable[int]) -> int:
+def fn_shared_key(N: int, my_pair: KeyPair, others: Iterable[int]) -> int:
     return numt.exp_chain(my_pair.d, _peers(my_pair.e, others), N)
 
 
@@ -141,19 +140,13 @@ class EskParams:
     used_v: set[int] = field(default_factory=set, repr=False, compare=False)
 
 
-@dataclass(frozen=True)
-class EskKeyPair:
-    e: int
-    d: int = field(repr=False)
-
-
 def esk_setup(bits: int, rng: Rng) -> EskParams:
     p, q, g = _rsa_instance(bits, rng)
     phi = (p - 1) * (q - 1)
     return EskParams(N=p * q, g=g, u=rng.randrange(2, phi), phi=phi, p=p, q=q)
 
 
-def esk_keygen(esk: EskParams, e: int, rng: Rng, forced_v: Optional[int] = None) -> EskKeyPair:
+def esk_keygen(esk: EskParams, e: int, rng: Rng, forced_v: Optional[int] = None) -> KeyPair:
     """Blind the reduced exponent z = e mod phi as d = z*u + v*phi."""
     if e < 2:
         raise InvalidInput("public exponent must be >= 2")
@@ -162,12 +155,12 @@ def esk_keygen(esk: EskParams, e: int, rng: Rng, forced_v: Optional[int] = None)
         v = forced_v if forced_v is not None else rng.randrange(1, esk.N)
         if v not in esk.used_v:
             esk.used_v.add(v)
-            return EskKeyPair(e=e, d=z * esk.u + v * esk.phi)
+            return KeyPair(e=e, d=z * esk.u + v * esk.phi)
         if forced_v is not None:
             raise InvalidInput(f"masking value {v} already used")
     raise ExhaustedAttempts("masking value space exhausted")
 
 
-def esk_shared_key(N: int, g: int, my_pair: EskKeyPair, others: Iterable[int]) -> int:
+def esk_shared_key(N: int, g: int, my_pair: KeyPair, others: Iterable[int]) -> int:
     peer_list = _peers(my_pair.e, others)
     return numt.exp_chain(numt.mod_exp(g, my_pair.d, N), peer_list, N)

@@ -45,7 +45,6 @@ class Rng:
     """
 
     def __init__(self, seed: Optional[int] = None):
-        self.seed = seed
         self._rand: random.Random
         if seed is None:
             self._rand = random.SystemRandom()

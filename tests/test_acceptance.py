@@ -11,6 +11,7 @@ import math
 import random
 import statistics
 import time
+from pathlib import Path
 
 import acceptance_log
 import oracles
@@ -398,7 +399,7 @@ def test_criterion_10_cli_determinism(tmp_path, capsys):
             if name == "key":
                 key = value
         artifacts.append(
-            (codes, open(pp_f).read(), open(msk_f).read(), open(ks_f).read(), key)
+            (codes, Path(pp_f).read_text(), Path(msk_f).read_text(), Path(ks_f).read_text(), key)
         )
     if artifacts[0][0] != [0, 0, 0, 0, 0]:
         failures.append(f"exit codes {artifacts[0][0]}")

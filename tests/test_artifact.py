@@ -1,3 +1,4 @@
+import ast
 import glob
 import os
 import re
@@ -103,6 +104,21 @@ def _src_lines_matching(pattern: str, exempt: tuple[str, ...] = ()) -> list[str]
 
 def test_only_artifact_opens_files():
     assert not _src_lines_matching(r"\bopen\(|os\.(open|fdopen)", exempt=("artifact.py",))
+
+
+def test_kgc_imports_nothing_from_the_layers_that_use_it():
+    # the keystore holds the sender memo of broadcast, but not its type or policy
+    with open(os.path.join(SRC, "kgc.py"), encoding="utf-8") as fh:
+        tree = ast.parse(fh.read())
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported |= {part for alias in node.names for part in alias.name.split(".")}
+        elif isinstance(node, ast.ImportFrom):
+            imported |= set((node.module or "").split("."))
+            if node.module in (None, "mpnike"):  # from . import x, from mpnike import x
+                imported |= {alias.name for alias in node.names}
+    assert not imported & {"nike", "broadcast", "cli"}
 
 
 def test_no_module_picks_a_hash_by_name():

@@ -118,11 +118,8 @@ class TestEskelandAttack:
     def test_full_forgery(self, esk512):
         esk = esk512
         rng = Rng(58)
-        exps = []
-        while len(exps) < 5:
-            e = numt.random_prime(17, rng)
-            if e not in exps:
-                exps.append(e)
+        taken: set[int] = set()
+        exps = [legacy.fresh_prime(17, taken, rng) for _ in range(5)]
         colluders = [legacy.esk_keygen(esk, e, rng) for e in exps[:2]]
         targets = [legacy.esk_keygen(esk, e, rng) for e in exps[2:]]
         u_prime = attacks.eskeland_recover_u(

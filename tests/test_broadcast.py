@@ -111,6 +111,9 @@ class TestEncryptDecrypt:
         other_pp, _ = toy16
         with pytest.raises(ParamsMismatch):
             broadcast.brod_decrypt(other_pp, store.pair("user001"), bc)
+        foreign = kgc.Keystore(params.params_digest(other_pp), dict(store.records))
+        with pytest.raises(ParamsMismatch, match="keystore"):
+            broadcast.brod_encrypt(foreign, pp, ["user001", "user002"], b"x", Rng(73))
 
     def test_deterministic_under_seed(self, system):
         pp, _, store = system
@@ -167,7 +170,7 @@ class TestKeystoreMemo:
             got = broadcast.brod_encrypt(store, pp, ids, b"payload", Rng(seed + i))
             want = broadcast.brod_encrypt(_fresh(issued), pp, ids, b"payload", Rng(seed + i))
             assert broadcast.ct_to_bytes(got) == broadcast.ct_to_bytes(want)
-            assert len(store.derived) <= kgc.MEMO_SETS
+            assert len(store.derived) <= broadcast.MEMO_SETS
 
     def test_exponentiation_counts(self, roster):
         pp, _, issued = roster
@@ -186,12 +189,12 @@ class TestKeystoreMemo:
         sets += [frozenset(_ids(2, i)) for i in range(3, 13)]
         for ids in sets:
             broadcast.brod_encrypt(store, pp, ids, b"m", Rng(1))
-            assert len(store.derived) <= kgc.MEMO_SETS
+            assert len(store.derived) <= broadcast.MEMO_SETS
         remembered = [frozenset(state.members) for state in store.derived.values()]
-        newest = [frozenset(store.public_key(u) for u in ids) for ids in sets[-kgc.MEMO_SETS :]]
+        newest = [frozenset(store.pair(u).e for u in ids) for ids in sets[-broadcast.MEMO_SETS :]]
         assert remembered == newest
         # a hit makes its set the newest, so the oldest left is the one evicted next
-        broadcast.brod_encrypt(store, pp, sets[-kgc.MEMO_SETS], b"m", Rng(1))
+        broadcast.brod_encrypt(store, pp, sets[-broadcast.MEMO_SETS], b"m", Rng(1))
         broadcast.brod_encrypt(store, pp, _ids(3, 4), b"m", Rng(1))
         assert newest[0] in store.derived and newest[1] not in store.derived
 
@@ -253,25 +256,35 @@ class TestWireFormat:
         assert sender.d.to_bytes(width, "big") not in raw
 
     @pytest.mark.parametrize(
-        "mangle",
+        "mangle, match",
         [
-            lambda raw: b"XXNIKEBC" + raw[8:],  # magic
-            lambda raw: raw[:-1],  # truncated
-            lambda raw: raw + b"\x00",  # trailing
-            lambda raw: raw[:8] + b"\x00\x00\x00\x02\x00\x02" + raw[14:],  # version
-            lambda raw: raw[:50] + b"\x00\x00\x00\x05\x00" + raw[54:],  # 5-byte count
-            # 31-byte digest section, its length prefix fixed up
-            lambda raw: raw[:14] + (31).to_bytes(4, "big") + raw[18:49] + raw[50:],
-            # a count of 1 or 3 beside the two key sections
-            lambda raw: raw[:54] + (1).to_bytes(4, "big") + raw[58:],
-            lambda raw: raw[:54] + (3).to_bytes(4, "big") + raw[58:],
+            # ids as pytest named the cases when each was a bare lambda
+            pytest.param(mangle, match, id=f"<lambda>{i}")
+            for i, (mangle, match) in enumerate([
+                (lambda raw: b"XXNIKEBC" + raw[8:], "magic"),
+                (lambda raw: raw[:-1], "truncated"),
+                (lambda raw: raw + b"\x00", "truncated"),  # trailing
+                (lambda raw: raw[:8] + b"\x00\x00\x00\x02\x00\x02" + raw[14:], "version"),
+                (lambda raw: raw[:50] + b"\x00\x00\x00\x05\x00" + raw[54:], "count must be 4"),
+                # 31-byte digest section, its length prefix fixed up
+                (lambda raw: raw[:14] + (31).to_bytes(4, "big") + raw[18:49] + raw[50:],
+                 "digest must be 32"),
+                # a count of 1 or 3 beside the two key sections
+                (lambda raw: raw[:54] + (1).to_bytes(4, "big") + raw[58:], "count 1 but 2"),
+                (lambda raw: raw[:54] + (3).to_bytes(4, "big") + raw[58:], "count 3 but 2"),
+                # the header alone: version, digest and count
+                (lambda raw: raw[:58], "at least 5 sections, got 3"),
+                # 11-byte nonce section, its length prefix fixed up; the 17-byte ct is last
+                (lambda raw: raw[:-37] + (11).to_bytes(4, "big") + raw[-33:-22] + raw[-21:],
+                 "nonce must be 12"),
+            ])
         ],
     )
-    def test_malformed_rejected(self, system, mangle):
+    def test_malformed_rejected(self, system, mangle, match):
         pp, _, store = system
         bc = broadcast.brod_encrypt(store, pp, ["user001", "user002"], b"m", Rng(79))
         raw = broadcast.ct_to_bytes(bc)
-        with pytest.raises(FormatError):
+        with pytest.raises(FormatError, match=match):
             broadcast.ct_from_bytes(mangle(raw))
 
     @pytest.mark.parametrize("authorized", [(), (2,)], ids=["count0", "count1"])

@@ -7,6 +7,7 @@ import shutil
 import subprocess
 import sys
 import tempfile
+from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -146,6 +147,23 @@ class TestJoin:
         )
         assert kv(out)["key"] == record["key"]
 
+    def test_join_disagrees_with_a_wrong_newcomer_key(self, ws, tmp_path, capsys):
+        # carol's row carries bob's d, so carol's own derivation misses alice's join
+        header, *rows = Path(ws["ks"]).read_text().splitlines()
+        cols = {row.split("\t")[0]: row.split("\t") for row in rows}  # user id -> user, e, d
+        cols["carol"][2] = cols["bob"][2]
+        ks = tmp_path / "ks.tsv"
+        ks.write_text("\n".join([header, *map("\t".join, cols.values())]) + "\n")
+        code, out, err = run(
+            capsys,
+            "join", "--params", ws["pp"], "--keystore", str(ks),
+            "--user", "alice", "--group", "alice,bob", "--new", "carol",
+            "--format", "line-record",
+        )
+        assert code == 1
+        assert kv(out)["consistent"] == "NO"
+        assert err == ""
+
 
 class TestBroadcast:
     def test_roundtrip_and_exclusion(self, ws, capsys):
@@ -167,7 +185,7 @@ class TestBroadcast:
                 "--user", user, "--in", ct, "--out", out_path,
             )
             assert code == 0
-            assert open(out_path, "rb").read() == b"broadcast me"
+            assert Path(out_path).read_bytes() == b"broadcast me"
         code, _, err = run(
             capsys,
             "broadcast-decrypt", "--params", ws["pp"], "--keystore", ws["ks"],
@@ -245,7 +263,7 @@ class TestDeterminism:
             files = _setup(capsys, d, "16")
             for user, seed in (("alice", "01"), ("bob", "02")):
                 assert _issue(capsys, files, user, seed) == 0
-            outs.append([open(files[k], "rb").read() for k in ("pp", "msk", "ks")])
+            outs.append([Path(files[k]).read_bytes() for k in ("pp", "msk", "ks")])
         assert outs[0] == outs[1]
 
 
@@ -282,7 +300,7 @@ class TestKeystoreFile:
         files = _setup(capsys, tmp_path, "64")
         for user, seed in (("alice", "01"), ("bob", "02"), ("carol", "03")):
             assert _issue(capsys, files, user, seed) == 0
-        text = open(files["ks"]).read()
+        text = Path(files["ks"]).read_text()
         rows = [line.split("\t") for line in text.splitlines()[1:]]
         assert [len(row) for row in rows] == [3, 3, 3]
         _, msk = params.load_master(files["msk"])
@@ -323,7 +341,7 @@ class TestKeystoreFile:
         for user, seed in (("alice", "01"), ("bob", "02")):
             assert _issue(capsys, files, user, seed) == 0
         # the old layout: y, k and a timestamp after user_id, e, d
-        header, *rows = open(files["ks"]).read().splitlines()
+        header, *rows = Path(files["ks"]).read_text().splitlines()
         old = [header.replace("/2\t", "/1\t")]
         old += [f"{row}\t3\t5\t2026-01-01T00:00:00+00:00" for row in rows]
         with open(files["ks"], "w") as fh:
@@ -359,6 +377,14 @@ class TestHygiene:
         )
         assert code == 1
         assert "InvalidInput" in err
+        # and --group must name at least one id
+        code, _, err = run(
+            capsys,
+            "derive", "--params", ws["pp"], "--keystore", ws["ks"],
+            "--user", "alice", "--group", ",",
+        )
+        assert code == 1
+        assert "error[InvalidInput]: empty id list" in err
 
     def test_no_master_secrets_leak(self, tmp_path, capsys):
         # 64-bit system so secret values are long enough that substring
@@ -387,9 +413,9 @@ class TestHygiene:
             assert code == 0
             transcripts.append(out + err)
         public_artifacts = [
-            open(pp_path).read(),
-            open(group_path).read(),
-            open(ct, "rb").read().hex(),
+            Path(pp_path).read_text(),
+            Path(group_path).read_text(),
+            Path(ct).read_bytes().hex(),
             *transcripts,
         ]
         for blob in public_artifacts:
@@ -403,7 +429,7 @@ class TestHygiene:
         files = _setup(capsys, tmp_path, "16")
         assert _issue(capsys, files, "alice", "01") == 0
         assert _issue(capsys, files, "bob", "02") == 0
-        text = open(files["pp"]).read()
+        text = Path(files["pp"]).read_text()
         with open(files["pp"], "w") as fh:
             fh.write(text.replace("hash_id = sha256", "hash_id = s\x00ha256"))
         code, _, err = _derive(capsys, files, "alice,bob")

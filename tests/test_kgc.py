@@ -150,6 +150,8 @@ class TestKeygen:
         store = kgc.new_keystore(pp)
         with pytest.raises(InvalidInput):
             kgc.keygen(pp, msk, store, "a", Rng(9), forced_y=4, forced_k=3)
+        with pytest.raises(InvalidInput, match="k must be"):
+            kgc.keygen(pp, msk, store, "a", Rng(9), forced_y=3, forced_k=4)
 
 
 class TestVerifyPair:
@@ -247,8 +249,6 @@ class TestKeystoreFiles:
         assert store.pair(pairs[0].user_id) == pairs[0]
         with pytest.raises(UnknownUser):
             store.pair("nobody")
-        with pytest.raises(UnknownUser):
-            store.public_key("nobody")
 
     @pytest.mark.parametrize(
         "mutation",

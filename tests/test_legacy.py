@@ -4,7 +4,7 @@ import pytest
 
 from mpnike import legacy, numt
 from mpnike.errors import EmptyGroup, InvalidInput, SelfInGroup
-from mpnike.legacy import EskKeyPair, EskParams, FnKeyPair, FnParams
+from mpnike.legacy import EskParams, FnParams, KeyPair
 from mpnike.numt import Rng
 
 from oracles import element_order, slow_pow
@@ -18,8 +18,8 @@ class TestFiatNaor:
         assert element_order(2, 35) == 12
 
     def test_toy_shared_key(self):
-        a = FnKeyPair(e=5, d=32)  # 2^5
-        b = FnKeyPair(e=7, d=23)  # 2^7 = 128 = 23 mod 35
+        a = KeyPair(e=5, d=32)  # 2^5
+        b = KeyPair(e=7, d=23)  # 2^7 = 128 = 23 mod 35
         assert pow(2, 5, 35) == 32 and pow(2, 7, 35) == 23
         ka = legacy.fn_shared_key(35, a, [7])
         kb = legacy.fn_shared_key(35, b, [5])
@@ -56,7 +56,7 @@ class TestFiatNaor:
         assert len(keys) == 1
 
     def test_errors(self):
-        a = FnKeyPair(e=5, d=32)
+        a = KeyPair(e=5, d=32)
         with pytest.raises(EmptyGroup):
             legacy.fn_shared_key(35, a, [])
         with pytest.raises(SelfInGroup):
@@ -88,11 +88,8 @@ class TestEskeland:
     def test_agreement_random(self, esk512):
         esk = esk512
         rng = Rng(37)
-        exps = []
-        while len(exps) < 4:
-            e = numt.random_prime(17, rng)
-            if e not in exps:
-                exps.append(e)
+        taken: set[int] = set()
+        exps = [legacy.fresh_prime(17, taken, rng) for _ in range(4)]
         pairs = [legacy.esk_keygen(esk, e, rng) for e in exps]
         keys = {
             legacy.esk_shared_key(esk.N, esk.g, p, [e for e in exps if e != p.e])
