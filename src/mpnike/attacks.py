@@ -8,12 +8,15 @@ values so the unknown exponents cancel.
    master generator, after which any group key can be forged.
  * Eskeland: a*e_i - b*e_j = 1 gives u' = a*d_i - b*d_j, congruent to the
    master secret u modulo phi(N), which is just as good as u.
- * Main scheme: every issued e is even, so gcd(e_i, e_j) = c >= 2 and the
-   same combination only reaches the c-th power of the honest group
-   element.  Walking back from F**c to F is root extraction modulo a
-   composite with hidden factorization; the probe verifies that the
-   combined pair still passes the issuer's audit (malleability) while the
-   forged key disagrees with the honest one.
+ * Main scheme: every private key is d = h**e for the issuer's hidden
+   base h, and F_W = h**(prod e_W).  Every issued e is even, so
+   gcd(e_i, e_j) = c >= 2 and the combination reaches h**c, which passes
+   the issuer's audit as the pair (c, h**c).  The probe raises h**c to
+   prod e_W and so reaches F_W**c, not F_W.  But raising it to
+   prod e_W / c gives F_W exactly whenever c divides prod e_W, and since
+   every e is even, c = 2 is common: two colluders then forge the key of
+   any group.  The break is this repository's own finding against its own
+   implementation of the scheme.
 """
 
 from __future__ import annotations
@@ -103,11 +106,13 @@ def proposed_scheme_attack_probe(
 ) -> ProbeReport:
     """Run the two-colluder Euclidean pipeline against the main scheme.
 
-    Combines the two lowest-e colluders into (gcd, d_i**a * d_j**-b) and
-    derives a forged key for target_es with it.  The combined pair is
-    expected to pass the issuer audit (kgc.verify_pair under msk) while the
-    forged key fails to match honest_key, since gcd >= 2 for honestly
-    issued keys.
+    Combines the two lowest-e colluders into (c, d_i**a * d_j**-b), where
+    c = gcd(e_i, e_j) and the combined d is h**c, and raises it to the
+    product of target_es.  The combined pair passes the issuer audit
+    (kgc.verify_pair under msk), and the forged key, from F**c, fails to
+    match honest_key, since c >= 2 for honestly issued keys.  This
+    pipeline does not divide by c: when c divides the product of target_es,
+    combined_d ** (product / c) is the honest F itself.
     """
     if len(pairs) < 2:
         raise InvalidInput("need at least two colluding key pairs")

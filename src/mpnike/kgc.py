@@ -3,20 +3,22 @@
 A member's key pair is (e, d) with
 
     e = p*y + z*q*k        (public)
-    d = g**(p*y) mod N     (private)
+    d = h**e mod N         (private)
 
 for fresh odd exponents y < z*q and k < p, so e < 2*p*z*q has at most
-m + 1 bits and (y, k) -> e is injective.  Since p, z, q, y, k are all odd,
-e is always even; that parity is load-bearing for the collusion argument,
-so issuance enforces it.  The issuer can audit a pair without knowing y
-through d == g_p**(e * p^-1 mod z*q) (mod N).  Both d = g_p**y and the audit
-are computed by CRT, as g_p has order z mod p' and order q mod q'.
+m + 1 bits and (y, k) -> e is injective.  The hidden base h = g_p**(p^-1 mod
+z*q) has order z*q and only the issuer can compute it; as e = p*y (mod z*q),
+d = h**e = g_p**y = g**(p*y).  The audit of a pair is the same formula,
+h**e == d (mod N).  Both are computed by CRT, as g_p has order z mod p' and
+order q mod q'.  Since p, z, q, y, k are all odd, e is always even.  Even e
+does not stop collusion: two members' Bezout combination is h**c with
+c = gcd(e_i, e_j), and (h**c)**(prod e_W / c) is F_W whenever c divides
+prod e_W; `attacks` has the details.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional
 
 from . import artifact, numt
 from .errors import (
@@ -85,28 +87,22 @@ def _check_user_id(user_id: str):
 
 
 def _issuer_pow(pp: PublicParams, msk: MasterSecret, x: int) -> int:
-    """g_p**x mod N from two half-size pows: g_p has order z mod p' and q mod q'."""
+    """h**x mod N from two half-size pows: h = g_p**p_inv has order z mod p' and q mod q'."""
     if msk.p_prime * msk.q_prime != pp.N:
         raise ParamsMismatch("master secret belongs to different parameters")
+    x *= msk.p_inv
     a = pow(pp.g_p, x % msk.z, msk.p_prime)
     b = pow(pp.g_p, x % msk.q, msk.q_prime)
     return b + msk.q_prime * ((a - b) * msk.q_prime_inv % msk.p_prime)
 
 
 def keygen(
-    pp: PublicParams,
-    msk: MasterSecret,
-    store: Keystore,
-    user_id: str,
-    rng: Rng,
-    forced_y: Optional[int] = None,
-    forced_k: Optional[int] = None,
+    pp: PublicParams, msk: MasterSecret, store: Keystore, user_id: str, rng: Rng
 ) -> KeyPair:
     """Issue a key pair for user_id and record it in the keystore.
 
     Re-samples k up to a fixed budget if the resulting e collides with an
-    already-issued one.  forced_y / forced_k exist for reproducing known
-    instances in tests and skip sampling (but not the parity check).
+    already-issued one.
     """
     _check_user_id(user_id)
     if store.params_ref != params_digest(pp):
@@ -114,39 +110,27 @@ def keygen(
     if user_id in store.records:
         raise DuplicateUser(user_id)
     zq = msk.z * msk.q
-    y = forced_y if forced_y is not None else 2 * rng.randrange(0, (zq - 1) // 2) + 1
-    if y % 2 == 0 or y < 1:
-        raise InvalidInput("y must be a positive odd integer")
-    e = None
+    y = 2 * rng.randrange(0, (zq - 1) // 2) + 1
     for _ in range(_COLLISION_BUDGET):
-        k = forced_k if forced_k is not None else 2 * rng.randrange(0, (msk.p - 1) // 2) + 1
-        if k % 2 == 0 or k < 1:
-            raise InvalidInput("k must be a positive odd integer")
-        cand = msk.p * y + zq * k
-        if cand not in store.issued_keys:
-            e = cand
+        e = msk.p * y + zq * (2 * rng.randrange(0, (msk.p - 1) // 2) + 1)
+        if e not in store.issued_keys:
             break
-        if forced_k is not None:
-            break
-    if e is None:
+    else:
         raise CollisionBudgetExceeded(f"could not find a fresh e for {user_id!r}")
-    assert e % 2 == 0
-    pair = KeyPair(user_id, e, _issuer_pow(pp, msk, y))  # g**(p*y) = g_p**y
+    pair = KeyPair(user_id, e, _issuer_pow(pp, msk, e))
     store.records[user_id] = pair
     store.issued_keys.add(e)
     return pair
 
 
 def verify_pair(pp: PublicParams, msk: MasterSecret, e: int, d: int) -> bool:
-    """Issuer-side audit: does (e, d) satisfy the issuance relation?
+    """Issuer-side audit: is d == h**e (mod N), the issuance formula?
 
-    Accepts exactly the pairs with d == g_p**(e * p^-1) in the order-z*q
-    component, so e is only meaningful modulo z*q here.  Linear
+    h has order z*q, so e is only meaningful modulo z*q here.  Linear
     combinations of valid pairs therefore verify too; the audit proves
     well-formedness, not provenance.
     """
-    zq = msk.z * msk.q
-    return _issuer_pow(pp, msk, e * pow(msk.p, -1, zq) % zq) == d % pp.N
+    return _issuer_pow(pp, msk, e) == d % pp.N
 
 
 def store_save(store: Keystore, path: str):

@@ -146,18 +146,16 @@ def esk_setup(bits: int, rng: Rng) -> EskParams:
     return EskParams(N=p * q, g=g, u=rng.randrange(2, phi), phi=phi, p=p, q=q)
 
 
-def esk_keygen(esk: EskParams, e: int, rng: Rng, forced_v: Optional[int] = None) -> KeyPair:
-    """Blind the reduced exponent z = e mod phi as d = z*u + v*phi."""
+def esk_keygen(esk: EskParams, e: int, rng: Rng) -> KeyPair:
+    """Blind the reduced exponent z = e mod phi as d = z*u + v*phi for a fresh v."""
     if e < 2:
         raise InvalidInput("public exponent must be >= 2")
     z = e % esk.phi
     for _ in range(256):
-        v = forced_v if forced_v is not None else rng.randrange(1, esk.N)
+        v = rng.randrange(1, esk.N)
         if v not in esk.used_v:
             esk.used_v.add(v)
             return KeyPair(e=e, d=z * esk.u + v * esk.phi)
-        if forced_v is not None:
-            raise InvalidInput(f"masking value {v} already used")
     raise ExhaustedAttempts("masking value space exhausted")
 
 

@@ -4,10 +4,11 @@ Member i derives the group element for W = {i} + others as
 
     F_W = d_i ** (prod of e_j for j in others)  mod N
 
-evaluated as one modular exponentiation per other member.  Expanding
-d_i = g**(p*y_i) and e_j = p*y_j + z*q*k_j shows every member of W reaches
-the same g**(p^|W| * prod y) mod N, independent of evaluation order, so
-agreement needs no interaction.  The symmetric key is a hash of F_W.
+evaluated as one modular exponentiation per other member.  Every private
+key is d_i = h**e_i for the issuer's hidden base h (see `kgc`), so every
+member of W reaches the same F_W = h**(prod of e_j for j in W) mod N,
+independent of evaluation order, and agreement needs no interaction.  The
+symmetric key is a hash of F_W.
 
 One growth step, F_{W+s} = F_W ** e_s mod N per new member s, runs from a
 key pair as W = {i}, F = d_i (`shared_key`) or from a state (`extend`, `join`).

@@ -81,6 +81,11 @@ class MasterSecret:
         """q'^-1 mod p', the CRT coefficient of issuer-side exponentiations."""
         return pow(self.q_prime, -1, self.p_prime)
 
+    @cached_property
+    def p_inv(self) -> int:
+        """p^-1 mod z*q: the hidden base of issuance is h = g_p**p_inv."""
+        return pow(self.p, -1, self.z * self.q)
+
 
 def _bit_split(modulus_bits: int) -> tuple[int, int, int]:
     """(p_bits, z_bits, p'_bits): p' takes about 2/3 of the modulus, q' the rest."""

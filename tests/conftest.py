@@ -32,6 +32,28 @@ def apply_edits(raw: bytes, edits) -> bytes:
     return bytes(out)
 
 
+class ScriptedRng(Rng):
+    """An Rng whose randrange returns `values` in order, then draws from `seed`.
+
+    Scripted values skip the range check, so known instances can be
+    reproduced: `keygen` turns draws r into y = 2*r + 1 and then
+    k = 2*r + 1, and `esk_keygen` takes its draw as v.
+    """
+
+    def __init__(self, values, seed=0):
+        super().__init__(seed)
+        self.values = iter(values)
+
+    def randrange(self, lo, hi):
+        value = next(self.values, None)
+        return super().randrange(lo, hi) if value is None else value
+
+
+def issuing(y: int, k: int) -> ScriptedRng:
+    """The Rng under which `keygen` issues e = p*y + z*q*k."""
+    return ScriptedRng([(y - 1) // 2, (k - 1) // 2])
+
+
 def pytest_terminal_summary(terminalreporter, exitstatus, config):
     if acceptance_log.LINES:
         terminalreporter.section("acceptance criteria")

@@ -4,10 +4,12 @@ Run from the repository root:
 
     PYTHONPATH=src python tests/make_vectors.py
 
-Nothing here draws from `Rng`: the primes are forced, g is the smallest
-fourth power of full order, and every (y, k) is a SHAKE-256 expansion of
-its label.  The output pins what this version of the library computes;
-`tests/test_vectors.py` checks the library and the oracles against it.
+Nothing here is random: the primes are forced, g is the smallest fourth
+power of full order, every (y, k) is a SHAKE-256 expansion of its label and
+reaches `keygen` through a scripted `Rng`, and the broadcast nonce is fixed.
+The output pins what this version of the library computes;
+`tests/test_vectors.py` checks the library and the oracles against it, and
+checks that `build()` still returns the file's contents.
 The layout follows the test-vector files of Project Wycheproof
 (https://github.com/C2SP/wycheproof) and the test vectors of RFC 8032 §7.
 """
@@ -21,6 +23,8 @@ import tempfile
 
 from mpnike import broadcast, kgc, nike, params
 from mpnike.numt import Rng, int_to_hex
+
+from conftest import issuing
 
 OUT = os.path.join(os.path.dirname(os.path.abspath(__file__)), "vectors", "v1.json")
 
@@ -102,7 +106,7 @@ def parameter_set(name, gamma, p, z, q) -> dict:
     for user in USERS:
         y = odd_exponent(f"{name} {user} y", half)
         k = odd_exponent(f"{name} {user} k", half)
-        pair = kgc.keygen(pp, msk, store, user, Rng(0), forced_y=y, forced_k=k)
+        pair = kgc.keygen(pp, msk, store, user, issuing(y, k))
         values = {"y": y, "k": k, "e": pair.e, "d": pair.d}
         keys.append({"user": user, **{key: int_to_hex(v) for key, v in values.items()}})
     pairs = store.records
@@ -137,8 +141,9 @@ def parameter_set(name, gamma, p, z, q) -> dict:
     }
 
 
-def main():
-    vectors = {
+def build() -> dict:
+    """The vectors file's contents, computed by the library as it stands."""
+    return {
         "algorithm": "mpnike version 1",
         "header": [
             "Known-answer vectors for the version-1 formats of mpnike.",
@@ -149,9 +154,12 @@ def main():
         ],
         "testGroups": [parameter_set(*row) for row in PARAMETER_SETS],
     }
+
+
+def main():
     os.makedirs(os.path.dirname(OUT), exist_ok=True)
     with open(OUT, "w") as fh:
-        json.dump(vectors, fh, indent=1)
+        json.dump(build(), fh, indent=1)
         fh.write("\n")
 
 

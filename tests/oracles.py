@@ -51,7 +51,7 @@ def closed_form_group_element(msk, N: int, ys: list[int]) -> int:
 def issuance_exponents(msk, e: int) -> tuple[int, int]:
     """(y, k) with e = p*y + z*q*k, recovered from e and the master secret.
 
-    keygen draws y below z*q, and every forced y in the tests is below it
+    keygen draws y below z*q, and every scripted y in the tests is below it
     too, so y is the residue e * p^-1 mod z*q and k is what remains.
     """
     zq = msk.z * msk.q

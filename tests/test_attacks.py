@@ -1,11 +1,16 @@
 import math
+import random
 
 import pytest
+from cryptography.hazmat.primitives.ciphers.aead import AESGCM
 
-from mpnike import attacks, legacy, nike, numt
-from mpnike.errors import InvalidInput, NotCoprime, NotInvertible
+from mpnike import attacks, broadcast, kgc, legacy, nike, numt
+from mpnike.errors import DegenerateResult, InvalidInput, NotCoprime, NotInvertible
 from mpnike.kgc import KeyPair
 from mpnike.numt import Rng
+
+from conftest import MASTER_SEED, ScriptedRng
+from oracles import closed_form_group_element, issuance_exponents
 
 
 class TestBezoutPos:
@@ -105,13 +110,13 @@ class TestEskelandAttack:
     def test_forgery_with_negative_u_prime(self):
         # large masking value on the subtracted side drives u_prime < 0
         esk = legacy.EskParams(N=35, g=2, u=7, phi=24, p=5, q=7)
-        pair_i = legacy.esk_keygen(esk, 5, Rng(55), forced_v=1)
-        pair_j = legacy.esk_keygen(esk, 3, Rng(56), forced_v=30)
+        pair_i = legacy.esk_keygen(esk, 5, ScriptedRng([1]))
+        pair_j = legacy.esk_keygen(esk, 3, ScriptedRng([30]))
         u_prime = attacks.eskeland_recover_u(5, pair_i.d, 3, pair_j.d)
         assert u_prime < 0
         assert (u_prime - 7) % 24 == 0
         forged = attacks.eskeland_forge_group_key(35, 2, u_prime, [11, 13])
-        honest_member = legacy.esk_keygen(esk, 11, Rng(57), forced_v=3)
+        honest_member = legacy.esk_keygen(esk, 11, ScriptedRng([3]))
         honest = legacy.esk_shared_key(35, 2, honest_member, [13])
         assert forged == honest
 
@@ -172,3 +177,62 @@ class TestProposedSchemeProbe:
         _, pairs = toy64_users
         with pytest.raises(InvalidInput):
             attacks.proposed_scheme_attack_probe(pp, msk, pairs[:1], [pairs[2].e], b"")
+
+
+class TestDivisionForgery:
+    """Every d is h**e, so two colluders' h**c raised to prod e_W / c is F_W
+    whenever c divides prod e_W; even e make c = 2 common."""
+
+    def test_forges_the_honest_element_under_criterion_6_sampling(self, toy64):
+        # the sampling of test_acceptance.py's criterion 6, seeds included
+        pp, msk = toy64
+        rng = Rng(MASTER_SEED + 6)
+        rnd = random.Random(MASTER_SEED + 6)
+        trials = forged = 0
+        generation = -1
+        while trials < 1000:
+            if trials // 50 != generation:
+                generation = trials // 50
+                store = kgc.new_keystore(pp)
+                pool = [
+                    kgc.keygen(pp, msk, store, f"g{generation:02d}u{i}", rng) for i in range(8)
+                ]
+            chosen = rnd.sample(pool, 2 + rnd.randrange(2, 6))
+            colluders, targets = chosen[:2], chosen[2:]
+            target_es = [kp.e for kp in targets]
+            try:
+                honest = nike.shared_key(pp, targets[0], target_es[1:])
+            except DegenerateResult:
+                continue
+            report = attacks.proposed_scheme_attack_probe(pp, msk, colluders, target_es, honest.K)
+            trials += 1
+            prod = math.prod(target_es)
+            if prod % report.gcd:
+                continue
+            F = pow(report.combined_d, prod // report.gcd, pp.N)
+            ys = [issuance_exponents(msk, e)[0] for e in target_es]
+            assert F == honest.F == closed_form_group_element(msk, pp.N, ys)
+            forged += 1
+        assert forged > trials // 2
+
+    def test_two_outsiders_open_a_broadcast(self, toy64):
+        pp, msk = toy64
+        store, rng = kgc.new_keystore(pp), Rng(MASTER_SEED + 61)
+        pairs = [kgc.keygen(pp, msk, store, f"u{i}", rng) for i in range(10)]
+        authorized, outsiders = pairs[:5], pairs[5:]
+        payload = b"for the authorized set only"
+        bc = broadcast.brod_encrypt(store, pp, [p.user_id for p in authorized], payload, rng)
+        prod = math.prod(bc.authorized)
+        opened = 0
+        for i, pair_i in enumerate(outsiders):
+            for pair_j in outsiders[i + 1 :]:
+                # the outsiders' own pairs combine to h**c, c = gcd(e_i, e_j)
+                c, a, b = attacks.bezout_pos(pair_i.e, pair_j.e)
+                hc = pow(pair_i.d, a, pp.N) * pow(pair_j.d, -b, pp.N) % pp.N
+                if prod % c:
+                    continue
+                key = broadcast._transport_key(nike.kdf(pp, pow(hc, prod // c, pp.N)))
+                aad = broadcast._header_bytes(bc.params_ref, bc.authorized)
+                assert AESGCM(key).decrypt(bc.nonce, bc.ct, aad) == payload
+                opened += 1
+        assert opened > 0

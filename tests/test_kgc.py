@@ -1,8 +1,10 @@
+from itertools import repeat
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import EDITS, apply_edits
+from conftest import EDITS, ScriptedRng, apply_edits, issuing
 from mpnike import artifact, kgc, params
 from mpnike.errors import (
     CollisionBudgetExceeded,
@@ -17,24 +19,11 @@ from mpnike.numt import Rng
 from oracles import issuance_exponents, slow_pow
 
 
-class ScriptedRng:
-    """Feeds a fixed sequence of randrange results, then falls back."""
-
-    def __init__(self, values, seed=0):
-        self.values = list(values)
-        self.fallback = Rng(seed)
-
-    def randrange(self, lo, hi):
-        if self.values:
-            return self.values.pop(0)
-        return self.fallback.randrange(lo, hi)
-
-
 class TestKeygen:
     def test_worked_instance(self, forced713):
         pp, msk = forced713
         store = kgc.new_keystore(pp)
-        pair = kgc.keygen(pp, msk, store, "alice", Rng(1), forced_y=5, forced_k=3)
+        pair = kgc.keygen(pp, msk, store, "alice", issuing(5, 3))
         # e = 3*5 + (5*11)*3 and d = g^(3*5)
         assert pair.e == 180
         assert pair.d == slow_pow(msk.g, 15, pp.N)
@@ -61,7 +50,7 @@ class TestKeygen:
         zq = msk.z * msk.q
         y = 2 * data.draw(st.integers(0, (zq - 3) // 2)) + 1
         k = 2 * data.draw(st.integers(0, (msk.p - 3) // 2)) + 1
-        pair = kgc.keygen(pp, msk, kgc.new_keystore(pp), "a", Rng(0), forced_y=y, forced_k=k)
+        pair = kgc.keygen(pp, msk, kgc.new_keystore(pp), "a", issuing(y, k))
         assert issuance_exponents(msk, pair.e) == (y, k)
 
     def test_level80_keys_have_at_most_m_plus_1_bits(self, big1024, big1024_users):
@@ -93,24 +82,25 @@ class TestKeygen:
         assert issuance_exponents(msk, second.e)[0] == y  # y kept, only k re-drawn
 
     def test_forced_collision_exhausts(self, toy16):
+        # every draw is 32, so y = k = 65 and each re-drawn k collides again
         pp, msk = toy16
         store = kgc.new_keystore(pp)
-        kgc.keygen(pp, msk, store, "a", Rng(4), forced_y=65, forced_k=65)
+        kgc.keygen(pp, msk, store, "a", ScriptedRng(repeat(32)))
         with pytest.raises(CollisionBudgetExceeded):
-            kgc.keygen(pp, msk, store, "b", Rng(5), forced_y=65, forced_k=65)
+            kgc.keygen(pp, msk, store, "b", ScriptedRng(repeat(32)))
 
     def test_collision_with_loaded_or_given_records(self, toy16, tmp_path):
         # the index of issued e is filled by store_load and by the constructor
         pp, msk = toy16
         store = kgc.new_keystore(pp)
-        kgc.keygen(pp, msk, store, "a", Rng(4), forced_y=65, forced_k=65)
+        kgc.keygen(pp, msk, store, "a", ScriptedRng(repeat(32)))
         path = str(tmp_path / "ks.tsv")
         kgc.store_save(store, path)
         built = kgc.Keystore(store.params_ref, dict(store.records))
         for reloaded in (kgc.store_load(path, pp), built):
             assert reloaded.issued_keys == {store.pair("a").e}
             with pytest.raises(CollisionBudgetExceeded):
-                kgc.keygen(pp, msk, reloaded, "b", Rng(5), forced_y=65, forced_k=65)
+                kgc.keygen(pp, msk, reloaded, "b", ScriptedRng(repeat(32)))
 
     def test_duplicate_user(self, toy16):
         pp, msk = toy16
@@ -144,14 +134,6 @@ class TestKeygen:
         store = kgc.new_keystore(pp)
         uid = "é" * 128  # exactly 256 UTF-8 bytes
         assert kgc.keygen(pp, msk, store, uid, Rng(9)).user_id == uid
-
-    def test_forced_even_y_rejected(self, toy16):
-        pp, msk = toy16
-        store = kgc.new_keystore(pp)
-        with pytest.raises(InvalidInput):
-            kgc.keygen(pp, msk, store, "a", Rng(9), forced_y=4, forced_k=3)
-        with pytest.raises(InvalidInput, match="k must be"):
-            kgc.keygen(pp, msk, store, "a", Rng(9), forced_y=3, forced_k=4)
 
 
 class TestVerifyPair:

@@ -101,12 +101,12 @@ def toy128(request):
 def test_span_step_finds_half_width_keys(toy128):
     # the width keygen drew before y < zq and k < p: odd, top bit of m/2 set
     pp, msk = toy128
-    store, rng, half = kgc.new_keystore(pp), Rng(7), (pp.m + 1) // 2
+    rng, half = Rng(7), (pp.m + 1) // 2
     es = []
-    for i in range(10):
+    for _ in range(10):
         y = rng.getrandbits(half) | 1 << (half - 1) | 1
         k = rng.getrandbits(half) | 1 << (half - 1) | 1
-        es.append(kgc.keygen(pp, msk, store, f"u{i}", rng, forced_y=y, forced_k=k).e)
+        es.append(msk.p * y + msk.z * msk.q * k)
     assert span_step(msk, es)
 
 

@@ -1,12 +1,14 @@
 import math
+from itertools import repeat
 
 import pytest
 
 from mpnike import legacy, numt
-from mpnike.errors import EmptyGroup, InvalidInput, SelfInGroup
+from mpnike.errors import EmptyGroup, ExhaustedAttempts, InvalidInput, SelfInGroup
 from mpnike.legacy import EskParams, FnParams, KeyPair
 from mpnike.numt import Rng
 
+from conftest import ScriptedRng
 from oracles import element_order, slow_pow
 
 # worked toy instance: N = 5*7, g = 2 (maximal order since lambda(35) = 12)
@@ -71,15 +73,15 @@ class TestEskeland:
 
     def test_keygen_reduces_exponent(self):
         esk = self.toy()
-        pair = legacy.esk_keygen(esk, 29, Rng(34), forced_v=2)
+        pair = legacy.esk_keygen(esk, 29, ScriptedRng([2]))
         # z = 29 mod 24 = 5, d = 5*7 + 2*24
         assert pair.d == 83
         assert pair.d % esk.phi == (5 * 7) % 24
 
     def test_toy_agreement_frozen(self):
         esk = self.toy()
-        a = legacy.esk_keygen(esk, 5, Rng(35), forced_v=2)
-        b = legacy.esk_keygen(esk, 11, Rng(36), forced_v=3)
+        a = legacy.esk_keygen(esk, 5, ScriptedRng([2]))
+        b = legacy.esk_keygen(esk, 11, ScriptedRng([3]))
         ka = legacy.esk_shared_key(esk.N, esk.g, a, [11])
         kb = legacy.esk_shared_key(esk.N, esk.g, b, [5])
         # g^(u * z_a * z_b mod phi) = 2^(385 mod 24) = 2^1
@@ -100,7 +102,7 @@ class TestEskeland:
     def test_exponent_congruent_to_one_adds_nothing(self):
         # e = 25 reduces to z = 1 mod phi(35): the key ignores such members
         esk = self.toy()
-        a = legacy.esk_keygen(esk, 5, Rng(38), forced_v=2)
+        a = legacy.esk_keygen(esk, 5, ScriptedRng([2]))
         with_extra = legacy.esk_shared_key(esk.N, esk.g, a, [11, 25])
         without = legacy.esk_shared_key(esk.N, esk.g, a, [11])
         assert with_extra == without
@@ -111,8 +113,10 @@ class TestEskeland:
         for e in (5, 11, 13, 17):
             legacy.esk_keygen(esk, e, rng)
         assert len(esk.used_v) == 4
-        with pytest.raises(InvalidInput):
-            legacy.esk_keygen(esk, 19, rng, forced_v=next(iter(esk.used_v)))
+        # an Rng that only ever returns a used v exhausts the draws
+        with pytest.raises(ExhaustedAttempts):
+            legacy.esk_keygen(esk, 19, ScriptedRng(repeat(next(iter(esk.used_v)))))
+        assert len(esk.used_v) == 4
 
     def test_errors(self):
         esk = self.toy()

@@ -10,7 +10,6 @@ made the file; see its docstring for the format's sources.
 
 import hashlib
 import json
-import os
 
 import pytest
 from cryptography.hazmat.primitives.ciphers.aead import AESGCM
@@ -18,10 +17,11 @@ from cryptography.hazmat.primitives.ciphers.aead import AESGCM
 from mpnike import broadcast, kgc, nike, params
 from mpnike.numt import Rng
 
-from make_vectors import FixedNonce
+import make_vectors
+from conftest import issuing
 from oracles import closed_form_group_element, issuance_exponents
 
-with open(os.path.join(os.path.dirname(os.path.abspath(__file__)), "vectors", "v1.json")) as fh:
+with open(make_vectors.OUT) as fh:
     VECTORS = json.load(fh)["testGroups"]
 
 
@@ -59,7 +59,7 @@ def _issued(pp, msk, vec) -> kgc.Keystore:
     store = kgc.new_keystore(pp)
     for key in vec["keys"]:
         y, k = _x(key["y"]), _x(key["k"])
-        kgc.keygen(pp, msk, store, key["user"], Rng(0), forced_y=y, forced_k=k)
+        kgc.keygen(pp, msk, store, key["user"], issuing(y, k))
     return store
 
 
@@ -172,8 +172,14 @@ def test_ciphertext(vec):
     assert b"MPNIKEBC" + aad + _frame(nonce, sealed) == raw
     # with the library
     store = _issued(pp, msk, vec)
-    bc = broadcast.brod_encrypt(store, pp, ids, payload, FixedNonce(nonce))
+    bc = broadcast.brod_encrypt(store, pp, ids, payload, make_vectors.FixedNonce(nonce))
     assert broadcast.ct_to_bytes(bc) == raw
     assert broadcast.ct_from_bytes(raw) == bc
     for u in ids:
         assert broadcast.brod_decrypt(pp, store.pair(u), bc) == payload
+
+
+def test_generator_reproduces_file():
+    # make_vectors.build() recomputes every value; nothing is written
+    with open(make_vectors.OUT) as fh:
+        assert make_vectors.build() == json.load(fh)
