@@ -1,14 +1,21 @@
 """Arbitrary-precision modular arithmetic, primality testing and prime search.
 
-Everything here is pure integer math.  Callers supply an entropy source
+Everything here is integer math.  Callers supply an entropy source
 (`Rng`) so seeded runs reproduce byte for byte.  Group key derivation,
 join and the collusion attacks exponentiate through `mod_exp`, so
 `count_mod_exps` counts their group operations; issuer-side and setup
 exponentiations call the builtin `pow` directly.
+
+`mod_exp` runs on OpenSSL's `BN_mod_exp`, reached through the libcrypto
+that the interpreter's `_hashlib` extension already links, and on the
+builtin `pow` where that library cannot be loaded (no `_hashlib`, or its
+symbols are not exported, as on Windows).  Both give the same value, and
+`count_mod_exps` counts one call either way.
 """
 
 from __future__ import annotations
 
+import ctypes
 import random
 import re
 from contextlib import contextmanager
@@ -70,6 +77,71 @@ class Rng:
 _SYSTEM_RNG = Rng()
 
 
+def _load_libcrypto() -> Optional[ctypes.CDLL]:
+    """libcrypto's bignum calls through `_hashlib`'s handle, or None."""
+    try:
+        import _hashlib
+
+        lib = ctypes.CDLL(_hashlib.__file__)
+        ptr, buf, i = ctypes.c_void_p, ctypes.c_char_p, ctypes.c_int
+        for name, args, res in (
+            ("BN_new", (), ptr),
+            ("BN_CTX_new", (), ptr),
+            ("BN_bin2bn", (buf, i, ptr), ptr),
+            ("BN_mod_exp", (ptr, ptr, ptr, ptr, ptr), i),
+            ("BN_bn2binpad", (ptr, ptr, i), i),
+            ("BN_clear_free", (ptr,), None),
+            ("BN_CTX_free", (ptr,), None),
+        ):
+            fn = getattr(lib, name)
+            fn.argtypes, fn.restype = args, res
+        return lib
+    except (ImportError, OSError, AttributeError):
+        return None
+
+
+_LIBCRYPTO = _load_libcrypto()
+
+
+def _bn_mod_exp(b: int, exp: int, n: int) -> int:
+    """b**exp mod n on libcrypto, for 0 <= b < n and exp >= 0.
+
+    Every call owns its context and bignums, so calls may run in parallel
+    threads; all are cleared before they are freed.
+    """
+    lib = _LIBCRYPTO
+    width = (n.bit_length() + 7) // 8
+    bns = []
+    ctx = lib.BN_CTX_new()
+    try:
+        if not ctx:
+            raise MemoryError("BN_CTX_new failed")
+        for v in (b, exp, n):
+            raw = v.to_bytes((v.bit_length() + 7) // 8, "big")
+            bn = lib.BN_bin2bn(raw, len(raw), None)
+            if not bn:
+                raise MemoryError("BN_bin2bn failed")
+            bns.append(bn)
+        r = lib.BN_new()
+        if not r:
+            raise MemoryError("BN_new failed")
+        bns.append(r)
+        if lib.BN_mod_exp(r, *bns[:3], ctx) != 1:
+            raise ArithmeticError("BN_mod_exp failed")
+        out = ctypes.create_string_buffer(width)
+        if lib.BN_bn2binpad(r, out, width) != width:
+            raise ArithmeticError("BN_bn2binpad failed")
+        return int.from_bytes(out.raw, "big")
+    finally:
+        for bn in bns:
+            lib.BN_clear_free(bn)
+        if ctx:
+            lib.BN_CTX_free(ctx)
+
+
+_pow = pow if _LIBCRYPTO is None else _bn_mod_exp
+
+
 class ModExpCounter:
     """Tally of modular exponentiations observed while active."""
 
@@ -104,12 +176,12 @@ def mod_exp(base: int, exp: int, n: int) -> int:
     for counter in _ACTIVE_COUNTERS:
         counter.count += 1
     b = base % n
-    if exp >= 0:
-        return pow(b, exp, n)
-    g = gcd(b, n)
-    if g != 1:
-        raise NotInvertible(b, n, g)
-    return pow(b, exp, n)
+    if exp < 0:
+        g = gcd(b, n)
+        if g != 1:
+            raise NotInvertible(b, n, g)
+        b, exp = pow(b, -1, n), -exp
+    return _pow(b, exp, n)
 
 
 def exp_chain(base: int, exps: Iterable[int], n: int) -> int:
