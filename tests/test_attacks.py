@@ -236,3 +236,18 @@ class TestDivisionForgery:
                 assert AESGCM(key).decrypt(bc.nonce, bc.ct, aad) == payload
                 opened += 1
         assert opened > 0
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_colluders_mint_pairs_the_audit_accepts(self, toy64, seed):
+        # h**c from two colluders, raised to a fresh odd t, is h**(c*t): a
+        # well-formed pair for an e the issuer never issued
+        pp, msk = toy64
+        store, rng = kgc.new_keystore(pp), Rng(MASTER_SEED + 62 + seed)
+        pair_i, pair_j = (kgc.keygen(pp, msk, store, f"u{i}", rng) for i in range(2))
+        c, a, b = attacks.bezout_pos(pair_i.e, pair_j.e)
+        hc = numt.mod_exp(pair_i.d, a, pp.N) * numt.mod_exp(pair_j.d, -b, pp.N) % pp.N
+        for _ in range(4):
+            t = rng.getrandbits(32) | 1
+            e, d = c * t, numt.mod_exp(hc, t, pp.N)
+            assert kgc.verify_pair(pp, msk, e, d)
+            assert e not in store.issued_keys

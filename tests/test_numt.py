@@ -1,4 +1,6 @@
 import math
+import sys
+import threading
 
 import pytest
 import sympy
@@ -64,6 +66,113 @@ class TestModExp:
         with count_mod_exps() as fresh:
             pass
         assert fresh.count == 0
+
+
+@st.composite
+def wide_odd_moduli(draw):
+    bits = draw(st.integers(min_value=4, max_value=3072))
+    lo = max(15, 1 << (bits - 1))
+    return draw(st.integers(min_value=lo, max_value=(1 << bits) - 1)) | 1
+
+
+class TestModExpWide:
+    """mod_exp against the builtin pow up to 3072-bit moduli."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(n=wide_odd_moduli(), data=st.data())
+    def test_equals_builtin_pow(self, n, data):
+        bits = n.bit_length()
+        base = data.draw(st.integers(min_value=-(1 << (bits + 8)), max_value=1 << (bits + 8)))
+        exp = data.draw(st.integers(min_value=0, max_value=1 << bits))
+        assert mod_exp(base, exp, n) == pow(base, exp, n)
+
+    @settings(max_examples=100, deadline=None)
+    @given(n=wide_odd_moduli(), data=st.data())
+    def test_negative_exponent_on_units(self, n, data):
+        base = data.draw(st.integers(min_value=2, max_value=n - 1))
+        exp = data.draw(st.integers(min_value=1, max_value=1 << n.bit_length()))
+        if math.gcd(base, n) != 1:
+            with pytest.raises(NotInvertible) as exc:
+                mod_exp(base, -exp, n)
+            assert exc.value.factor == math.gcd(base, n)
+        else:
+            assert mod_exp(base, -exp, n) == pow(base, -exp, n)
+
+    @pytest.mark.parametrize("bits", [4, 64, 1024, 3072])
+    def test_edge_bases_and_exponents(self, bits):
+        n = max(15, (1 << bits) - 1)
+        for base in (0, 1, -1, n - 1, n, n + 1, 2 * n + 3, -n - 2):
+            for exp in (0, 1, 2, 3, 65537):
+                assert mod_exp(base, exp, n) == pow(base, exp, n)
+        assert mod_exp(0, 0, n) == 1
+        assert mod_exp(0, 5, n) == 0
+
+    def test_results_with_leading_zero_bytes(self):
+        # the native result is padded to the modulus width; small values
+        # come back with most of their bytes zero
+        n = (1 << 1024) - 105  # odd
+        for value in (1, 2, 255, 256, 1 << 500):
+            assert mod_exp(value, 1, n) == value
+        assert mod_exp(n - 1, 2, n) == 1
+        assert mod_exp(2, 1000, n) == 1 << 1000
+
+    def test_not_invertible_factor_at_1024_bits(self):
+        p, q = sympy.nextprime(1 << 511), sympy.nextprime(3 << 510)
+        n = p * q
+        for base in (p, 5 * q, p * q + p):
+            with pytest.raises(NotInvertible) as exc:
+                mod_exp(base, -3, n)
+            assert exc.value.factor == math.gcd(base, n)
+        assert mod_exp(7, -3, n) == pow(7, -3, n)
+
+    def test_chain_equals_one_pow_at_1024_bits(self):
+        rng = Rng(11)
+        n = rng.getrandbits(1024) | (1 << 1023) | 1
+        base = rng.getrandbits(1030)
+        exps = [rng.getrandbits(1024) for _ in range(6)]
+        exps += exps[:2]
+        with count_mod_exps() as counter:
+            got = exp_chain(base, exps, n)
+        assert got == pow(base, math.prod(set(exps)), n)
+        assert counter.count == 6
+
+
+class TestBackend:
+    def test_native_backend_loaded_where_hashlib_is(self):
+        # a silent fallback to pow would keep every result right and lose
+        # the speed, so the backend itself is checked
+        pytest.importorskip("_hashlib")
+        if not sys.platform.startswith("linux"):
+            pytest.skip("libcrypto symbols are reached through _hashlib on Linux")
+        assert numt._LIBCRYPTO is not None
+        assert numt._pow is numt._bn_mod_exp
+
+    def test_threads_agree_with_pow(self):
+        rng = Rng(12)
+        n = rng.getrandbits(1024) | (1 << 1023) | 1
+        cases = [(rng.getrandbits(1024), rng.getrandbits(1024)) for _ in range(20)]
+        want = [pow(b, e, n) for b, e in cases]
+        wrong = []
+
+        def worker(offset):
+            for i in range(200):
+                k = (i + offset) % len(cases)
+                if mod_exp(*cases[k], n) != want[k]:
+                    wrong.append(k)
+
+        # more threads than cores, switching often; each call owns its context
+        threads = [threading.Thread(target=worker, args=(5 * t,)) for t in range(4)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert wrong == []
 
 
 odd_moduli = st.integers(min_value=7, max_value=1 << 64).map(lambda k: 2 * k + 1)
