@@ -316,11 +316,10 @@ def test_criterion_08_cost_and_scaling(big1024, big1024_users):
     sizes = list(range(2, 59, 8)) + [64]
     seconds = [float("inf")] * len(sizes)
     # process CPU time leaves out the time other processes hold the core;
-    # min of 64 rounds, each visiting every size once, so a burst of load from
-    # elsewhere on the machine inflates some rounds of all sizes rather than
-    # every rep of one size.  One round takes about 0.14 s at 1024 bits, so
-    # the rounds span several seconds and outlast a noisy spell of the host
-    for _ in range(64):
+    # min of 8 rounds, each visiting every size once, so a burst of load from
+    # elsewhere on the machine inflates one round of all sizes rather than
+    # every rep of one size
+    for _ in range(8):
         for i, size in enumerate(sizes):
             peer_es = [kp.e for kp in pairs[1:size]]
             t0 = time.process_time()
