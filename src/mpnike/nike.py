@@ -104,7 +104,10 @@ def save_group(pp: PublicParams, members: Iterable[int], path: str):
 
 def load_group(path: str, pp: PublicParams) -> tuple[int, ...]:
     lines = artifact.read_bound(path, _GROUP_HEADER, params_digest(pp))
-    members = [numt.hex_to_int(line) for line in lines]
+    members = [
+        numt.hex_to_int(line, f"{path}:{lineno}: public key")
+        for lineno, line in enumerate(lines, 2)
+    ]
     if not members or sorted(set(members)) != members:
         raise FormatError(f"{path}: members not nonempty, sorted and distinct")
     return tuple(members)

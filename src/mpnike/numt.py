@@ -3,21 +3,21 @@
 Everything here is integer math.  Callers supply an entropy source
 (`Rng`) so seeded runs reproduce byte for byte.  Group key derivation,
 join and the collusion attacks exponentiate through `mod_exp`, so
-`count_mod_exps` counts their group operations; issuer-side and setup
-exponentiations call the builtin `pow` directly.
+`count_mod_exps` counts their group operations; Miller-Rabin, the
+generator search and parameter validation call the uncounted `pow_mod`.
 
-`mod_exp` runs on OpenSSL's `BN_mod_exp`, reached through the libcrypto
-that the interpreter's `_hashlib` extension already links, and on the
-builtin `pow` where that library cannot be loaded (no `_hashlib`, or its
-symbols are not exported, as on Windows).  Both give the same value, and
-`count_mod_exps` counts one call either way.
+Both run on OpenSSL's `BN_mod_exp`, reached through the libcrypto that
+the interpreter's `_hashlib` extension already links, and on the builtin
+`pow` where that library cannot be loaded (no `_hashlib`, or its symbols
+are not exported, as on Windows).  Both give the same value, and
+`count_mod_exps` counts one call either way.  Only the issuer
+(`kgc._issuer_pow`) keeps the builtin `pow`; its docstring says why.
 """
 
 from __future__ import annotations
 
 import ctypes
 import random
-import re
 from contextlib import contextmanager
 from math import gcd, prod
 from typing import Iterable, Iterator, Optional
@@ -36,11 +36,11 @@ def _sieve(limit: int) -> list[int]:
     return [i for i in range(limit) if flags[i]]
 
 
-# A candidate below 2**16 with no prime factor below 256 is prime; the
-# longer tail just screens large candidates before Miller-Rabin.
+# A candidate below 4096**2 with no prime factor below 4096 is prime;
+# above that the table just screens candidates before Miller-Rabin.
 _SMALL_PRIMES = frozenset(_sieve(4096))
 _SMALL_PRODUCT = prod(_SMALL_PRIMES)
-_TRIAL_PROOF_LIMIT = 1 << 16
+_TRIAL_PROOF_LIMIT = 4096**2
 
 
 class Rng:
@@ -165,6 +165,16 @@ def count_mod_exps() -> Iterator[ModExpCounter]:
         _ACTIVE_COUNTERS.remove(counter)
 
 
+def pow_mod(base: int, exp: int, n: int) -> int:
+    """base**exp mod n for exp >= 0 and odd n >= 1, on the backend of `mod_exp`.
+
+    Uncounted: `count_mod_exps` sees only `mod_exp`.
+    """
+    if exp < 0 or n < 1 or n % 2 == 0:
+        raise InvalidInput("pow_mod needs exp >= 0 and an odd modulus >= 1")
+    return _pow(base % n, exp, n)
+
+
 def mod_exp(base: int, exp: int, n: int) -> int:
     """base**exp mod n for any integer exponent; n must be odd and >= 15.
 
@@ -181,7 +191,7 @@ def mod_exp(base: int, exp: int, n: int) -> int:
         if g != 1:
             raise NotInvertible(b, n, g)
         b, exp = pow(b, -1, n), -exp
-    return _pow(b, exp, n)
+    return pow_mod(b, exp, n)
 
 
 def exp_chain(base: int, exps: Iterable[int], n: int) -> int:
@@ -197,7 +207,7 @@ def exp_chain(base: int, exps: Iterable[int], n: int) -> int:
 
 
 def is_probable_prime(n: int, rounds: int = _MR_ROUNDS, rng: Optional[Rng] = None) -> bool:
-    """Small-factor screen (exact below 2**16), Miller-Rabin above."""
+    """Small-factor screen (exact below 4096**2, no draws), Miller-Rabin above."""
     if rounds < 1:
         raise InvalidInput("rounds must be >= 1")
     if n < 2:
@@ -214,7 +224,7 @@ def is_probable_prime(n: int, rounds: int = _MR_ROUNDS, rng: Optional[Rng] = Non
         s += 1
     for _ in range(rounds):
         a = rng.randrange(2, n - 1)
-        x = pow(a, d, n)
+        x = pow_mod(a, d, n)
         if x in (1, n - 1):
             continue
         for _ in range(s - 1):
@@ -247,7 +257,7 @@ def random_prime(
     raise ExhaustedAttempts(f"no {bits}-bit prime found in {budget} attempts")
 
 
-_HEX_RE = re.compile(r"\A(?:0|[1-9a-f][0-9a-f]*)\Z")
+_HEX_DIGITS = b"0123456789abcdef"
 
 
 def int_to_hex(n: int) -> str:
@@ -257,8 +267,16 @@ def int_to_hex(n: int) -> str:
     return format(n, "x")
 
 
-def hex_to_int(s: str) -> int:
-    """Parse canonical hex produced by int_to_hex; reject anything else."""
-    if not _HEX_RE.match(s):
-        raise FormatError(f"not canonical lowercase hex: {s!r}")
+def hex_to_int(s: str, field: str = "value") -> int:
+    """Parse canonical hex produced by int_to_hex; reject anything else.
+
+    The error names `field`, never `s`, which may be a private key.
+    """
+    if (
+        not s
+        or not s.isascii()
+        or s.encode().translate(None, _HEX_DIGITS)
+        or (s[0] == "0" and len(s) > 1)
+    ):
+        raise FormatError(f"{field} is not canonical lowercase hex")
     return int(s, 16)

@@ -168,7 +168,9 @@ def _certified(p: int, z: int, q: int, rng: Rng | None = None) -> tuple[int, ...
 
 def _has_order(x: int, order: int, primes: tuple[int, ...], N: int) -> bool:
     """x has multiplicative order exactly `order` mod N, given its prime factors."""
-    return pow(x, order, N) == 1 and all(pow(x, order // r, N) != 1 for r in primes)
+    return numt.pow_mod(x, order, N) == 1 and all(
+        numt.pow_mod(x, order // r, N) != 1 for r in primes
+    )
 
 
 def find_generator(p: int, z: int, q: int, N: int, rng: Rng) -> int:
@@ -182,7 +184,7 @@ def find_generator(p: int, z: int, q: int, N: int, rng: Rng) -> int:
         x = rng.randrange(2, N)
         if gcd(x, N) != 1:
             continue
-        c = pow(x, 4, N)
+        c = numt.pow_mod(x, 4, N)
         if _has_order(c, p * z * q, (p, z, q), N):
             return c
     raise ExhaustedAttempts("no subgroup generator found in 1000 draws")
@@ -231,7 +233,7 @@ def setup(
     p, z, q, p_prime, q_prime = primes
     N = p_prime * q_prime
     g = find_generator(p, z, q, N, rng)
-    g_p = pow(g, p, N)
+    g_p = numt.pow_mod(g, p, N)
     m = (p * z * q).bit_length()
     pp = PublicParams(N=N, g_p=g_p, m=m, gamma=level.gamma)
     msk = MasterSecret(p=p, z=z, q=q, g=g, p_prime=p_prime, q_prime=q_prime)
@@ -266,7 +268,8 @@ def validate(pp: PublicParams, msk: MasterSecret) -> ValidationReport:
 
     p, z, q = msk.p, msk.z, msk.q
     N = pp.N
-    check("modulus_odd", N % 2 == 1 and N >= 15, f"N = {N}")
+    modulus_odd = N % 2 == 1 and N >= 15
+    check("modulus_odd", modulus_odd, f"N = {N}")
     check(
         "modulus_structure",
         msk.p_prime == 2 * p * z + 1
@@ -295,9 +298,13 @@ def validate(pp: PublicParams, msk: MasterSecret) -> ValidationReport:
     pzq = p * z * q
     g = msk.g
     check("g_in_group", 1 < g < N and gcd(g, N) == 1)
-    check("g_order_pzq", _has_order(g, pzq, (p, z, q), N))
-    check("g_p_value", pp.g_p == pow(g, p, N) and pp.g_p != 1)
-    check("g_p_order_zq", _has_order(pp.g_p, z * q, (z, q), N))
+    # the order checks divide by p, z and q and exponentiate mod N, so they
+    # run only on an odd N >= 15 and p, z, q >= 2; otherwise they fail
+    runnable = modulus_odd and min(p, z, q) >= 2
+    why = "" if runnable else "not checked: needs an odd N >= 15 and p, z, q >= 2"
+    check("g_order_pzq", runnable and _has_order(g, pzq, (p, z, q), N), why)
+    check("g_p_value", runnable and pp.g_p == numt.pow_mod(g, p, N) and pp.g_p != 1, why)
+    check("g_p_order_zq", runnable and _has_order(pp.g_p, z * q, (z, q), N), why)
     check("m_matches", pp.m == pzq.bit_length(), f"m = {pp.m}, bitlen = {pzq.bit_length()}")
     return ValidationReport(tuple(checks))
 
@@ -345,6 +352,13 @@ def _parse_kv(text: str, fields: tuple[str, ...], path: str) -> dict[str, str]:
     return values
 
 
+def _hex_value(values: dict[str, str], key: str, path: str) -> int:
+    """values[key] as an integer; an error names the file, line and field, not the value."""
+    # the public fields open the master file too, so one index serves both files
+    lineno = _MASTER_FIELDS.index(key) + 1
+    return numt.hex_to_int(values[key], f"{path}:{lineno}: {key}")
+
+
 def _params_from_values(values: dict[str, str], path: str) -> PublicParams:
     for key, want in _FIXED_VALUES.items():
         if values[key] != want:
@@ -352,9 +366,9 @@ def _params_from_values(values: dict[str, str], path: str) -> PublicParams:
     if values["gamma"] not in ("toy", *_LEVEL_BITS):
         raise FormatError(f"{path}: unknown gamma {values['gamma']!r}")
     return PublicParams(
-        N=numt.hex_to_int(values["n"]),
-        g_p=numt.hex_to_int(values["g_p"]),
-        m=numt.hex_to_int(values["m"]),
+        N=_hex_value(values, "n", path),
+        g_p=_hex_value(values, "g_p", path),
+        m=_hex_value(values, "m", path),
         gamma=values["gamma"],
     )
 
@@ -375,4 +389,4 @@ def save_master(pp: PublicParams, msk: MasterSecret, path: str):
 def load_master(path: str) -> tuple[PublicParams, MasterSecret]:
     values = _parse_kv(artifact.read_text(path), _MASTER_FIELDS, path)
     pp = _params_from_values(values, path)
-    return pp, MasterSecret(**{k: numt.hex_to_int(values[k]) for k in _SECRET_FIELDS})
+    return pp, MasterSecret(**{k: _hex_value(values, k, path) for k in _SECRET_FIELDS})

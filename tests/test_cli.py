@@ -1,4 +1,5 @@
 import contextlib
+import dataclasses
 import io
 import itertools
 import os
@@ -15,6 +16,7 @@ from hypothesis import strategies as st
 
 from mpnike import cli, kgc, params
 from mpnike.cli import main
+from mpnike.numt import Rng
 
 from oracles import issuance_exponents
 
@@ -350,6 +352,60 @@ class TestKeystoreFile:
         assert code == 1
         assert "error[FormatError]" in err
         assert "Traceback" not in err
+
+
+class TestParseErrorsHideValues:
+    """A bad hex field is named by file, line and field; its value is never printed."""
+
+    def test_derive_on_keystore_with_leading_zero_d(self, tmp_path, capsys):
+        files = _setup(capsys, tmp_path, "64")
+        for user, seed in (("alice", "01"), ("bob", "02")):
+            assert _issue(capsys, files, user, seed) == 0
+        header, alice, bob = Path(files["ks"]).read_text().splitlines()
+        user, e_hex, d_hex = alice.split("\t")
+        Path(files["ks"]).write_text(f"{header}\n{user}\t{e_hex}\t0{d_hex}\n{bob}\n")
+        code, out, err = _derive(capsys, files, "alice,bob")
+        assert code == 1
+        assert f"error[FormatError]: {files['ks']}:2: d is not canonical lowercase hex" in err
+        assert d_hex not in out + err
+        assert "Traceback" not in err
+
+    def test_issue_on_master_with_leading_zero_z(self, tmp_path, capsys):
+        files = _setup(capsys, tmp_path, "64")
+        text = Path(files["msk"]).read_text()
+        z_hex = re.search(r"^z = (.*)$", text, re.M).group(1)
+        Path(files["msk"]).write_text(text.replace(f"\nz = {z_hex}\n", f"\nz = 0{z_hex}\n"))
+        code, out, err = run(
+            capsys,
+            "issue", "--params", files["pp"], "--msk", files["msk"],
+            "--keystore", files["ks"], "--user", "alice", "--seed", "01",
+        )
+        assert code == 1
+        assert f"error[FormatError]: {files['msk']}:9: z is not canonical lowercase hex" in err
+        assert z_hex not in out + err
+        assert "Traceback" not in err
+
+
+class TestValidateBadModulus:
+    @pytest.mark.parametrize("n", [0, 1, 2, 714])
+    def test_even_or_tiny_n_exits_1(self, tmp_path, capsys, n):
+        pp, msk = params.setup(
+            params.security_level("toy", 16), Rng(1), forced_primes=(3, 5, 11)
+        )
+        pp = dataclasses.replace(pp, N=n)
+        pp_path, msk_path = str(tmp_path / "pp.txt"), str(tmp_path / "msk.txt")
+        params.save_public(pp, pp_path)
+        params.save_master(pp, msk, msk_path)
+        code, out, err = run(
+            capsys, "validate", "--params", pp_path, "--msk", msk_path,
+            "--format", "line-record",
+        )
+        assert code == 1
+        assert "Traceback" not in err
+        record = kv(out)
+        assert record["valid"] == "no"
+        assert record["check_modulus_odd"].startswith("fail")
+        assert record["check_g_order_pzq"].startswith("fail (not checked")
 
 
 class TestHygiene:

@@ -258,6 +258,23 @@ class TestKeystoreFiles:
         with pytest.raises(FormatError):
             kgc.store_load(path, pp)
 
+    @pytest.mark.parametrize("column, field", [(1, "e"), (2, "d")])
+    def test_bad_hex_error_names_line_and_field_not_value(self, toy16, tmp_path, column, field):
+        pp, msk = toy16
+        store = kgc.new_keystore(pp)
+        for i, uid in enumerate(("alice", "bob")):
+            kgc.keygen(pp, msk, store, uid, Rng(30 + i))
+        path = str(tmp_path / "ks.tsv")
+        kgc.store_save(store, path)
+        header, alice, bob = artifact.read_text(path).splitlines()
+        cols = bob.split("\t")
+        cols[column] = "0" + cols[column]
+        row = "\t".join(cols)
+        artifact.write(path, f"{header}\n{alice}\n{row}\n")
+        with pytest.raises(FormatError) as exc:
+            kgc.store_load(path, pp)
+        assert str(exc.value) == f"{path}:3: {field} is not canonical lowercase hex"
+
     def test_unsorted_rows_rejected(self, toy16, tmp_path):
         pp, msk = toy16
         store = kgc.new_keystore(pp)

@@ -290,6 +290,15 @@ class TestGroupFiles:
         with pytest.raises(FormatError):
             nike.load_group(path, pp)
 
+    def test_bad_hex_error_names_the_line(self, toy16, tmp_path):
+        pp, _ = toy16
+        path = str(tmp_path / "group.txt")
+        with open(path, "w") as fh:
+            fh.write(f"mpnike-group/1\t{params.params_digest(pp)}\na0\n0b1\n")
+        with pytest.raises(FormatError) as exc:
+            nike.load_group(path, pp)
+        assert str(exc.value) == f"{path}:3: public key is not canonical lowercase hex"
+
     def test_duplicate_members_rejected(self, toy16, tmp_path):
         pp, _ = toy16
         path = str(tmp_path / "group.txt")

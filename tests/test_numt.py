@@ -1,16 +1,18 @@
 import math
+import re
 import sys
 import threading
 
 import pytest
 import sympy
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from mpnike import numt
 from mpnike.errors import ExhaustedAttempts, FormatError, InvalidInput, NotInvertible
 from mpnike.numt import Rng, count_mod_exps, exp_chain, mod_exp
 
+from conftest import ScriptedRng
 from oracles import sieve, slow_pow
 
 
@@ -85,6 +87,7 @@ class TestModExpWide:
         base = data.draw(st.integers(min_value=-(1 << (bits + 8)), max_value=1 << (bits + 8)))
         exp = data.draw(st.integers(min_value=0, max_value=1 << bits))
         assert mod_exp(base, exp, n) == pow(base, exp, n)
+        assert numt.pow_mod(base, exp, n) == pow(base, exp, n)
 
     @settings(max_examples=100, deadline=None)
     @given(n=wide_odd_moduli(), data=st.data())
@@ -135,6 +138,24 @@ class TestModExpWide:
             got = exp_chain(base, exps, n)
         assert got == pow(base, math.prod(set(exps)), n)
         assert counter.count == 6
+
+
+class TestPowMod:
+    def test_rejects_negative_exponent_and_even_moduli(self):
+        for exp, n in ((-1, 35), (3, 0), (3, 2), (3, 100), (3, -35)):
+            with pytest.raises(InvalidInput):
+                numt.pow_mod(2, exp, n)
+
+    def test_small_odd_moduli(self):
+        for n in (1, 3, 5, 7, 9, 13):
+            for base in (-3, 0, 1, 2, n + 2):
+                assert numt.pow_mod(base, 5, n) == pow(base, 5, n)
+
+    def test_uncounted(self):
+        with count_mod_exps() as counter:
+            numt.pow_mod(2, 5, 35)
+            mod_exp(2, 5, 35)
+        assert counter.count == 1
 
 
 class TestBackend:
@@ -213,10 +234,36 @@ class TestPrimality:
             assert numt.is_probable_prime(n) == (n in primes)
 
     def test_exhaustive_across_table_and_proof_bounds(self):
-        # the small-prime table ends at 4096 and the exact range at 2**16
+        # the small-prime table ends at 4096; the exact range runs on to 4096**2
         primes = set(sieve(70_000))
         for n in range(10_000, 70_000):
             assert numt.is_probable_prime(n) == (n in primes)
+
+    def test_equals_sympy_below_2_16(self):
+        for n in range(1 << 16):
+            assert numt.is_probable_prime(n) == sympy.isprime(n), n
+
+    def test_equals_sympy_up_to_the_trial_proof_limit(self):
+        rng = Rng(13)
+        limit = numt._TRIAL_PROOF_LIMIT
+        assert limit == 4096**2
+        sampled = [rng.randrange(1 << 16, limit) for _ in range(20_000)]
+        edges = list(range(limit - 3000, limit + 3000))
+        for n in sampled + edges + [4093 * 4099, 4099**2, 4093**2, 4091 * 4093]:
+            assert numt.is_probable_prime(n) == sympy.isprime(n), n
+
+    def test_no_draws_below_the_trial_proof_limit(self):
+        def fail():
+            raise AssertionError("is_probable_prime drew below 4096**2")
+            yield
+
+        rng = ScriptedRng(fail())
+        for n in (*range(1 << 16, (1 << 16) + 500), *range((1 << 24) - 500, 1 << 24)):
+            numt.is_probable_prime(n, rng=rng)
+        # from 4096**2 on, a candidate with no small factor takes Miller-Rabin
+        first = sympy.nextprime(4096**2)
+        with pytest.raises(AssertionError, match="drew"):
+            numt.is_probable_prime(first, rng=rng)
 
     def test_large_pseudoprime_rejected(self):
         # strong pseudoprime to several small bases
@@ -272,6 +319,10 @@ class TestRandomPrime:
             numt.random_prime(1, Rng(8))
 
 
+# oracle: the canonical-hex language int_to_hex writes, as a regular expression
+_CANONICAL_HEX_RE = re.compile(r"\A(?:0|[1-9a-f][0-9a-f]*)\Z")
+
+
 class TestHex:
     def test_roundtrip(self):
         for n in (0, 1, 15, 16, 255, 713, 1 << 200):
@@ -289,6 +340,40 @@ class TestHex:
         for bad in ("", "0x1", "ABC", "01", "g", "1 2", "-5"):
             with pytest.raises(FormatError):
                 numt.hex_to_int(bad)
+
+    def test_error_names_the_field_not_the_value(self):
+        with pytest.raises(FormatError) as exc:
+            numt.hex_to_int("09b1c3d4e5", "ks.tsv:3: d")
+        assert str(exc.value) == "ks.tsv:3: d is not canonical lowercase hex"
+        assert "9b1c3d4e5" not in str(exc.value)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        s=st.one_of(
+            st.text(),
+            st.text(alphabet="0123456789abcdefABCDEFxX_+- \t\n\u0661\uff11"),
+            st.from_regex(_CANONICAL_HEX_RE),
+        )
+    )
+    @example(s="")
+    @example(s="0")
+    @example(s="00")
+    @example(s="0x1f")
+    @example(s="1_0")
+    @example(s="+1")
+    @example(s="-1")
+    @example(s=" 1")
+    @example(s="1\n")
+    @example(s="A")
+    @example(s="0a")
+    @example(s="\u0661")
+    @example(s="1\u0661")
+    def test_accepts_exactly_the_canonical_language(self, s):
+        if _CANONICAL_HEX_RE.match(s):
+            assert numt.hex_to_int(s) == int(s, 16)
+        else:
+            with pytest.raises(FormatError):
+                numt.hex_to_int(s)
 
 
 class TestRng:

@@ -101,6 +101,15 @@ class TestRandomSetup:
         assert params.render_public(a[0]) == params.render_public(b[0])
         assert a[1] == b[1]
 
+    def test_level80_known_answer(self):
+        # the digest before set-up ran on numt.pow_mod; Miller-Rabin draws at
+        # n >= 4096**2 are unchanged, so the level-80 search finds the same set
+        pp, msk = params.setup(security_level("80"), Rng(1))
+        assert params.params_digest(pp) == (
+            "c44a0b1005cd57b4fa8a0f99a0483e186d82cd1d7c7df858f76ad27578d3aa35"
+        )
+        assert params.validate(pp, msk).ok
+
     def test_big_fixture_valid(self, big1024):
         pp, msk = big1024
         assert pp.N.bit_length() == 1024
@@ -229,6 +238,20 @@ class TestValidate:
         pp, msk = toy16
         assert not params.validate(replace(pp, gamma="80"), msk).ok
 
+    @pytest.mark.parametrize("N", [0, 1, 2, 714, 1 << 64])
+    def test_even_or_tiny_modulus_fails_without_raising(self, forced713, N):
+        pp, msk = forced713
+        report = params.validate(replace(pp, N=N), msk)
+        failed = {c.name for c in report.failures()}
+        assert {"modulus_odd", "g_order_pzq", "g_p_value", "g_p_order_zq"} <= failed
+
+    @pytest.mark.parametrize("field", ["p", "z", "q"])
+    def test_zero_prime_fails_without_raising(self, forced713, field):
+        pp, msk = forced713
+        report = params.validate(pp, replace(msk, **{field: 0}))
+        failed = {c.name for c in report.failures()}
+        assert {f"{field}_is_prime", "g_order_pzq", "g_p_value", "g_p_order_zq"} <= failed
+
 
 class TestFiles:
     def test_golden_render(self):
@@ -289,6 +312,17 @@ class TestFiles:
         path.write_bytes(mutation(GOLDEN_TEXT).encode())
         with pytest.raises(FormatError):
             params.load_public(str(path))
+
+    @pytest.mark.parametrize("key", ["n", "g_p", "m", "p", "z", "q", "g", "p_prime", "q_prime"])
+    def test_bad_hex_error_names_line_and_field_not_value(self, toy64, tmp_path, key):
+        text = params.render_master(*toy64)
+        lineno = params._MASTER_FIELDS.index(key) + 1
+        value = text.splitlines()[lineno - 1].partition(" = ")[2]
+        path = tmp_path / "msk.txt"
+        path.write_text(text.replace(f"\n{key} = {value}\n", f"\n{key} = 0{value}\n"))
+        with pytest.raises(FormatError) as exc:
+            params.load_master(str(path))
+        assert str(exc.value) == f"{path}:{lineno}: {key} is not canonical lowercase hex"
 
     def test_master_load_rejects_reordered_fields(self, toy16, tmp_path):
         pp, msk = toy16
