@@ -2,7 +2,12 @@
 
 The sender derives the NIKE group key of the authorized set (acting as
 its lexicographically first member), hashes it into an AEAD transport
-key, and encrypts the payload with AES-256-GCM.  The header (format
+key, and encrypts the payload with AES-256-GCM.  A receiver derives the
+same key through `nike.held_key`: its pair keeps powers d**(2**(w*i)) of
+its own d (w = |N|), so d**E for the product E of the other members' keys
+is one two-base exponentiation d**lo * (d**(2**(w*t)))**hi split at about
+half of E's bits, and a pair that opens many ciphertexts does about half
+the squarings of `nike.shared_key`.  The header (format
 version, parameter digest, sorted public-key list) doubles as the AEAD
 associated data, so tampering with the recipient set breaks the tag.
 
@@ -138,13 +143,14 @@ def brod_encrypt(
 
 
 def brod_decrypt(pp: PublicParams, my_pair: KeyPair, bc: BroadcastCiphertext) -> bytes:
+    """The payload, if my_pair is authorized; derives through my_pair's kept powers of d."""
     digest = params.params_digest(pp)
     if bc.params_ref != digest:
         raise ParamsMismatch("ciphertext bound to different parameters")
     if my_pair.e not in bc.authorized:
         raise NotAuthorized(f"public key {my_pair.e} is not in the authorized set")
     others = [e for e in bc.authorized if e != my_pair.e]
-    state = nike.shared_key(pp, my_pair, others)
+    state = nike.held_key(pp, my_pair, others)
     key = _transport_key(state.K)
     aad = _header_bytes(bc.params_ref, bc.authorized)
     try:

@@ -19,6 +19,7 @@ prod e_W; `attacks` has the details.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Iterable, Optional
 
 from . import artifact, numt
 from .errors import (
@@ -39,11 +40,32 @@ MAX_USER_ID_BYTES = 256
 
 @dataclass(frozen=True, slots=True)
 class KeyPair:
-    """What a member holds: public e, private d."""
+    """What a member holds: public e, private d.
+
+    `powers` is None until `raise_d` first runs, then (n, powers of d mod n)
+    for `numt.fixed_base_chain`.  It lives as long as the pair, takes no part
+    in init, equality, hash or repr, and `store_save` never writes it.
+    """
 
     user_id: str
     e: int
     d: int = field(repr=False)
+    powers: Optional[tuple[int, tuple[int, ...]]] = field(
+        default=None, init=False, repr=False, compare=False
+    )
+
+    def raise_d(self, exps: Iterable[int], n: int) -> int:
+        """d ** (product of the distinct exps) mod n through the pair's powers of d.
+
+        Powers kept under another modulus are dropped.  Each call replaces
+        `powers` and never mutates it, so threads sharing a pair can at worst
+        build the same table twice.
+        """
+        held = self.powers
+        table = held[1] if held is not None and held[0] == n else (self.d % n,)
+        result, table = numt.fixed_base_chain(table, exps, n)
+        object.__setattr__(self, "powers", (n, table))
+        return result
 
 
 @dataclass

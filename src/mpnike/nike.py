@@ -12,13 +12,18 @@ symmetric key is a hash of F_W.
 
 One growth step, F_{W+s} = F_W ** e_s mod N per new member s, runs from a
 key pair as W = {i}, F = d_i (`shared_key`) or from a state (`extend`, `join`).
+`shared_key` is the counted reference: one `mod_exp` per peer.  `held_key`
+takes the same step from a pair that derives again and again (a broadcast
+reader): d ** E for E = prod e_j, L bits, splits as d**lo * (d**(2**(w*t)))**hi
+at bit w*t, about L/2, with w = |N| and the power read from the pair's kept
+table (`numt.fixed_base_chain`), so a reused pair does about half the squarings.
 """
 
 from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass, field
-from typing import Iterable
+from typing import Callable, Iterable
 
 from . import artifact, numt
 from .errors import (
@@ -76,8 +81,23 @@ def join(pp: PublicParams, state: GroupKeyState, e_new: int) -> GroupKeyState:
     return extend(pp, state, [e_new])
 
 
-def _grow(pp: PublicParams, members: tuple[int, ...], F: int, es: Iterable[int]) -> GroupKeyState:
-    """The state of members + es, from members' element F: F ** prod(es) mod N."""
+def held_key(pp: PublicParams, my_pair: KeyPair, others: Iterable[int]) -> GroupKeyState:
+    """`shared_key`'s state, raised through my_pair's kept powers of d (`KeyPair.raise_d`).
+
+    Same checks and KDF, uncounted by `count_mod_exps`; once the pair has
+    derived a chain as long, about half the squarings of `shared_key`.
+    """
+    return _grow(pp, (my_pair.e,), my_pair.d, others, lambda d, es, n: my_pair.raise_d(es, n))
+
+
+def _grow(
+    pp: PublicParams,
+    members: tuple[int, ...],
+    F: int,
+    es: Iterable[int],
+    chain: Callable[[int, list[int], int], int] = numt.exp_chain,
+) -> GroupKeyState:
+    """The state of members + es, from members' element F: chain(F, es, N) = F ** prod(es) mod N."""
     new_list = list(dict.fromkeys(es))
     if not new_list:
         raise EmptyGroup("no members to add")
@@ -88,7 +108,7 @@ def _grow(pp: PublicParams, members: tuple[int, ...], F: int, es: Iterable[int])
         raise InvalidInput("private key or group element not in (1, N)")
     if any(e < 2 for e in new_list):
         raise InvalidInput("public keys must be >= 2")
-    F = numt.exp_chain(F, new_list, pp.N)
+    F = chain(F, new_list, pp.N)
     if F == 1:
         raise DegenerateResult("group element collapsed to the identity")
     return GroupKeyState(members=tuple(sorted(members + tuple(new_list))), F=F, K=kdf(pp, F))

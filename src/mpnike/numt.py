@@ -1,15 +1,20 @@
 """Arbitrary-precision modular arithmetic, primality testing and prime search.
 
 Everything here is integer math.  Callers supply an entropy source
-(`Rng`) so seeded runs reproduce byte for byte.  Group key derivation,
-join and the collusion attacks exponentiate through `mod_exp`, so
-`count_mod_exps` counts their group operations; Miller-Rabin, the
-generator search and parameter validation call the uncounted `pow_mod`.
+(`Rng`) so seeded runs reproduce byte for byte.
 
-Both run on OpenSSL's `BN_mod_exp`, reached through the libcrypto that
-the interpreter's `_hashlib` extension already links, and on the builtin
-`pow` where that library cannot be loaded (no `_hashlib`, or its symbols
-are not exported, as on Windows).  Both give the same value, and
+`count_mod_exps` counts calls of `mod_exp` and nothing else.  `exp_chain`
+makes one `mod_exp` per distinct exponent, so group key derivation
+(`nike.shared_key`), join and the collusion attacks are counted.
+`pow_mod` (Miller-Rabin, the generator search, parameter validation) and
+`fixed_base_chain` (a key pair's repeated derivations, `nike.held_key`) are
+not.
+
+All run on OpenSSL's bignums, reached through the libcrypto that the
+interpreter's `_hashlib` extension already links (`BN_mod_exp`, and
+`BN_mod_exp2_mont` for `fixed_base_chain`'s two-base step), and on the
+builtin `pow` where that library cannot be loaded (no `_hashlib`, or its
+symbols are not exported, as on Windows).  Both give the same value, and
 `count_mod_exps` counts one call either way.  Only the issuer
 (`kgc._issuer_pow`) keeps the builtin `pow`; its docstring says why.
 """
@@ -89,6 +94,7 @@ def _load_libcrypto() -> Optional[ctypes.CDLL]:
             ("BN_CTX_new", (), ptr),
             ("BN_bin2bn", (buf, i, ptr), ptr),
             ("BN_mod_exp", (ptr, ptr, ptr, ptr, ptr), i),
+            ("BN_mod_exp2_mont", (ptr,) * 8, i),
             ("BN_bn2binpad", (ptr, ptr, i), i),
             ("BN_clear_free", (ptr,), None),
             ("BN_CTX_free", (ptr,), None),
@@ -103,20 +109,21 @@ def _load_libcrypto() -> Optional[ctypes.CDLL]:
 _LIBCRYPTO = _load_libcrypto()
 
 
-def _bn_mod_exp(b: int, exp: int, n: int) -> int:
-    """b**exp mod n on libcrypto, for 0 <= b < n and exp >= 0.
+def _bn_call(op, *values: int) -> int:
+    """op(r, *bignums, ctx) on libcrypto, returned as the int r.
 
+    values are nonnegative and end with the modulus, whose width r takes.
     Every call owns its context and bignums, so calls may run in parallel
     threads; all are cleared before they are freed.
     """
     lib = _LIBCRYPTO
-    width = (n.bit_length() + 7) // 8
+    width = (values[-1].bit_length() + 7) // 8
     bns = []
     ctx = lib.BN_CTX_new()
     try:
         if not ctx:
             raise MemoryError("BN_CTX_new failed")
-        for v in (b, exp, n):
+        for v in values:
             raw = v.to_bytes((v.bit_length() + 7) // 8, "big")
             bn = lib.BN_bin2bn(raw, len(raw), None)
             if not bn:
@@ -126,8 +133,8 @@ def _bn_mod_exp(b: int, exp: int, n: int) -> int:
         if not r:
             raise MemoryError("BN_new failed")
         bns.append(r)
-        if lib.BN_mod_exp(r, *bns[:3], ctx) != 1:
-            raise ArithmeticError("BN_mod_exp failed")
+        if op(r, *bns[:-1], ctx) != 1:
+            raise ArithmeticError("libcrypto exponentiation failed")
         out = ctypes.create_string_buffer(width)
         if lib.BN_bn2binpad(r, out, width) != width:
             raise ArithmeticError("BN_bn2binpad failed")
@@ -139,7 +146,24 @@ def _bn_mod_exp(b: int, exp: int, n: int) -> int:
             lib.BN_CTX_free(ctx)
 
 
-_pow = pow if _LIBCRYPTO is None else _bn_mod_exp
+def _bn_mod_exp(b: int, exp: int, n: int) -> int:
+    """b**exp mod n on libcrypto, for 0 <= b < n and exp >= 0."""
+    return _bn_call(_LIBCRYPTO.BN_mod_exp, b, exp, n)
+
+
+def _bn_mod_exp2(a1: int, p1: int, a2: int, p2: int, n: int) -> int:
+    """a1**p1 * a2**p2 mod n on libcrypto, the two sharing their squarings; n odd."""
+    return _bn_call(lambda *args: _LIBCRYPTO.BN_mod_exp2_mont(*args, None), a1, p1, a2, p2, n)
+
+
+def _builtin_pow2(a1: int, p1: int, a2: int, p2: int, n: int) -> int:
+    return pow(a1, p1, n) * pow(a2, p2, n) % n
+
+
+if _LIBCRYPTO is None:
+    _pow, _pow2 = pow, _builtin_pow2
+else:
+    _pow, _pow2 = _bn_mod_exp, _bn_mod_exp2
 
 
 class ModExpCounter:
@@ -204,6 +228,48 @@ def exp_chain(base: int, exps: Iterable[int], n: int) -> int:
     for e in dict.fromkeys(exps):
         result = mod_exp(result, e, n)
     return result
+
+
+# Most powers past the base a fixed-base table holds: at level 80 a table of
+# 32 halves the chain of a 64-member group; longer chains split at its end.
+_TABLE_POWERS = 32
+
+
+def _product(values: list[int]) -> int:
+    """Product by a balanced tree, cheaper than a running one for many wide values."""
+    while len(values) > 1:
+        values = [prod(values[i : i + 2]) for i in range(0, len(values), 2)]
+    return prod(values)
+
+
+def fixed_base_chain(
+    powers: tuple[int, ...], exps: Iterable[int], n: int
+) -> tuple[int, tuple[int, ...]]:
+    """powers[0] ** (product of the distinct exps) mod n, and the table it used.
+
+    powers[i] is powers[0] ** (2 ** (w*i)) mod n for w = n.bit_length(), and
+    powers[0] < n.  The product E, of L bits, splits at bit w*t for
+    t = min(L // (2*w), _TABLE_POWERS) into E = lo + 2**(w*t) * hi, raised as
+    powers[0]**lo * powers[t]**hi by one two-base exponentiation whose
+    max(w*t, L - w*t) squarings are shared: about L/2, against L in
+    `exp_chain`, once the table reaches t.  Building it costs w squarings per
+    new power, so a first use costs what the chain does.  The table is
+    returned as a new tuple, never mutated, for the caller to keep.
+    Uncounted by `count_mod_exps`; on the backend of `pow_mod`.
+    """
+    if n < 1 or n % 2 == 0:
+        raise InvalidInput("fixed_base_chain needs an odd modulus >= 1")
+    values = list(dict.fromkeys(exps))
+    if any(e < 0 for e in values):
+        raise InvalidInput("fixed_base_chain needs exponents >= 0")
+    exp, width = _product(values), n.bit_length()
+    t = min(exp.bit_length() // (2 * width), _TABLE_POWERS)
+    if t == 0:
+        return pow_mod(powers[0], exp, n), powers
+    while len(powers) <= t:
+        powers += (pow_mod(powers[-1], 1 << width, n),)
+    split = width * t
+    return _pow2(powers[0], exp & ((1 << split) - 1), powers[t], exp >> split, n), powers
 
 
 def is_probable_prime(n: int, rounds: int = _MR_ROUNDS, rng: Optional[Rng] = None) -> bool:

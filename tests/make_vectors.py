@@ -7,6 +7,8 @@ Run from the repository root:
 Nothing here is random: the primes are forced, g is the smallest fourth
 power of full order, every (y, k) is a SHAKE-256 expansion of its label and
 reaches `keygen` through a scripted `Rng`, and the broadcast nonce is fixed.
+The first keys (`keys`) have (m+1)/2-bit y and k, so k >= p; the keys under
+`issued` lie in the range `keygen` draws from, y < z*q and k < p.
 The output pins what this version of the library computes;
 `tests/test_vectors.py` checks the library and the oracles against it, and
 checks that `build()` still returns the file's contents.
@@ -41,6 +43,7 @@ PARAMETER_SETS = [
     ),
 ]
 USERS = [f"user{i:03d}" for i in range(1, 6)]
+ISSUED_USERS = [f"user{i:03d}" for i in range(6, 11)]
 GROUPS = [USERS[:2], [USERS[1], USERS[2], USERS[4]], USERS]
 JOIN = (GROUPS[1], USERS[3])
 NONCE = bytes(range(broadcast.NONCE_LEN))
@@ -75,6 +78,15 @@ def odd_exponent(label: str, bits: int) -> int:
     return raw >> (-bits % 8) | 1 << (bits - 1) | 1
 
 
+def issued_exponent(label: str, bound: int) -> int:
+    """An odd integer below bound as `keygen` draws one: 2*r + 1, r < (bound - 1) // 2.
+
+    r is expanded from label, 64 bits wider than bound, then reduced.
+    """
+    raw = int.from_bytes(hashlib.shake_256(label.encode()).digest(bound.bit_length() // 8 + 9), "big")
+    return 2 * (raw % ((bound - 1) // 2)) + 1
+
+
 def file_sha256(write) -> str:
     """SHA-256 of the bytes write(path) leaves at a fresh path."""
     with tempfile.TemporaryDirectory() as tmp:
@@ -93,6 +105,22 @@ def group_vector(pp, ids, state) -> dict:
     }
 
 
+def issue(pp, msk, store, user, y, k) -> dict:
+    pair = kgc.keygen(pp, msk, store, user, issuing(y, k))
+    values = {"y": y, "k": k, "e": pair.e, "d": pair.d}
+    return {"user": user, **{key: int_to_hex(v) for key, v in values.items()}}
+
+
+def ciphertext_vector(pp, store, ids) -> dict:
+    bc = broadcast.brod_encrypt(store, pp, ids, PAYLOAD, FixedNonce(NONCE))
+    return {
+        "authorized": ids,
+        "nonce": NONCE.hex(),
+        "payload": PAYLOAD.hex(),
+        "bytes": broadcast.ct_to_bytes(bc).hex(),
+    }
+
+
 def parameter_set(name, gamma, p, z, q) -> dict:
     # forced primes skip the width check, so the level only names gamma
     pp, msk = params.setup(params.security_level(gamma), Rng(0), forced_primes=(p, z, q))
@@ -102,21 +130,29 @@ def parameter_set(name, gamma, p, z, q) -> dict:
     assert params.validate(pp, msk).ok
     store = kgc.new_keystore(pp)
     half = (pp.m + 1) // 2
-    keys = []
-    for user in USERS:
-        y = odd_exponent(f"{name} {user} y", half)
-        k = odd_exponent(f"{name} {user} k", half)
-        pair = kgc.keygen(pp, msk, store, user, issuing(y, k))
-        values = {"y": y, "k": k, "e": pair.e, "d": pair.d}
-        keys.append({"user": user, **{key: int_to_hex(v) for key, v in values.items()}})
+    keys = [
+        issue(pp, msk, store, user, *(odd_exponent(f"{name} {user} {x}", half) for x in "yk"))
+        for user in USERS
+    ]
     pairs = store.records
+    issued_store = kgc.new_keystore(pp)
+    issued_keys = [
+        issue(
+            pp,
+            msk,
+            issued_store,
+            user,
+            issued_exponent(f"{name} {user} y", msk.z * msk.q),
+            issued_exponent(f"{name} {user} k", msk.p),
+        )
+        for user in ISSUED_USERS
+    ]
 
     def derive(ids):
         return nike.shared_key(pp, pairs[ids[0]], [pairs[u].e for u in ids[1:]])
 
     base, new = JOIN
     joined = nike.join(pp, derive(base), pairs[new].e)
-    bc = broadcast.brod_encrypt(store, pp, GROUPS[1], PAYLOAD, FixedNonce(NONCE))
     return {
         "name": name,
         "gamma": gamma,
@@ -132,11 +168,11 @@ def parameter_set(name, gamma, p, z, q) -> dict:
         "keystore_sha256": file_sha256(lambda path: kgc.store_save(store, path)),
         "groups": [group_vector(pp, ids, derive(ids)) for ids in GROUPS],
         "join": {**group_vector(pp, base + [new], joined), "base": base, "new": new},
-        "ciphertext": {
-            "authorized": GROUPS[1],
-            "nonce": NONCE.hex(),
-            "payload": PAYLOAD.hex(),
-            "bytes": broadcast.ct_to_bytes(bc).hex(),
+        "ciphertext": ciphertext_vector(pp, store, GROUPS[1]),
+        "issued": {
+            "keys": issued_keys,
+            "keystore_sha256": file_sha256(lambda path: kgc.store_save(issued_store, path)),
+            "ciphertext": ciphertext_vector(pp, issued_store, ISSUED_USERS),
         },
     }
 

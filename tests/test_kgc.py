@@ -1,3 +1,4 @@
+import math
 from itertools import repeat
 
 import pytest
@@ -225,6 +226,24 @@ class TestKeystoreFiles:
         kgc.store_save(store, path)
         with pytest.raises(ParamsMismatch):
             kgc.store_load(path, forced713[0])
+
+    def test_kept_powers_are_not_part_of_the_pair(self, toy64, tmp_path):
+        pp, msk = toy64
+        store = kgc.new_keystore(pp)
+        pairs = [kgc.keygen(pp, msk, store, f"u{i}", Rng(i)) for i in range(6)]
+        kgc.store_save(store, str(tmp_path / "before"))
+        held = pairs[0]
+        fresh = kgc.KeyPair(held.user_id, held.e, held.d)
+        assert held.powers is None
+        assert held.raise_d([p.e for p in pairs[1:]], pp.N) == pow(
+            held.d, math.prod(p.e for p in pairs[1:]), pp.N
+        )
+        assert held.powers is not None and fresh.powers is None
+        assert held == fresh and hash(held) == hash(fresh) and repr(held) == repr(fresh)
+        assert "powers" not in repr(held)
+        kgc.store_save(store, str(tmp_path / "after"))
+        assert (tmp_path / "after").read_bytes() == (tmp_path / "before").read_bytes()
+        assert kgc.store_load(str(tmp_path / "after"), pp).pair("u0").powers is None
 
     def test_pair_lookup(self, toy16_users):
         store, pairs = toy16_users

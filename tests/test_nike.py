@@ -1,10 +1,15 @@
+import dataclasses
 import itertools
+import math
+import sys
+import threading
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import EDITS, apply_edits
-from mpnike import artifact, kgc, nike, params
+from mpnike import artifact, kgc, nike, numt, params
 from mpnike.errors import (
     AlreadyMember,
     DegenerateResult,
@@ -145,6 +150,129 @@ class TestSharedKey:
         assert f"F={state.F}" not in repr(state)
         assert state.K.hex() not in repr(state)
         assert f"d={pairs[0].d}" not in repr(pairs[0])
+
+
+@pytest.fixture(scope="module")
+def toy64_roster(toy64):
+    """64 toy-64 pairs: groups of 2-64 members reach tables of 0-31 powers."""
+    pp, msk = toy64
+    store = kgc.new_keystore(pp)
+    rng = Rng(64)
+    return pp, [kgc.keygen(pp, msk, store, f"r{i:02d}", rng) for i in range(64)]
+
+
+def _fresh(pair):
+    """The same key pair with no powers kept."""
+    return KeyPair(pair.user_id, pair.e, pair.d)
+
+
+def _agree(pp, mine, pairs, sets):
+    """One pair object derives each set by held_key and by shared_key."""
+    for picks in sets:
+        peers = [pairs[i].e for i in picks if pairs[i].e != mine.e]
+        if peers:
+            assert nike.held_key(pp, mine, peers) == nike.shared_key(pp, mine, peers)
+
+
+# one set as roster indices, duplicates allowed; a reader's successive sets
+# grow and shrink
+_PICKS = st.lists(st.integers(0, 63), min_size=1, max_size=80)
+
+
+class TestHeldKey:
+    """held_key, through a pair's kept powers of d, against the counted shared_key."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(me=st.integers(0, 63), sets=st.lists(_PICKS, min_size=1, max_size=8))
+    def test_equals_shared_key_at_toy64(self, toy64_roster, me, sets):
+        pp, pairs = toy64_roster
+        _agree(pp, _fresh(pairs[me]), pairs, sets)
+
+    @settings(max_examples=6, deadline=None)
+    @given(me=st.integers(0, 63), sets=st.lists(_PICKS, min_size=1, max_size=3))
+    def test_equals_shared_key_at_level80(self, big1024, big1024_users, me, sets):
+        pp, _ = big1024
+        _, pairs = big1024_users
+        _agree(pp, _fresh(pairs[me]), pairs, sets)
+
+    def test_table_grows_to_the_longest_chain_and_is_kept(self, toy64_roster):
+        pp, pairs = toy64_roster
+        mine = _fresh(pairs[0])
+        _agree(pp, mine, pairs, [range(1, 8)])
+        n, short = mine.powers
+        _agree(pp, mine, pairs, [range(64), range(2, 5)])
+        n, table = mine.powers
+        longest = math.prod(p.e for p in pairs[1:]).bit_length()
+        assert len(table) == longest // (2 * 64) + 1 > len(short) > 1
+        assert n == pp.N and table[: len(short)] == short
+        assert all(b == pow(a, 1 << 64, n) for a, b in zip(table, table[1:]))
+
+    @pytest.mark.parametrize("cap", [1, 3])
+    def test_past_the_table_cap(self, toy64_roster, monkeypatch, cap):
+        monkeypatch.setattr(numt, "_TABLE_POWERS", cap)
+        pp, pairs = toy64_roster
+        mine = _fresh(pairs[5])
+        _agree(pp, mine, pairs, [range(3), range(64), range(40), range(64)])
+        assert len(mine.powers[1]) == cap + 1
+
+    def test_change_of_modulus_drops_the_table(self, toy64_roster):
+        pp, pairs = toy64_roster
+        other = dataclasses.replace(pp, N=pp.N + 2)
+        mine = _fresh(pairs[3])
+        for params_now in (pp, other, pp):
+            _agree(params_now, mine, pairs, [range(64)])
+            assert mine.powers[0] == params_now.N
+
+    def test_builtin_pow_fallback(self, toy64_roster, monkeypatch):
+        monkeypatch.setattr(numt, "_pow", pow)
+        monkeypatch.setattr(numt, "_pow2", numt._builtin_pow2)
+        pp, pairs = toy64_roster
+        _agree(pp, _fresh(pairs[7]), pairs, [range(64), range(10), range(20, 60)])
+
+    def test_same_checks_as_shared_key(self, toy64_roster, forced713):
+        pp, pairs = toy64_roster
+        mine = _fresh(pairs[0])
+        for peers, error in (([], EmptyGroup), ([pairs[1].e, mine.e], SelfInGroup), ([1], InvalidInput)):
+            with pytest.raises(error):
+                nike.held_key(pp, mine, peers)
+        with pytest.raises(InvalidInput):
+            nike.held_key(pp, KeyPair("x", 4, 1), [pairs[1].e])
+        tiny, msk = forced713
+        with pytest.raises(DegenerateResult):
+            nike.held_key(tiny, KeyPair("x", 100, pow(msk.g, 55, tiny.N)), [3])
+
+    def test_uncounted(self, toy64_roster):
+        pp, pairs = toy64_roster
+        with count_mod_exps() as counter:
+            nike.held_key(pp, _fresh(pairs[0]), [p.e for p in pairs[1:40]])
+        assert counter.count == 0
+
+    def test_threads_sharing_a_pair_agree(self, toy64_roster):
+        pp, pairs = toy64_roster
+        mine = _fresh(pairs[0])
+        sets = [[p.e for p in pairs[1:size]] for size in (2, 9, 17, 33, 64)]
+        want = [nike.shared_key(pp, mine, peers) for peers in sets]
+        wrong = []
+
+        def worker(offset):
+            for i in range(100):
+                k = (i + offset) % len(sets)
+                if nike.held_key(pp, mine, sets[k]) != want[k]:
+                    wrong.append(k)
+
+        # more threads than cores, switching often; each replaces the pair's table
+        threads = [threading.Thread(target=worker, args=(t,)) for t in range(4)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert wrong == []
 
 
 class TestJoin:

@@ -221,6 +221,64 @@ class TestExpChain:
         assert counter.count == len(set(exps))
 
 
+class TestFixedBaseChain:
+    """fixed_base_chain against one builtin pow of the distinct product."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        n=st.integers(min_value=0, max_value=1 << 80).map(lambda k: 2 * k + 1),
+        base=bases,
+        exps=st.lists(st.integers(min_value=0, max_value=1 << 90), max_size=40),
+    )
+    def test_equals_one_pow_first_use_and_reuse(self, n, base, exps):
+        want = pow(base, math.prod(set(exps)), n)
+        got, table = numt.fixed_base_chain((base % n,), exps + exps[:3], n)
+        assert got == want and table[0] == base % n
+        assert all(b == pow(a, 1 << n.bit_length(), n) for a, b in zip(table, table[1:]))
+        again, kept = numt.fixed_base_chain(table, exps, n)
+        assert again == want and kept[: len(table)] == table
+
+    @pytest.mark.parametrize("bits", [64, 1024])
+    def test_past_the_table_cap(self, bits):
+        rng = Rng(bits)
+        n = rng.getrandbits(bits) | (1 << (bits - 1)) | 1
+        base = rng.getrandbits(bits) % n
+        exps = [rng.getrandbits(bits) for _ in range(2 * numt._TABLE_POWERS + 9)]
+        got, table = numt.fixed_base_chain((base,), exps, n)
+        assert len(table) == numt._TABLE_POWERS + 1
+        assert got == pow(base, math.prod(exps), n)
+        assert numt.fixed_base_chain(table, exps[:7], n)[0] == pow(base, math.prod(exps[:7]), n)
+
+    def test_rejects_even_moduli_and_negative_exponents(self):
+        for exps, n in (([3], 0), ([3], 100), ([3], -35), ([3, -1], 35)):
+            with pytest.raises(InvalidInput):
+                numt.fixed_base_chain((2,), exps, n)
+
+    def test_uncounted(self):
+        with count_mod_exps() as counter:
+            numt.fixed_base_chain((2,), [1 << 100, 3 << 90, 5], 35)
+        assert counter.count == 0
+
+    def test_product_tree(self):
+        for size in (0, 1, 2, 3, 7, 64):
+            values = list(range(2, 2 + size))
+            assert numt._product(values) == math.prod(values)
+
+    def test_native_two_base_exponentiation(self):
+        pytest.importorskip("_hashlib")
+        if numt._LIBCRYPTO is None:
+            pytest.skip("libcrypto did not load")
+        rng = Rng(13)
+        n = rng.getrandbits(1024) | (1 << 1023) | 1
+        for _ in range(10):
+            a1, a2 = rng.getrandbits(1024) % n, rng.getrandbits(1024) % n
+            p1, p2 = rng.getrandbits(2048), rng.getrandbits(700)
+            assert numt._bn_mod_exp2(a1, p1, a2, p2, n) == numt._builtin_pow2(a1, p1, a2, p2, n)
+        # a result with leading zero bytes comes back padded, then parsed
+        assert numt._bn_mod_exp2(2, 100, 2, 200, n) == 1 << 300
+        assert numt._bn_mod_exp2(n - 1, 1, n - 1, 1, n) == 1
+
+
 class TestPrimality:
     def test_small_known(self):
         for p in (2, 3, 5, 31, 65537):

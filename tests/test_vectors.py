@@ -55,9 +55,9 @@ def _keys(vec):
     return {key["user"]: key for key in vec["keys"]}
 
 
-def _issued(pp, msk, vec) -> kgc.Keystore:
+def _issued(pp, msk, keys) -> kgc.Keystore:
     store = kgc.new_keystore(pp)
-    for key in vec["keys"]:
+    for key in keys:
         y, k = _x(key["y"]), _x(key["k"])
         kgc.keygen(pp, msk, store, key["user"], issuing(y, k))
     return store
@@ -71,9 +71,9 @@ def _frame(*payloads: bytes) -> bytes:
     return b"".join(len(payload).to_bytes(4, "big") + payload for payload in payloads)
 
 
-def _oracle_F_K(vec, ids):
+def _oracle_F_K(vec, section, ids):
     pp, msk = _system(vec)
-    F = closed_form_group_element(msk, pp.N, [_x(_keys(vec)[u]["y"]) for u in ids])
+    F = closed_form_group_element(msk, pp.N, [_x(_keys(section)[u]["y"]) for u in ids])
     K = hashlib.sha256(b"MPNIKEv1" + F.to_bytes((pp.N.bit_length() + 7) // 8, "big")).digest()
     return F, K
 
@@ -112,11 +112,12 @@ def test_parameters(vec, tmp_path):
     assert params.load_public(str(path)) == pp
 
 
-def test_keys(vec, tmp_path):
+def _check_keys(vec, section, tmp_path):
+    """section's keys and keystore digest, without and with the library."""
     pp, msk = _system(vec)
     zq = msk.z * msk.q
     rows = []
-    for key in vec["keys"]:
+    for key in section["keys"]:
         y, k, e, d = (_x(key[name]) for name in "yked")
         # without the library
         assert e == msk.p * y + zq * k
@@ -124,25 +125,38 @@ def test_keys(vec, tmp_path):
         assert issuance_exponents(msk, e) == (y, k)
         rows.append(f"{key['user']}\t{e:x}\t{d:x}")
     body = _bound_file("mpnike-keystore/2", vec["params_sha256"], sorted(rows))
-    assert _sha256(body) == vec["keystore_sha256"]
+    assert _sha256(body) == section["keystore_sha256"]
     # with the library
-    store = _issued(pp, msk, vec)
-    for key in vec["keys"]:
+    store = _issued(pp, msk, section["keys"])
+    for key in section["keys"]:
         pair = store.pair(key["user"])
         assert (pair.e, pair.d) == (_x(key["e"]), _x(key["d"]))
         assert kgc.verify_pair(pp, msk, pair.e, pair.d)
     kgc.store_save(store, str(tmp_path / "ks.tsv"))
-    assert _file_sha256(tmp_path / "ks.tsv") == vec["keystore_sha256"]
+    assert _file_sha256(tmp_path / "ks.tsv") == section["keystore_sha256"]
+
+
+def test_keys(vec, tmp_path):
+    _check_keys(vec, vec, tmp_path)
+
+
+def test_issued_keys(vec, tmp_path):
+    """Keys drawn where `keygen` draws: odd y < z*q and odd k < p."""
+    _, msk = _system(vec)
+    for key in vec["issued"]["keys"]:
+        y, k = _x(key["y"]), _x(key["k"])
+        assert y % 2 == k % 2 == 1 and y < msk.z * msk.q and k < msk.p
+    _check_keys(vec, vec["issued"], tmp_path)
 
 
 def test_group_keys_and_files(vec, tmp_path):
     pp, msk = _system(vec)
-    pairs = _issued(pp, msk, vec).records
+    pairs = _issued(pp, msk, vec["keys"]).records
     for group, state in _groups(pp, pairs, vec):
         want = (_x(group["F"]), bytes.fromhex(group["K"]))
         es = sorted(_x(_keys(vec)[u]["e"]) for u in group["members"])
         # without the library
-        assert _oracle_F_K(vec, group["members"]) == want
+        assert _oracle_F_K(vec, vec, group["members"]) == want
         body = _bound_file("mpnike-group/1", vec["params_sha256"], [f"{e:x}" for e in es])
         assert _sha256(body) == group["group_file_sha256"]
         # with the library: the group state or join, and every member's own view
@@ -154,14 +168,15 @@ def test_group_keys_and_files(vec, tmp_path):
         assert _file_sha256(tmp_path / "group.txt") == group["group_file_sha256"]
 
 
-def test_ciphertext(vec):
+def _check_ciphertext(vec, section):
+    """section's ciphertext, without and with the library; returns (pp, ciphertext, payload)."""
     pp, msk = _system(vec)
-    vector = vec["ciphertext"]
+    vector = section["ciphertext"]
     ids, nonce = vector["authorized"], bytes.fromhex(vector["nonce"])
     payload, raw = bytes.fromhex(vector["payload"]), bytes.fromhex(vector["bytes"])
     # without the library
-    es = sorted(_x(_keys(vec)[u]["e"]) for u in ids)
-    _, K = _oracle_F_K(vec, ids)
+    es = sorted(_x(_keys(section)[u]["e"]) for u in ids)
+    _, K = _oracle_F_K(vec, section, ids)
     aad = _frame(
         (1).to_bytes(2, "big"),
         bytes.fromhex(vec["params_sha256"]),
@@ -171,12 +186,30 @@ def test_ciphertext(vec):
     sealed = AESGCM(hashlib.sha256(b"MPNIKE-BC1\x00" + K).digest()).encrypt(nonce, payload, aad)
     assert b"MPNIKEBC" + aad + _frame(nonce, sealed) == raw
     # with the library
-    store = _issued(pp, msk, vec)
+    store = _issued(pp, msk, section["keys"])
     bc = broadcast.brod_encrypt(store, pp, ids, payload, make_vectors.FixedNonce(nonce))
     assert broadcast.ct_to_bytes(bc) == raw
     assert broadcast.ct_from_bytes(raw) == bc
     for u in ids:
         assert broadcast.brod_decrypt(pp, store.pair(u), bc) == payload
+    return pp, bc, payload
+
+
+def test_ciphertext(vec):
+    _check_ciphertext(vec, vec)
+
+
+def test_issued_ciphertext(vec):
+    """One pair object opens the ciphertext twice: building its powers of d, then reusing them."""
+    pp, bc, payload = _check_ciphertext(vec, vec["issued"])
+    key = vec["issued"]["keys"][0]
+    pair = kgc.KeyPair(key["user"], _x(key["e"]), _x(key["d"]))
+    assert pair.powers is None
+    assert broadcast.brod_decrypt(pp, pair, bc) == payload
+    n, table = pair.powers
+    assert n == pp.N and len(table) > 1
+    assert broadcast.brod_decrypt(pp, pair, bc) == payload
+    assert pair.powers == (n, table)
 
 
 def test_generator_reproduces_file():
