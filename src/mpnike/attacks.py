@@ -4,7 +4,7 @@ All three follow the same Euclidean recipe: two colluders with public
 exponents e_i, e_j compute Bezout coefficients and combine their private
 values so the unknown exponents cancel.
 
- * Fiat-Naor: s*e_i + t*e_j = 1 gives g = d_i**s * d_j**t mod N, the
+ * Fiat-Naor: `collude`'s c = 1 gives g = d_i**a * d_j**-b mod N, the
    master generator, after which any group key can be forged.
  * Eskeland: a*e_i - b*e_j = 1 gives u' = a*d_i - b*d_j, congruent to the
    master secret u modulo phi(N), which is just as good as u.
@@ -39,16 +39,22 @@ def bezout_pos(x: int, y: int) -> tuple[int, int, int]:
     return g, a, (a * x - g) // y
 
 
-def fiat_naor_recover_g(N: int, e_i: int, d_i: int, e_j: int, d_j: int) -> int:
-    """Recover the Fiat-Naor master generator from two coprime-e colluders.
+def collude(N: int, e_i: int, d_i: int, e_j: int, d_j: int) -> tuple[int, int, int, int]:
+    """(c, a, b, d_i**a * d_j**-b mod N) for a*e_i - b*e_j = c = gcd(e_i, e_j).
 
-    s*e_i + t*e_j = 1 gives d_i**s * d_j**t = g**(s*e_i + t*e_j) = g mod N,
-    with s = a and t = -b from bezout_pos.
+    Keys d = x**e of one unknown base x combine to x**c in two counted
+    `mod_exp`s; (c, x**c) is again such a pair, so the step folds over more.
     """
     c, a, b = bezout_pos(e_i, e_j)
-    if c != 1:
+    return c, a, b, numt.mod_exp(d_i, a, N) * numt.mod_exp(d_j, -b, N) % N
+
+
+def fiat_naor_recover_g(N: int, e_i: int, d_i: int, e_j: int, d_j: int) -> int:
+    """The Fiat-Naor master generator from two coprime-e colluders: `collude`'s c = 1."""
+    c = gcd(e_i, e_j)
+    if c != 1:  # before any exponentiation
         raise NotCoprime(f"colluder exponents share gcd {c}")
-    return (numt.mod_exp(d_i, a, N) * numt.mod_exp(d_j, -b, N)) % N
+    return collude(N, e_i, d_i, e_j, d_j)[3]
 
 
 def fiat_naor_forge_key(N: int, g: int, member_es: Iterable[int]) -> int:
@@ -106,8 +112,8 @@ def proposed_scheme_attack_probe(
 ) -> ProbeReport:
     """Run the two-colluder Euclidean pipeline against the main scheme.
 
-    Combines the two lowest-e colluders into (c, d_i**a * d_j**-b), where
-    c = gcd(e_i, e_j) and the combined d is h**c, and raises it to the
+    Combines the two lowest-e colluders with `collude` into
+    (c, d_i**a * d_j**-b), where the combined d is h**c, and raises it to the
     product of target_es.  The combined pair passes the issuer audit
     (kgc.verify_pair under msk), and the forged key, from F**c, fails to
     match honest_key, since c >= 2 for honestly issued keys.  This
@@ -116,10 +122,8 @@ def proposed_scheme_attack_probe(
     """
     if len(pairs) < 2:
         raise InvalidInput("need at least two colluding key pairs")
-    ordered = sorted(pairs, key=lambda kp: kp.e)
-    kp_i, kp_j = ordered[0], ordered[1]
-    c, a, b = bezout_pos(kp_i.e, kp_j.e)
-    combined_d = (numt.mod_exp(kp_i.d, a, pp.N) * numt.mod_exp(kp_j.d, -b, pp.N)) % pp.N
+    kp_i, kp_j = sorted(pairs, key=lambda kp: kp.e)[:2]
+    c, a, b, combined_d = collude(pp.N, kp_i.e, kp_i.d, kp_j.e, kp_j.d)
     F = numt.exp_chain(combined_d, target_es, pp.N)
     forged_K = nike.kdf(pp, F)
     return ProbeReport(

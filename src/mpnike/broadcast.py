@@ -92,9 +92,9 @@ def _group_state(store: Keystore, pp: PublicParams, pairs: list[KeyPair]) -> nik
 
     `store.derived` remembers the last `MEMO_SETS` group states derived
     here, keyed by member set.  An exact hit is reused (no exponentiation);
-    otherwise the largest remembered subset is extended by the missing
-    members (one each), or on a miss the first pair derives the state
-    afresh (one per member but the first).  The result becomes the memo's
+    otherwise the largest remembered subset grows by the missing members
+    with `nike.join` (one each), or on a miss the first pair derives the
+    state afresh (one per member but the first).  The result becomes the memo's
     newest entry.  For honestly issued keys F_W is the same whichever
     member derives it, so every path gives the same ciphertext.
     """
@@ -106,7 +106,7 @@ def _group_state(store: Keystore, pp: PublicParams, pairs: list[KeyPair]) -> nik
         if base is None:
             state = nike.shared_key(pp, pairs[0], [pair.e for pair in pairs[1:]])
         else:
-            state = nike.extend(pp, memo[base], [pair.e for pair in pairs if pair.e not in base])
+            state = nike.join(pp, memo[base], *(pair.e for pair in pairs if pair.e not in base))
     memo[members] = state
     if len(memo) > MEMO_SETS:
         del memo[next(iter(memo))]
@@ -200,8 +200,10 @@ def ct_from_bytes(data: bytes) -> BroadcastCiphertext:
     )
 
 
-def ct_save(bc: BroadcastCiphertext, path: str):
-    artifact.write(path, ct_to_bytes(bc))
+def ct_save(bc: BroadcastCiphertext, path: str) -> bytes:
+    """Write bc's serialisation to path and return it."""
+    artifact.write(path, data := ct_to_bytes(bc))
+    return data
 
 
 def ct_load(path: str) -> BroadcastCiphertext:

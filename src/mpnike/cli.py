@@ -137,12 +137,12 @@ def cmd_broadcast_encrypt(args: argparse.Namespace) -> int:
     store = kgc.store_load(args.keystore, pp)
     message = artifact.read(args.infile)
     bc = broadcast.brod_encrypt(store, pp, _split_ids(args.authorized), message, Rng(args.seed))
-    broadcast.ct_save(bc, args.outfile)
+    written = broadcast.ct_save(bc, args.outfile)
     _emit(
         args,
         [
             ("authorized", str(len(bc.authorized))),
-            ("ciphertext_bytes", str(len(broadcast.ct_to_bytes(bc)))),
+            ("ciphertext_bytes", str(len(written))),
             ("out_file", args.outfile),
         ],
     )
@@ -177,13 +177,13 @@ def _attack_fiatnaor(args: argparse.Namespace) -> int:
     colluder_i = legacy.fn_keygen(fn, rng)
     colluder_j = legacy.fn_keygen(fn, rng)
     targets = [legacy.fn_keygen(fn, rng) for _ in range(3)]
-    recovered = attacks.fiat_naor_recover_g(
+    # fn_keygen's e are distinct primes, so c = 1 and the combination is g itself
+    _, s, b, recovered = attacks.collude(
         fn.N, colluder_i.e, colluder_i.d, colluder_j.e, colluder_j.d
     )
     target_es = [t.e for t in targets]
     forged = attacks.fiat_naor_forge_key(fn.N, recovered, target_es)
     honest = legacy.fn_shared_key(fn.N, targets[0], target_es[1:])
-    _, s, b = attacks.bezout_pos(colluder_i.e, colluder_j.e)
     verdict = "MATCH" if recovered == fn.g % fn.N and forged == honest else "NO-MATCH"
     _emit(
         args,

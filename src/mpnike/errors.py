@@ -14,13 +14,12 @@ class NotInvertible(MpnikeError):
 
     Carries the offending gcd: when the modulus is a product of secret
     primes, a nontrivial gcd is an accidental factor, so callers should
-    treat this as a critical event rather than a routine failure.
+    treat this as a critical event rather than a routine failure.  The
+    message names none of the three values.
     """
 
     def __init__(self, value: int, modulus: int, factor: int):
-        super().__init__(
-            f"value {value} is not invertible modulo {modulus} (gcd = {factor})"
-        )
+        super().__init__("value is not invertible modulo the modulus (they share a factor)")
         self.value = value
         self.modulus = modulus
         self.factor = factor

@@ -11,7 +11,7 @@ independent of evaluation order, and agreement needs no interaction.  The
 symmetric key is a hash of F_W.
 
 One growth step, F_{W+s} = F_W ** e_s mod N per new member s, runs from a
-key pair as W = {i}, F = d_i (`shared_key`) or from a state (`extend`, `join`).
+key pair as W = {i}, F = d_i (`shared_key`) or from a state (`join`).
 `shared_key` is the counted reference: one `mod_exp` per peer.  `held_key`
 takes the same step from a pair that derives again and again (a broadcast
 reader): d ** E for E = prod e_j, L bits, splits as d**lo * (d**(2**(w*t)))**hi
@@ -54,7 +54,7 @@ class GroupKeyState:
 def kdf(pp: PublicParams, F: int) -> bytes:
     """256-bit key: SHA-256 of tag plus F in fixed-width big-endian form."""
     if not 0 < F < pp.N:
-        raise OutOfRange(f"group element must lie in (0, N), got {F}")
+        raise OutOfRange("group element must lie in (0, N)")
     return hashlib.sha256(KDF_TAG + F.to_bytes((pp.N.bit_length() + 7) // 8, "big")).digest()
 
 
@@ -67,18 +67,10 @@ def shared_key(pp: PublicParams, my_pair: KeyPair, others: Iterable[int]) -> Gro
     return _grow(pp, (my_pair.e,), my_pair.d, others)
 
 
-def extend(pp: PublicParams, state: GroupKeyState, new_es: Iterable[int]) -> GroupKeyState:
-    """Grow a group by new members with one exponentiation each.
-
-    new_es holds public keys outside the group (duplicates are collapsed,
-    order is irrelevant to the result).
-    """
-    return _grow(pp, state.members, state.F, new_es)
-
-
-def join(pp: PublicParams, state: GroupKeyState, e_new: int) -> GroupKeyState:
-    """Extend an existing group by one member with a single exponentiation."""
-    return extend(pp, state, [e_new])
+def join(pp: PublicParams, state: GroupKeyState, *newcomers: int) -> GroupKeyState:
+    """Grow a group by newcomers' public keys, one exponentiation each (duplicates are
+    collapsed, order is irrelevant to the result, and none at all is EmptyGroup)."""
+    return _grow(pp, state.members, state.F, newcomers)
 
 
 def held_key(pp: PublicParams, my_pair: KeyPair, others: Iterable[int]) -> GroupKeyState:

@@ -206,7 +206,7 @@ def setup(
     if forced_primes is not None:
         primes = _certified(*forced_primes)
         if primes is None:
-            raise InvalidInput(f"forced {forced_primes} give no five distinct odd primes")
+            raise InvalidInput("forced primes give no five distinct odd primes")
     else:
         M = level.modulus_bits
         p_bits, z_bits, pp_bits = _bit_split(M)

@@ -47,6 +47,23 @@ class TestBezoutPos:
             attacks.bezout_pos(5, -1)
 
 
+class TestCollude:
+    def test_worked_instance(self):
+        # 2*5 - 3*3 = 1 over d = 2**e mod 35: the combination is 2 itself
+        with numt.count_mod_exps() as counter:
+            assert attacks.collude(35, 5, 32, 3, 8) == (1, 2, 3, 2)
+        assert counter.count == 2
+
+    def test_folds_over_a_third_colluder(self, toy64, toy64_users):
+        # (c, h**c) is itself a pair, so a third colluder combines with it
+        pp, msk = toy64
+        _, pairs = toy64_users
+        c, _, _, hc = attacks.collude(pp.N, pairs[0].e, pairs[0].d, pairs[1].e, pairs[1].d)
+        c3, _, _, hc3 = attacks.collude(pp.N, c, hc, pairs[2].e, pairs[2].d)
+        assert c3 == math.gcd(pairs[0].e, pairs[1].e, pairs[2].e)
+        assert kgc.verify_pair(pp, msk, c3, hc3)
+
+
 class TestFiatNaorAttack:
     def test_worked_instance(self):
         # colluders hold (5, 2^5) and (7, 2^7) mod 35; master g = 2
@@ -54,8 +71,9 @@ class TestFiatNaorAttack:
 
     def test_combine_with_common_factor(self):
         # e = 5 and 10 share gcd 5: the combination would land on g^5, not g
-        with pytest.raises(NotCoprime):
+        with numt.count_mod_exps() as counter, pytest.raises(NotCoprime):
             attacks.fiat_naor_recover_g(35, 5, 32, 10, pow(2, 10, 35))
+        assert counter.count == 0
 
     def test_not_invertible_surfaces_factor(self):
         # d_j = 5 shares a factor with N and gets a negative exponent
@@ -227,8 +245,7 @@ class TestDivisionForgery:
         for i, pair_i in enumerate(outsiders):
             for pair_j in outsiders[i + 1 :]:
                 # the outsiders' own pairs combine to h**c, c = gcd(e_i, e_j)
-                c, a, b = attacks.bezout_pos(pair_i.e, pair_j.e)
-                hc = pow(pair_i.d, a, pp.N) * pow(pair_j.d, -b, pp.N) % pp.N
+                c, _, _, hc = attacks.collude(pp.N, pair_i.e, pair_i.d, pair_j.e, pair_j.d)
                 if prod % c:
                     continue
                 key = broadcast._transport_key(nike.kdf(pp, pow(hc, prod // c, pp.N)))
@@ -244,8 +261,7 @@ class TestDivisionForgery:
         pp, msk = toy64
         store, rng = kgc.new_keystore(pp), Rng(MASTER_SEED + 62 + seed)
         pair_i, pair_j = (kgc.keygen(pp, msk, store, f"u{i}", rng) for i in range(2))
-        c, a, b = attacks.bezout_pos(pair_i.e, pair_j.e)
-        hc = numt.mod_exp(pair_i.d, a, pp.N) * numt.mod_exp(pair_j.d, -b, pp.N) % pp.N
+        c, _, _, hc = attacks.collude(pp.N, pair_i.e, pair_i.d, pair_j.e, pair_j.d)
         for _ in range(4):
             t = rng.getrandbits(32) | 1
             e, d = c * t, numt.mod_exp(hc, t, pp.N)

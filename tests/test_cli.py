@@ -14,7 +14,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from mpnike import cli, kgc, params
+from mpnike import broadcast, cli, kgc, params
 from mpnike.cli import main
 from mpnike.numt import Rng
 
@@ -195,6 +195,22 @@ class TestBroadcast:
         )
         assert code == 1
         assert "NotAuthorized" in err
+
+    def test_encrypt_serialises_once(self, ws, capsys, monkeypatch):
+        msg = ws["dir"] / "msg-once.bin"
+        msg.write_bytes(b"counted once")
+        ct = ws["dir"] / "ct-once.bin"
+        calls = []
+        serialise = broadcast.ct_to_bytes
+        monkeypatch.setattr(broadcast, "ct_to_bytes", lambda bc: calls.append(bc) or serialise(bc))
+        code, out, _ = run(
+            capsys,
+            "broadcast-encrypt", "--params", ws["pp"], "--keystore", ws["ks"],
+            "--authorized", "alice,bob", "--in", str(msg), "--out", str(ct),
+            "--seed", "bb", "--format", "line-record",
+        )
+        assert code == 0 and len(calls) == 1
+        assert kv(out)["ciphertext_bytes"] == str(ct.stat().st_size)
 
 
 class TestValidate:

@@ -54,6 +54,14 @@ class TestKdf:
             with pytest.raises(OutOfRange):
                 nike.kdf(pp, bad)
 
+    def test_out_of_range_message_names_no_value(self, toy16):
+        pp, _ = toy16
+        bad = pp.N + 123457
+        with pytest.raises(OutOfRange) as exc:
+            nike.kdf(pp, bad)
+        assert str(bad) not in str(exc.value)
+        assert f"{bad:x}" not in str(exc.value)
+
 
 class TestSharedKey:
     def test_all_members_agree(self, toy16, toy16_users):
@@ -329,7 +337,7 @@ class TestExtend:
         _, pairs = toy64_users
         es = [p.e for p in pairs]
         state = nike.shared_key(pp, pairs[0], es[1:3])
-        grown = nike.extend(pp, state, [es[7], es[4], es[5], es[4]])  # order, duplicates
+        grown = nike.join(pp, state, es[7], es[4], es[5], es[4])  # order, duplicates
         assert grown == nike.shared_key(pp, pairs[5], [es[i] for i in (0, 1, 2, 4, 7)])
         joined = state
         for e in (es[4], es[5], es[7]):
@@ -342,21 +350,25 @@ class TestExtend:
         _, pairs = toy64_users
         state = nike.shared_key(pp, pairs[0], [pairs[1].e])
         with count_mod_exps() as counter:
-            nike.extend(pp, state, [p.e for p in pairs[2 : 2 + k]])
+            nike.join(pp, state, *(p.e for p in pairs[2 : 2 + k]))
         assert counter.count == k
 
     def test_checks(self, toy64, toy64_users):
         pp, _ = toy64
         _, pairs = toy64_users
         state = nike.shared_key(pp, pairs[0], [pairs[1].e])
-        with pytest.raises(EmptyGroup):
-            nike.extend(pp, state, [])
-        with pytest.raises(AlreadyMember):
-            nike.extend(pp, state, [pairs[2].e, pairs[1].e])
-        with pytest.raises(InvalidInput):
-            nike.extend(pp, state, [pairs[2].e, 1])
-        with pytest.raises(InvalidInput):
-            nike.join(pp, state, 1)
+        with count_mod_exps() as counter:
+            with pytest.raises(EmptyGroup):
+                nike.join(pp, state)
+            with pytest.raises(AlreadyMember):
+                nike.join(pp, state, pairs[2].e, pairs[1].e)
+            with pytest.raises(InvalidInput):
+                nike.join(pp, state, pairs[2].e, 1)
+            with pytest.raises(InvalidInput):
+                nike.join(pp, state, 1)
+            with pytest.raises(InvalidInput):  # the identity is no group element
+                nike.join(pp, dataclasses.replace(state, F=1), pairs[2].e)
+        assert counter.count == 0  # every check comes before the first exponentiation
 
 
 class TestOutsider:

@@ -56,6 +56,16 @@ class TestModExp:
         assert exc.value.factor == 5
         assert 35 % exc.value.factor == 0
 
+    def test_not_invertible_message_names_no_value(self):
+        # the gcd with a secret modulus is one of its factors
+        p, q = 1000003, 999983
+        with pytest.raises(NotInvertible) as exc:
+            mod_exp(7 * p, -1, p * q)
+        assert (exc.value.value, exc.value.modulus, exc.value.factor) == (7 * p, p * q, p)
+        for value in (7 * p, p * q, p):
+            assert str(value) not in str(exc.value)
+            assert f"{value:x}" not in str(exc.value)
+
     def test_counter(self):
         with count_mod_exps() as outer:
             mod_exp(2, 5, 35)

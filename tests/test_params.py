@@ -62,6 +62,14 @@ class TestForcedSetup:
         with pytest.raises(InvalidInput):
             params.setup(security_level("toy"), Rng(1), forced_primes=(3, 5, 5))
 
+    def test_rejected_primes_are_not_echoed(self):
+        forced = (1000003, 999983, 1000003)  # p repeats as q
+        with pytest.raises(InvalidInput) as exc:
+            params.setup(security_level("toy"), Rng(1), forced_primes=forced)
+        for value in forced:
+            assert str(value) not in str(exc.value)
+            assert f"{value:x}" not in str(exc.value)
+
     def test_rejects_composite(self):
         with pytest.raises(InvalidInput):
             params.setup(security_level("toy"), Rng(1), forced_primes=(3, 9, 11))
