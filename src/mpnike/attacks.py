@@ -6,8 +6,8 @@ values so the unknown exponents cancel.
 
  * Fiat-Naor: `collude`'s c = 1 gives g = d_i**a * d_j**-b mod N, the
    master generator, after which any group key can be forged.
- * Eskeland: a*e_i - b*e_j = 1 gives u' = a*d_i - b*d_j, congruent to the
-   master secret u modulo phi(N), which is just as good as u.
+ * Eskeland: `eskeland_collude`'s c = 1 gives u' = a*d_i - b*d_j, congruent
+   to the master secret u modulo phi(N), which is just as good as u.
  * Main scheme: every private key is d = h**e for the issuer's hidden
    base h, and F_W = h**(prod e_W).  Every issued e is even, so
    gcd(e_i, e_j) = c >= 2 and the combination reaches h**c, which passes
@@ -62,17 +62,26 @@ def fiat_naor_forge_key(N: int, g: int, member_es: Iterable[int]) -> int:
     return numt.exp_chain(g, member_es, N)
 
 
-def eskeland_recover_u(e_i: int, d_i: int, e_j: int, d_j: int) -> int:
-    """u' = a*d_i - b*d_j for a*e_i - b*e_j = 1; u' == u (mod phi(N)).
+def eskeland_collude(e_i: int, d_i: int, e_j: int, d_j: int) -> tuple[int, int, int, int]:
+    """(c, a, b, a*d_i - b*d_j) for a*e_i - b*e_j = c = gcd(e_i, e_j).
 
-    Needs no modular arithmetic at all: the masking multiples of phi
-    cancel up to a known multiple, and exponentiation only sees u mod
-    phi(N) anyway.
+    `collude` over the integers: Eskeland's d are z*u + v*phi, not powers,
+    so the combination is linear and needs no modular arithmetic at all.
     """
     c, a, b = bezout_pos(e_i, e_j)
+    return c, a, b, a * d_i - b * d_j
+
+
+def eskeland_recover_u(e_i: int, d_i: int, e_j: int, d_j: int) -> int:
+    """u' = a*d_i - b*d_j for a*e_i - b*e_j = 1: `eskeland_collude`'s c = 1 case.
+
+    u' == u (mod phi(N)): the masking multiples of phi cancel up to a known
+    multiple, and exponentiation only sees u mod phi(N) anyway.
+    """
+    c, _, _, u_prime = eskeland_collude(e_i, d_i, e_j, d_j)
     if c != 1:
         raise NotCoprime(f"colluder exponents share gcd {c}")
-    return a * d_i - b * d_j
+    return u_prime
 
 
 def eskeland_forge_group_key(

@@ -21,11 +21,9 @@ _FP_TAG = b"MPNIKE-FP"
 
 
 def _emit(args: argparse.Namespace, items: list[tuple[str, str]]):
+    sep = "=" if args.format == "line-record" else ": "
     for key, value in items:
-        if args.format == "line-record":
-            print(f"{key}={value}")
-        else:
-            print(f"{key}: {value}")
+        print(f"{key}{sep}{value}")
 
 
 def _fingerprint(key: bytes) -> str:
@@ -57,9 +55,16 @@ def _member_view(
     return pp, store, pair, [e for e in members if e != pair.e]
 
 
+def _level(args: argparse.Namespace) -> params.SecurityLevel:
+    """--security's level; --toy-bits (default: the command's toy_default) goes with toy only."""
+    if args.toy_bits is not None and args.security != "toy":
+        raise InvalidInput(f"--toy-bits is an error with --security {args.security}")
+    bits = args.toy_default if args.toy_bits is None else args.toy_bits
+    return params.security_level(args.security, bits)
+
+
 def cmd_setup(args: argparse.Namespace) -> int:
-    level = params.security_level(args.security, args.toy_bits)
-    pp, msk = params.setup(level, Rng(args.seed))
+    pp, msk = params.setup(_level(args), Rng(args.seed))
     params.save_public(pp, args.params)
     params.save_master(pp, msk, args.msk)
     _emit(
@@ -100,18 +105,21 @@ def cmd_issue(args: argparse.Namespace) -> int:
     return 0
 
 
+def _key_report(args: argparse.Namespace, state: nike.GroupKeyState, *extra: tuple[str, str]):
+    """members, key_fingerprint, the extra rows, then the key under --reveal."""
+    fingerprint = _fingerprint(state.K)
+    items = [("members", str(len(state.members))), ("key_fingerprint", fingerprint), *extra]
+    if args.reveal:
+        items.append(("key", state.K.hex()))
+    _emit(args, items)
+
+
 def cmd_derive(args: argparse.Namespace) -> int:
     pp, _, pair, others = _member_view(args)
     state = nike.shared_key(pp, pair, others)
     if args.write_group:
         nike.save_group(pp, state.members, args.write_group)
-    items = [
-        ("members", str(len(state.members))),
-        ("key_fingerprint", _fingerprint(state.K)),
-    ]
-    if args.reveal:
-        items.append(("key", state.K.hex()))
-    _emit(args, items)
+    _key_report(args, state)
     return 0
 
 
@@ -120,16 +128,9 @@ def cmd_join(args: argparse.Namespace) -> int:
     newcomer = store.pair(args.new)
     grown = nike.join(pp, nike.shared_key(pp, pair, others), newcomer.e)
     # the single-exponentiation join must agree with the newcomer's own derivation
-    theirs = nike.shared_key(pp, newcomer, [pair.e, *others])
-    items = [
-        ("members", str(len(grown.members))),
-        ("key_fingerprint", _fingerprint(grown.K)),
-        ("consistent", "yes" if grown == theirs else "NO"),
-    ]
-    if args.reveal:
-        items.append(("key", grown.K.hex()))
-    _emit(args, items)
-    return 0 if grown == theirs else 1
+    consistent = grown == nike.shared_key(pp, newcomer, [pair.e, *others])
+    _key_report(args, grown, ("consistent", "yes" if consistent else "NO"))
+    return 0 if consistent else 1
 
 
 def cmd_broadcast_encrypt(args: argparse.Namespace) -> int:
@@ -171,37 +172,35 @@ def cmd_validate(args: argparse.Namespace) -> int:
     return 0 if report.ok else 1
 
 
+def _attack_report(args, scheme, n, e_i, e_j, details, forged, honest, match, expected=True):
+    """Print one attack transcript, the same shape for every scheme: the scheme, n and the
+    colluders' e; the scheme's own details rows; the forged and honest keys and the verdict.
+    Returns the exit code: 0 when match is what the demonstration expects."""
+
+    def row(key: str, value) -> tuple[str, str]:
+        return key, value.hex() if isinstance(value, bytes) else numt.int_to_hex(value)
+
+    head = [("scheme", scheme), row("n", n), row("colluder_e_i", e_i), row("colluder_e_j", e_j)]
+    tail = [row("forged_key", forged), row("honest_key", honest)]
+    _emit(args, head + details + tail + [("verdict", "MATCH" if match else "NO-MATCH")])
+    return 0 if match == expected else 1
+
+
 def _attack_fiatnaor(args: argparse.Namespace) -> int:
     rng = Rng(args.seed)
     fn = legacy.fn_setup(args.bits, rng)
-    colluder_i = legacy.fn_keygen(fn, rng)
-    colluder_j = legacy.fn_keygen(fn, rng)
+    i, j = legacy.fn_keygen(fn, rng), legacy.fn_keygen(fn, rng)
     targets = [legacy.fn_keygen(fn, rng) for _ in range(3)]
     # fn_keygen's e are distinct primes, so c = 1 and the combination is g itself
-    _, s, b, recovered = attacks.collude(
-        fn.N, colluder_i.e, colluder_i.d, colluder_j.e, colluder_j.d
-    )
+    _, s, b, g = attacks.collude(fn.N, i.e, i.d, j.e, j.d)
+    found = g == fn.g % fn.N
     target_es = [t.e for t in targets]
-    forged = attacks.fiat_naor_forge_key(fn.N, recovered, target_es)
+    forged = attacks.fiat_naor_forge_key(fn.N, g, target_es)
     honest = legacy.fn_shared_key(fn.N, targets[0], target_es[1:])
-    verdict = "MATCH" if recovered == fn.g % fn.N and forged == honest else "NO-MATCH"
-    _emit(
-        args,
-        [
-            ("scheme", "fiat-naor"),
-            ("n", numt.int_to_hex(fn.N)),
-            ("colluder_e_i", numt.int_to_hex(colluder_i.e)),
-            ("colluder_e_j", numt.int_to_hex(colluder_j.e)),
-            ("bezout_s", str(s)),
-            ("bezout_t", str(-b)),
-            ("recovered_g", numt.int_to_hex(recovered)),
-            ("generator_recovered", "yes" if recovered == fn.g % fn.N else "no"),
-            ("forged_key", numt.int_to_hex(forged)),
-            ("honest_key", numt.int_to_hex(honest)),
-            ("verdict", verdict),
-        ],
-    )
-    return 0 if verdict == "MATCH" else 1
+    details = [("bezout_s", str(s)), ("bezout_t", str(-b)), ("recovered_g", numt.int_to_hex(g)),
+               ("generator_recovered", "yes" if found else "no")]
+    return _attack_report(args, "fiat-naor", fn.N, i.e, j.e, details, forged, honest,
+                          found and forged == honest)
 
 
 def _attack_eskeland(args: argparse.Namespace) -> int:
@@ -209,67 +208,33 @@ def _attack_eskeland(args: argparse.Namespace) -> int:
     esk = legacy.esk_setup(args.bits, rng)
     taken: set[int] = set()
     exps = [legacy.fresh_prime(17, taken, rng) for _ in range(2 + args.group_size)]
-    colluder_i = legacy.esk_keygen(esk, exps[0], rng)
-    colluder_j = legacy.esk_keygen(esk, exps[1], rng)
+    i, j = legacy.esk_keygen(esk, exps[0], rng), legacy.esk_keygen(esk, exps[1], rng)
     targets = [legacy.esk_keygen(esk, e, rng) for e in exps[2:]]
-    c, a, b = attacks.bezout_pos(colluder_i.e, colluder_j.e)
-    u_prime = attacks.eskeland_recover_u(
-        colluder_i.e, colluder_i.d, colluder_j.e, colluder_j.d
-    )
+    # the exps are distinct primes, so c = 1 and u' is u modulo phi(N)
+    c, a, b, u_prime = attacks.eskeland_collude(i.e, i.d, j.e, j.d)
     target_es = [t.e for t in targets]
     forged = attacks.eskeland_forge_group_key(esk.N, esk.g, u_prime, target_es)
     honest = legacy.esk_shared_key(esk.N, esk.g, targets[0], target_es[1:])
-    verdict = "MATCH" if forged == honest else "NO-MATCH"
-    _emit(
-        args,
-        [
-            ("scheme", "eskeland"),
-            ("n", numt.int_to_hex(esk.N)),
-            ("colluder_e_i", numt.int_to_hex(colluder_i.e)),
-            ("colluder_e_j", numt.int_to_hex(colluder_j.e)),
-            ("bezout_a", str(a)),
-            ("bezout_b", str(b)),
-            ("gcd", str(c)),
-            ("u_prime_matches_u_mod_phi", "yes" if (u_prime - esk.u) % esk.phi == 0 else "no"),
-            ("forged_key", numt.int_to_hex(forged)),
-            ("honest_key", numt.int_to_hex(honest)),
-            ("verdict", verdict),
-        ],
-    )
-    return 0 if verdict == "MATCH" else 1
+    details = [("bezout_a", str(a)), ("bezout_b", str(b)), ("gcd", str(c)),
+               ("u_prime_matches_u_mod_phi", "yes" if (u_prime - esk.u) % esk.phi == 0 else "no")]
+    return _attack_report(args, "eskeland", esk.N, i.e, j.e, details, forged, honest,
+                          forged == honest)
 
 
 def _attack_probe(args: argparse.Namespace) -> int:
     rng = Rng(args.seed)
-    level = params.security_level(args.security, args.toy_bits)
-    pp, msk = params.setup(level, rng)
+    pp, msk = params.setup(_level(args), rng)
     store = kgc.new_keystore(pp)
     colluders = [kgc.keygen(pp, msk, store, f"colluder{i}", rng) for i in (1, 2)]
-    targets = [
-        kgc.keygen(pp, msk, store, f"target{i}", rng) for i in range(args.group_size)
-    ]
+    targets = [kgc.keygen(pp, msk, store, f"target{i}", rng) for i in range(args.group_size)]
     target_es = [t.e for t in targets]
     honest = nike.shared_key(pp, targets[0], target_es[1:])
     report = attacks.proposed_scheme_attack_probe(pp, msk, colluders, target_es, honest.K)
-    verdict = "MATCH" if report.matches_honest else "NO-MATCH"
-    _emit(
-        args,
-        [
-            ("scheme", "main"),
-            ("n", numt.int_to_hex(pp.N)),
-            ("colluder_e_i", numt.int_to_hex(report.e_i)),
-            ("colluder_e_j", numt.int_to_hex(report.e_j)),
-            ("gcd", str(report.gcd)),
-            ("bezout_a", str(report.a)),
-            ("bezout_b", str(report.b)),
-            ("combined_passes_audit", "yes" if report.combined_passes_audit else "no"),
-            ("forged_key", report.forged_K.hex()),
-            ("honest_key", honest.K.hex()),
-            ("verdict", verdict),
-        ],
-    )
-    # the expected outcome for this scheme is NO-MATCH
-    return 0 if verdict == "NO-MATCH" else 1
+    details = [("gcd", str(report.gcd)), ("bezout_a", str(report.a)), ("bezout_b", str(report.b)),
+               ("combined_passes_audit", "yes" if report.combined_passes_audit else "no")]
+    # the expected outcome of this pipeline, which does not divide by gcd, is NO-MATCH
+    return _attack_report(args, "main", pp.N, report.e_i, report.e_j, details, report.forged_K,
+                          honest.K, report.matches_honest, expected=False)
 
 
 def _hex(raw: str) -> int:
@@ -334,11 +299,11 @@ def _commands() -> Command:
         "eskeland": Command("break Eskeland", _attack_eskeland, "--seed", "--bits", "--group-size",
                             bits=64),
         "probe": Command("probe the main scheme", _attack_probe, "--seed", "--security",
-                         "--toy-bits", "--group-size", security="toy", toy_bits=64),
+                         "--toy-bits", "--group-size", security="toy", toy_default=64),
     }
     return Command("Multi-party non-interactive key exchange toolkit", {
         "setup": Command("generate parameters", cmd_setup, "--seed", "--params", "--security",
-                         "--toy-bits", "--msk", security="80", toy_bits=16),
+                         "--toy-bits", "--msk", security="80", toy_default=16),
         "issue": Command("issue a member key pair", cmd_issue, "--seed", *member, "--msk",
                          "--reveal"),
         "derive": Command("derive a group key", cmd_derive, *member, "--write-group", *group),

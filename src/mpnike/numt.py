@@ -24,6 +24,7 @@ from __future__ import annotations
 import ctypes
 import random
 from contextlib import contextmanager
+from contextvars import ContextVar
 from math import gcd, prod
 from typing import Iterable, Iterator, Optional
 
@@ -175,18 +176,19 @@ class ModExpCounter:
         self.count = 0
 
 
-_ACTIVE_COUNTERS: list[ModExpCounter] = []
+# the counters of the enclosing `count_mod_exps` blocks, per thread and task
+_ACTIVE_COUNTERS: ContextVar[tuple[ModExpCounter, ...]] = ContextVar("mod_exp_counters", default=())
 
 
 @contextmanager
 def count_mod_exps() -> Iterator[ModExpCounter]:
-    """Count every `mod_exp` call made inside the `with` block."""
+    """Count every `mod_exp` call made inside the `with` block, in this context alone."""
     counter = ModExpCounter()
-    _ACTIVE_COUNTERS.append(counter)
+    token = _ACTIVE_COUNTERS.set(_ACTIVE_COUNTERS.get() + (counter,))
     try:
         yield counter
     finally:
-        _ACTIVE_COUNTERS.remove(counter)
+        _ACTIVE_COUNTERS.reset(token)
 
 
 def pow_mod(base: int, exp: int, n: int) -> int:
@@ -207,7 +209,7 @@ def mod_exp(base: int, exp: int, n: int) -> int:
     """
     if n < 15 or n % 2 == 0:
         raise InvalidInput(f"modulus must be odd and >= 15, got {n}")
-    for counter in _ACTIVE_COUNTERS:
+    for counter in _ACTIVE_COUNTERS.get():
         counter.count += 1
     b = base % n
     if exp < 0:

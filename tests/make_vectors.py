@@ -31,7 +31,9 @@ from conftest import issuing
 OUT = os.path.join(os.path.dirname(os.path.abspath(__file__)), "vectors", "v1.json")
 
 # (name, gamma, p, z, q): the primes of the toy-64 set the tests'
-# conftest searches (seed 20260814), and those of perfbench/fixtures/level80.json
+# conftest searches (seed 20260814), those of perfbench/fixtures/level80.json,
+# and those of params.setup(security_level("128"), Rng(5)), which
+# tests/test_levels.py pins
 PARAMETER_SETS = [
     ("toy-64", "toy", 0x1992BB, 0xA3F67, 0x238D5D),
     (
@@ -40,6 +42,31 @@ PARAMETER_SETS = [
         0x1664B6A3B468C8CF433517422EA71CD488A8A210AC2F6444F9E010EE70171BBCD6D03A44D775199836E915,
         0xE1E161577F8D7D833E61D323ACC725717155A6545AA4D9B3E6A20809A7D9539E1E9CFBEC2BB27C63A241D,
         0x1C5351573F218A166720F4BD3DA5F5E04B7697A6BE3DDE82C555890D92007DC151FBE13561FC43857530D9,
+    ),
+    (
+        "level-128",
+        "128",
+        int(
+            "feed3737e1279dda5cbe8a80752b6eab1b13c95d5642f698b8012fac14d8fbf7"
+            "8921cce23568bdb17feb59139b959778aca202c563c5984ee37339ce1a94f40d"
+            "270d1f2b2551c061351f062c23df16e590a037573b2979e22d3dc8e9b3b41d13"
+            "d887b092f3b0057b257611138986a7dabe4adbaec14099ca3e631318f44bf0fd",
+            16,
+        ),
+        int(
+            "733b30f23f25d20c03b9cfde752bcf41d301eefbba9ac565d561e02fa39fed92"
+            "5d5636d5e6de8ada17602d2c8bbe271814d66e52b06af193a4a3575c95680c2f"
+            "fd52182baebabe233ffb8f5e60433505fc04e870cec5c4a23a8651ac5e39440c"
+            "73e543c0a75f86ece545d1372057af989a175fcaff8c2ae0f1a93baecb8afcb5",
+            16,
+        ),
+        int(
+            "71c44974400e72fd2bc96311ba2e1b9be6963f80ae94ba69756ee878dfc462bf"
+            "1c0a059f8b03b849935c82cb2207245639dfcc239753bfa694063e9a4263c8cc"
+            "bad14a0c42e6baaf964fa61ef239d3f57e66f0bcaa9796f392c3a11b74864fcc"
+            "b86945176fb7ab9fbbbd42b1a6a7d3569c408353fc19f236fb0b7d312ebaee3f",
+            16,
+        ),
     ),
 ]
 USERS = [f"user{i:03d}" for i in range(1, 6)]

@@ -116,6 +116,11 @@ class TestEskelandAttack:
         with pytest.raises(NotCoprime):
             attacks.eskeland_recover_u(6, 100, 9, 200)
 
+    def test_collude_returns_its_coefficients(self):
+        # 2*5 - 3*3 = 1 gives recover_u's u'; 2*6 - 1*9 = 3 combines without raising
+        assert attacks.eskeland_collude(5, 83, 3, 45) == (1, 2, 3, 31)
+        assert attacks.eskeland_collude(6, 100, 9, 200) == (3, 2, 1, 0)
+
     def test_recovers_u_mod_phi(self, esk512):
         esk = esk512
         rng = Rng(54)

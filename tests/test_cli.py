@@ -1,5 +1,6 @@
 import contextlib
 import dataclasses
+import hashlib
 import io
 import itertools
 import os
@@ -270,6 +271,50 @@ class TestAttacks:
         assert record["verdict"] == "NO-MATCH"
         assert record["combined_passes_audit"] == "yes"
         assert int(record["gcd"]) >= 2
+
+    # SHA-256 of stdout and the exit code of `mpnike attack <scheme> --seed 07`:
+    # every transcript row and exit code stays as it is
+    @pytest.mark.parametrize(
+        "scheme, fmt, code, digest",
+        [
+            ("fiatnaor", "text", 0,
+             "fb112e5e7d8384ae9d93285dd7d1be84db2554f1061977881f973bad88038310"),
+            ("fiatnaor", "line-record", 0,
+             "65d47f08c103187fff5e3fc5e491177a88f228af8854e513024aaf7546ddf38c"),
+            ("eskeland", "text", 0,
+             "ad8e1d34d8299e838d8f75cfe6c33c064bbc6eaf11a4005d50f507518b0644ad"),
+            ("eskeland", "line-record", 0,
+             "b779d90138e1cd514ebbaf8dc9a4bc67439a058a2791f308046f2e3ab678c78b"),
+            ("probe", "text", 0,
+             "0a65e04c0302fb637cedb1141853f944c8c32bdc6ae532ae61e8a90a2f11277d"),
+            ("probe", "line-record", 0,
+             "6efb1041b18ef7ea40f5fa7a0f54ea675d85f6dbba17f2212c066f517f373f98"),
+        ],
+    )
+    def test_transcript_known_answer(self, capsys, scheme, fmt, code, digest):
+        got, out, err = run(capsys, "attack", scheme, "--seed", "07", "--format", fmt)
+        assert (got, hashlib.sha256(out.encode()).hexdigest(), err) == (code, digest, "")
+
+
+class TestSecurityLevel:
+    @pytest.mark.parametrize(
+        "argv",
+        [["setup", "--params", "pp.txt", "--msk", "msk.txt"], ["attack", "probe"]],
+        ids=["setup", "probe"],
+    )
+    def test_toy_bits_with_a_named_level_is_an_error(self, tmp_path, capsys, monkeypatch, argv):
+        monkeypatch.chdir(tmp_path)
+        code, out, err = run(capsys, *argv, "--security", "80", "--toy-bits", "64", "--seed", "01")
+        assert (code, out) == (1, "")
+        assert "error[InvalidInput]" in err and "--toy-bits" in err
+        assert list(tmp_path.iterdir()) == []
+
+    def test_levels_without_toy_bits(self, tmp_path, capsys):
+        files = ["--params", str(tmp_path / "pp.txt"), "--msk", str(tmp_path / "msk.txt")]
+        for level, bits in (("toy", "16"), ("80", "1024")):
+            code, out, _ = run(capsys, "setup", "--security", level, "--seed", "01", *files,
+                               "--format", "line-record")
+            assert (code, kv(out)["modulus_bits"]) == (0, bits)
 
 
 class TestDeterminism:

@@ -79,6 +79,25 @@ class TestModExp:
             pass
         assert fresh.count == 0
 
+    def test_counter_sees_only_its_own_thread(self):
+        # a block counts the calls of its own context; another thread's calls,
+        # made while the block is open, land in that thread's counter alone
+        seen = []
+
+        def worker():
+            with count_mod_exps() as theirs:
+                for _ in range(5):
+                    mod_exp(2, 5, 35)
+            seen.append(theirs.count)
+
+        with count_mod_exps() as ours:
+            mod_exp(3, 5, 35)
+            thread = threading.Thread(target=worker)
+            thread.start()
+            thread.join(timeout=60)
+        assert not thread.is_alive()
+        assert (ours.count, seen) == (1, [5])
+
 
 @st.composite
 def wide_odd_moduli(draw):
