@@ -38,21 +38,26 @@ def _split_ids(raw: str) -> list[str]:
 
 
 def _member_view(
-    args: argparse.Namespace,
-) -> tuple[params.PublicParams, kgc.Keystore, kgc.KeyPair, list[int]]:
-    """(params, keystore, --user's pair, the other members' public keys)."""
+    args: argparse.Namespace, *named: str
+) -> tuple[params.PublicParams, dict[str, kgc.KeyPair], kgc.KeyPair, list[int]]:
+    """(params, the decoded pairs, --user's pair, the other members' public keys).
+
+    Every keystore row is checked; only the pairs of --user, the --group ids
+    and `named` are decoded.
+    """
     pp = params.load_public(args.params)
-    store = kgc.store_load(args.keystore, pp)
-    pair = store.pair(args.user)
+    group_ids = _split_ids(args.group) if args.group and not args.group_file else []
+    pairs = kgc.load_pairs(args.keystore, pp, [args.user, *group_ids, *named])
+    pair = pairs[args.user]
     if bool(args.group) == bool(args.group_file):
         raise InvalidInput("supply exactly one of --group / --group-file")
     if args.group_file:
         members = nike.load_group(args.group_file, pp)
     else:
-        members = tuple(sorted(store.pair(u).e for u in _split_ids(args.group)))
+        members = tuple(sorted(pairs[u].e for u in group_ids))
     if pair.e not in members:
         raise InvalidInput(f"user {args.user!r} is not in the group")
-    return pp, store, pair, [e for e in members if e != pair.e]
+    return pp, pairs, pair, [e for e in members if e != pair.e]
 
 
 def _level(args: argparse.Namespace) -> params.SecurityLevel:
@@ -124,8 +129,8 @@ def cmd_derive(args: argparse.Namespace) -> int:
 
 
 def cmd_join(args: argparse.Namespace) -> int:
-    pp, store, pair, others = _member_view(args)
-    newcomer = store.pair(args.new)
+    pp, pairs, pair, others = _member_view(args, args.new)
+    newcomer = pairs[args.new]
     grown = nike.join(pp, nike.shared_key(pp, pair, others), newcomer.e)
     # the single-exponentiation join must agree with the newcomer's own derivation
     consistent = grown == nike.shared_key(pp, newcomer, [pair.e, *others])
@@ -135,9 +140,11 @@ def cmd_join(args: argparse.Namespace) -> int:
 
 def cmd_broadcast_encrypt(args: argparse.Namespace) -> int:
     pp = params.load_public(args.params)
-    store = kgc.store_load(args.keystore, pp)
+    ids = _split_ids(args.authorized)
+    # a transient keystore of the authorized pairs, never saved: its sender memo starts empty
+    store = kgc.Keystore(params.params_digest(pp), kgc.load_pairs(args.keystore, pp, ids))
     message = artifact.read(args.infile)
-    bc = broadcast.brod_encrypt(store, pp, _split_ids(args.authorized), message, Rng(args.seed))
+    bc = broadcast.brod_encrypt(store, pp, ids, message, Rng(args.seed))
     written = broadcast.ct_save(bc, args.outfile)
     _emit(
         args,
@@ -152,7 +159,7 @@ def cmd_broadcast_encrypt(args: argparse.Namespace) -> int:
 
 def cmd_broadcast_decrypt(args: argparse.Namespace) -> int:
     pp = params.load_public(args.params)
-    pair = kgc.store_load(args.keystore, pp).pair(args.user)
+    pair = kgc.load_pairs(args.keystore, pp, [args.user])[args.user]
     bc = broadcast.ct_load(args.infile)
     message = broadcast.brod_decrypt(pp, pair, bc)
     artifact.write(args.outfile, message, private=True)

@@ -72,8 +72,9 @@ class KeyPair:
 class Keystore:
     """Issuer-side database, bound to one parameter set by digest.
 
-    `records` is filled by `keygen` and `store_load`, which keep
-    `issued_keys`, the index of issued e, in step with it.  `derived` is
+    `records` is given (by `store_load`, or by a caller wrapping pairs from
+    `load_pairs`) or filled by `keygen`; `issued_keys`, the index of issued
+    e, is built from it and kept in step by `keygen`.  `derived` is
     the sender memo of `broadcast`, which sets its policy.  Neither index
     nor memo takes part in equality or repr, and `store_save` writes neither.
     """
@@ -171,12 +172,18 @@ def store_save(store: Keystore, path: str):
     artifact.write_bound(path, _STORE_HEADER, store.params_ref, rows, private=True)
 
 
-def store_load(path: str, pp: PublicParams) -> Keystore:
-    digest = params_digest(pp)
-    lines = artifact.read_bound(path, _STORE_HEADER, digest)
-    store = Keystore(params_ref=digest)
+def _store_rows(path: str, digest: str) -> dict[str, str]:
+    """Every row of the keystore at path, checked against the whole format and
+    kept as its line text, keyed by user id.
+
+    A row is 3 tab-separated fields; user ids are valid and strictly
+    ascending; e and d are canonical hex; no e appears twice.  Canonical hex
+    is one text per value, so comparing e as text compares the keys.
+    """
+    rows: dict[str, str] = {}
+    seen_e: set[str] = set()
     previous = ""
-    for lineno, line in enumerate(lines, 2):
+    for lineno, line in enumerate(artifact.read_bound(path, _STORE_HEADER, digest), 2):
         cols = line.split("\t")
         if len(cols) != 3:
             raise FormatError(f"{path}:{lineno}: expected 3 tab-separated fields")
@@ -188,10 +195,39 @@ def store_load(path: str, pp: PublicParams) -> Keystore:
         if user_id <= previous:
             raise FormatError(f"{path}:{lineno}: user id {user_id!r} duplicate or out of order")
         previous = user_id
-        e = numt.hex_to_int(e_hex, f"{path}:{lineno}: e")
-        if e in store.issued_keys:
+        numt.check_hex(e_hex, f"{path}:{lineno}: e")
+        if e_hex in seen_e:
             raise FormatError(f"{path}:{lineno}: duplicate public key")
-        store.issued_keys.add(e)
-        d = numt.hex_to_int(d_hex, f"{path}:{lineno}: d")
-        store.records[user_id] = KeyPair(user_id, e, d)
-    return store
+        seen_e.add(e_hex)
+        numt.check_hex(d_hex, f"{path}:{lineno}: d")
+        rows[user_id] = line
+    return rows
+
+
+def _decode(line: str) -> KeyPair:
+    """The pair of a row `_store_rows` has checked."""
+    user_id, e_hex, d_hex = line.split("\t")
+    return KeyPair(user_id, int(e_hex, 16), int(d_hex, 16))
+
+
+def store_load(path: str, pp: PublicParams) -> Keystore:
+    """The whole keystore, every row decoded: the issuer's read."""
+    digest = params_digest(pp)
+    rows = _store_rows(path, digest)
+    return Keystore(digest, {user_id: _decode(line) for user_id, line in rows.items()})
+
+
+def load_pairs(path: str, pp: PublicParams, user_ids: Iterable[str]) -> dict[str, KeyPair]:
+    """The pairs of the named users: a member's read.
+
+    The whole file is checked as `store_load` checks it, but only the named
+    rows are decoded.  The first name not in the file raises UnknownUser.
+    """
+    rows = _store_rows(path, params_digest(pp))
+    pairs: dict[str, KeyPair] = {}
+    for user_id in user_ids:
+        if user_id not in rows:
+            raise UnknownUser(user_id)
+        if user_id not in pairs:
+            pairs[user_id] = _decode(rows[user_id])
+    return pairs

@@ -335,8 +335,8 @@ def int_to_hex(n: int) -> str:
     return format(n, "x")
 
 
-def hex_to_int(s: str, field: str = "value") -> int:
-    """Parse canonical hex produced by int_to_hex; reject anything else.
+def check_hex(s: str, field: str = "value"):
+    """Raise FormatError unless s is canonical hex, as int_to_hex writes it.
 
     The error names `field`, never `s`, which may be a private key.
     """
@@ -347,4 +347,9 @@ def hex_to_int(s: str, field: str = "value") -> int:
         or (s[0] == "0" and len(s) > 1)
     ):
         raise FormatError(f"{field} is not canonical lowercase hex")
+
+
+def hex_to_int(s: str, field: str = "value") -> int:
+    """Parse canonical hex produced by int_to_hex; reject anything else (see check_hex)."""
+    check_hex(s, field)
     return int(s, 16)

@@ -447,6 +447,152 @@ class TestParseErrorsHideValues:
         assert "Traceback" not in err
 
 
+@pytest.fixture(scope="module")
+def member_home(tmp_path_factory):
+    """A toy-64 workspace: alice, bob, carol and zed, a group file of alice and
+    bob, and a ciphertext to them.  zed's row is the keystore's last."""
+    d = tmp_path_factory.mktemp("members")
+    files = {k: str(d / f) for k, f in (("pp", "pp.txt"), ("msk", "msk.txt"), ("ks", "ks.tsv"),
+                                        ("group", "group.txt"), ("plain", "plain.bin"),
+                                        ("ct", "msg.ct"))}
+    issuer = ["--params", files["pp"], "--msk", files["msk"]]
+    assert main(["setup", "--security", "toy", "--toy-bits", "64", "--seed", "feed", *issuer]) == 0
+    for user, seed in (("alice", "01"), ("bob", "02"), ("carol", "03"), ("zed", "04")):
+        argv = ["issue", *issuer, "--keystore", files["ks"], "--user", user, "--seed", seed]
+        assert main(argv) == 0
+    member = ["--params", files["pp"], "--keystore", files["ks"]]
+    argv = ["derive", *member, "--user", "alice", "--group", "alice,bob"]
+    assert main(argv + ["--write-group", files["group"]]) == 0
+    Path(files["plain"]).write_bytes(b"to alice and bob")
+    argv = ["broadcast-encrypt", *member, "--authorized", "alice,bob", "--seed", "05"]
+    assert main(argv + ["--in", files["plain"], "--out", files["ct"]]) == 0
+    return files
+
+
+# each member command as its users alice and bob (and carol, joining) run it
+_MEMBER_COMMANDS = {
+    "derive": ["derive", "--user", "alice", "--group", "alice,bob"],
+    "join": ["join", "--user", "alice", "--group", "alice,bob", "--new", "carol"],
+    "broadcast-encrypt": ["broadcast-encrypt", "--authorized", "alice,bob", "--in", "{plain}",
+                          "--out", "{out}", "--seed", "06"],
+    "broadcast-decrypt": ["broadcast-decrypt", "--user", "alice", "--in", "{ct}",
+                          "--out", "{out}"],
+}
+
+
+def _member_argv(files, argv, out):
+    """argv with --params and --keystore after the command, and {file} names filled in."""
+    name, *rest = argv
+    rest = [arg.format(out=out, **files) for arg in rest]
+    return [name, "--params", files["pp"], "--keystore", files["ks"], *rest]
+
+
+class TestMemberReads:
+    """Member commands check every keystore row but decode only the rows they name."""
+
+    @pytest.mark.parametrize("command", _MEMBER_COMMANDS)
+    def test_broken_row_outside_the_command_fails_it(self, member_home, tmp_path, capsys,
+                                                     command):
+        header, *rows, last = Path(member_home["ks"]).read_text().splitlines()
+        user, e_hex, d_hex = last.split("\t")
+        assert user == "zed"
+        ks = tmp_path / "ks.tsv"
+        ks.write_text("\n".join([header, *rows, f"{user}\t{e_hex}\t0{d_hex}"]) + "\n")
+        files = dict(member_home, ks=str(ks))
+        argv = _member_argv(files, _MEMBER_COMMANDS[command], str(tmp_path / "out"))
+        code, out, err = run(capsys, *argv)
+        assert code == 1
+        line = len(rows) + 2
+        assert err == f"error[FormatError]: {ks}:{line}: d is not canonical lowercase hex\n"
+        assert d_hex not in out + err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize(
+        "argv, error",
+        [
+            (["derive", "--user", "ghost", "--group", "alice,bob"], "UnknownUser"),
+            (["join", "--user", "ghost", "--group", "alice,bob", "--new", "carol"], "UnknownUser"),
+            (["broadcast-decrypt", "--user", "ghost", "--in", "{ct}", "--out", "{out}"],
+             "UnknownUser"),
+            (["join", "--user", "alice", "--group", "alice,bob", "--new", "ghost"], "UnknownUser"),
+            (["broadcast-encrypt", "--authorized", "alice,ghost", "--in", "{plain}",
+              "--out", "{out}"], "UnknownUser"),
+            (["derive", "--user", "alice"], "InvalidInput"),
+            (["derive", "--user", "alice", "--group", "alice,bob", "--group-file", "{group}"],
+             "InvalidInput"),
+            (["join", "--user", "alice", "--new", "carol"], "InvalidInput"),
+            (["join", "--user", "alice", "--group", "alice,bob", "--group-file", "{group}",
+              "--new", "carol"], "InvalidInput"),
+            (["broadcast-encrypt", "--authorized", "alice", "--in", "{plain}", "--out", "{out}"],
+             "GroupTooSmall"),
+            (["broadcast-encrypt", "--authorized", "bob,bob", "--in", "{plain}",
+              "--out", "{out}"], "GroupTooSmall"),
+        ],
+        ids=lambda v: " ".join(v) if isinstance(v, list) else v,
+    )
+    def test_single_fault_keeps_its_error(self, member_home, tmp_path, capsys, argv, error):
+        code, out, err = run(capsys, *_member_argv(member_home, argv, str(tmp_path / "out")))
+        assert code == 1
+        assert err.startswith(f"error[{error}]: ") and err.count("\n") == 1
+        assert out == ""
+
+    def test_member_commands_decode_only_named_rows(self, tmp_path, capsys, monkeypatch):
+        files = _setup(capsys, tmp_path, "64")
+        pp, (_, msk) = params.load_public(files["pp"]), params.load_master(files["msk"])
+        store = kgc.new_keystore(pp)
+        for i in range(63):
+            kgc.keygen(pp, msk, store, f"user{i:02d}", Rng(i))
+        kgc.store_save(store, files["ks"])
+        built = []
+        make = kgc.KeyPair
+        monkeypatch.setattr(kgc, "KeyPair", lambda *a: built.append(a[0]) or make(*a))
+        # the issuer still reads every row, and writes what it always wrote
+        assert _issue(capsys, files, "zz", "07") == 0
+        assert len(built) == 64
+        digest = hashlib.sha256(Path(files["ks"]).read_bytes()).hexdigest()
+        assert digest == "a98157dc6fffe86b422d5c4043717e35cddce5b0ff78cf0b6677123d766e306c"
+        built.clear()
+        group = "user05,user17,user42,zz"
+        code, out, err = run(capsys, "derive", "--params", files["pp"], "--keystore", files["ks"],
+                             "--user", "user17", "--group", group)
+        assert code == 0, err
+        assert len(built) <= len(group.split(",")) and set(built) <= set(group.split(","))
+
+    def test_member_flow_known_answer(self, tmp_path, capsys, monkeypatch):
+        # setup, issue, derive, join and a broadcast round trip: stdout and every file written
+        monkeypatch.chdir(tmp_path)
+        pp, ks = ["--params", "pp.txt"], ["--keystore", "ks.tsv"]
+        fmt = ["--format", "line-record"]
+        Path("plain.bin").write_bytes(b"known answer")
+        steps = [["setup", *pp, "--msk", "msk.txt", "--security", "toy", "--toy-bits", "64",
+                  "--seed", "feed", *fmt]]
+        steps += [["issue", *pp, "--msk", "msk.txt", *ks, "--user", user, "--seed", seed,
+                   "--reveal", *fmt]
+                  for user, seed in (("alice", "01"), ("bob", "02"), ("carol", "03"),
+                                     ("dave", "04"))]
+        steps += [
+            ["derive", *pp, *ks, "--user", "bob", "--group", "alice,bob,dave",
+             "--write-group", "group.txt", "--reveal", *fmt],
+            ["join", *pp, *ks, "--user", "dave", "--group-file", "group.txt", "--new", "carol",
+             "--reveal", *fmt],
+            ["broadcast-encrypt", *pp, *ks, "--authorized", "alice,carol,dave", "--in",
+             "plain.bin", "--out", "msg.ct", "--seed", "aa", *fmt],
+            ["broadcast-decrypt", *pp, *ks, "--user", "carol", "--in", "msg.ct",
+             "--out", "opened.bin", *fmt],
+        ]
+        transcript = hashlib.sha256()
+        for argv in steps:
+            code, out, err = run(capsys, *argv)
+            assert (code, err) == (0, ""), argv
+            transcript.update(out.encode())
+        assert Path("opened.bin").read_bytes() == b"known answer"
+        for name in sorted(os.listdir(".")):
+            transcript.update(name.encode() + b"\0" + Path(name).read_bytes())
+        assert transcript.hexdigest() == (
+            "e11361139e6f46bd5770568ad3dafc3964fe92c40b6483e50a2537413e0ad14f"
+        )
+
+
 class TestValidateBadModulus:
     @pytest.mark.parametrize("n", [0, 1, 2, 714])
     def test_even_or_tiny_n_exits_1(self, tmp_path, capsys, n):

@@ -333,3 +333,52 @@ class TestKeystoreFiles:
             return
         kgc.store_save(loaded, path)
         assert artifact.read(path) == raw
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        edits=EDITS,
+        rows_only=st.booleans(),
+        named=st.lists(st.sampled_from(("a00", "a01", "é", "a02")), max_size=3),
+    )
+    def test_member_read_accepts_what_store_load_accepts(
+        self, toy64, tmp_path_factory, edits, rows_only, named
+    ):
+        pp, msk = toy64
+        store = kgc.new_keystore(pp)
+        for i, uid in enumerate(("a00", "a01", "é")):
+            kgc.keygen(pp, msk, store, uid, Rng(17 + i))
+        path = str(tmp_path_factory.getbasetemp() / "ks-member-read.tsv")
+        kgc.store_save(store, path)
+        raw = artifact.read(path)
+        # edits anywhere, or (to reach the rows more often) only after the header line
+        keep = raw.index(b"\n") + 1 if rows_only else 0
+        artifact.write(path, raw[:keep] + apply_edits(raw[keep:], edits))
+        try:
+            loaded = kgc.store_load(path, pp)
+        except (FormatError, ParamsMismatch) as exc:
+            with pytest.raises(type(exc)) as member:
+                kgc.load_pairs(path, pp, named)
+            assert type(member.value) is type(exc) and str(member.value) == str(exc)
+            return
+        unknown = [uid for uid in named if uid not in loaded.records]
+        if unknown:
+            with pytest.raises(UnknownUser) as member:
+                kgc.load_pairs(path, pp, named)
+            assert str(member.value) == str(UnknownUser(unknown[0]))
+        else:
+            assert kgc.load_pairs(path, pp, named) == {uid: loaded.records[uid] for uid in named}
+
+    def test_member_read_decodes_only_the_named_rows(
+        self, toy16, toy16_users, tmp_path, monkeypatch
+    ):
+        store, pairs = toy16_users
+        path = str(tmp_path / "ks.tsv")
+        kgc.store_save(store, path)
+        built = []
+        make = kgc.KeyPair
+        monkeypatch.setattr(kgc, "KeyPair", lambda *a: built.append(a[0]) or make(*a))
+        named = [pairs[2].user_id, pairs[0].user_id, pairs[2].user_id]
+        assert kgc.load_pairs(path, toy16[0], named) == {u: store.pair(u) for u in named}
+        assert sorted(built) == sorted(set(named))
+        with pytest.raises(UnknownUser):
+            kgc.load_pairs(path, toy16[0], [pairs[0].user_id, "nobody"])
