@@ -1,13 +1,13 @@
 """Broadcast encryption: one ciphertext, decryptable by an authorized set.
 
-The sender derives the NIKE group key of the authorized set (acting as
-its lexicographically first member), hashes it into an AEAD transport
-key, and encrypts the payload with AES-256-GCM.  A receiver derives the
-same key through `nike.held_key`: its pair keeps powers d**(2**(w*i)) of
-its own d (w = |N|), so d**E for the product E of the other members' keys
-is one two-base exponentiation d**lo * (d**(2**(w*t)))**hi split at about
-half of E's bits, and a pair that opens many ciphertexts does about half
-the squarings of `nike.shared_key`.  The header (format
+The sender derives the NIKE group key of the authorized set, as the issuer
+or as its first member (see `brod_encrypt`), hashes it into an AEAD
+transport key, and encrypts the payload with AES-256-GCM.  A receiver
+derives the same key through `nike.held_key`: its pair keeps powers
+d**(2**(w*i)) of its own d (w = |N|), so d**E for the product E of the
+other members' keys is one two-base exponentiation d**lo * (d**(2**(w*t)))**hi
+split at about half of E's bits, and a pair that opens many ciphertexts
+does about half the squarings of `nike.shared_key`.  The header (format
 version, parameter digest, sorted public-key list) doubles as the AEAD
 associated data, so tampering with the recipient set breaks the tag.
 
@@ -39,7 +39,6 @@ TRANSPORT_TAG = b"MPNIKE-BC1"
 NONCE_LEN = 12
 TAG_LEN = 16
 DIGEST_LEN = 32
-MEMO_SETS = 16
 
 
 @dataclass(frozen=True)
@@ -87,32 +86,6 @@ def _header_bytes(params_ref: str, authorized: tuple[int, ...]) -> bytes:
     )
 
 
-def _group_state(store: Keystore, pp: PublicParams, pairs: list[KeyPair]) -> nike.GroupKeyState:
-    """The group state of pairs, from the keystore's sender memo where it can be.
-
-    `store.derived` remembers the last `MEMO_SETS` group states derived
-    here, keyed by member set.  An exact hit is reused (no exponentiation);
-    otherwise the largest remembered subset grows by the missing members
-    with `nike.join` (one each), or on a miss the first pair derives the
-    state afresh (one per member but the first).  The result becomes the memo's
-    newest entry.  For honestly issued keys F_W is the same whichever
-    member derives it, so every path gives the same ciphertext.
-    """
-    members = frozenset(pair.e for pair in pairs)
-    memo = store.derived
-    state = memo.pop(members, None)
-    if state is None:
-        base = max((key for key in memo if key < members), key=len, default=None)
-        if base is None:
-            state = nike.shared_key(pp, pairs[0], [pair.e for pair in pairs[1:]])
-        else:
-            state = nike.join(pp, memo[base], *(pair.e for pair in pairs if pair.e not in base))
-    memo[members] = state
-    if len(memo) > MEMO_SETS:
-        del memo[next(iter(memo))]
-    return state
-
-
 def brod_encrypt(
     store: Keystore,
     pp: PublicParams,
@@ -122,9 +95,10 @@ def brod_encrypt(
 ) -> BroadcastCiphertext:
     """Encrypt message so exactly the named users can decrypt.
 
-    The group key comes from the keystore's memo of recent sets (see
-    `_group_state`) or else from the lexicographically first authorized
-    user's key pair; any member's view produces the same key.
+    A keystore `kgc.keygen` issued into sends as the issuer (`kgc.group_element`,
+    one CRT pair whatever |W| is); a loaded or wrapped one as the first authorized
+    user, through its d (`nike.shared_key`, one exponentiation per other member).
+    For honestly issued keys both give the same F_W, so the same ciphertext.
     """
     pairs = [store.pair(u) for u in sorted(set(authorized_ids))]
     if len(pairs) < 2:
@@ -132,14 +106,17 @@ def brod_encrypt(
     digest = params.params_digest(pp)
     if store.params_ref != digest:
         raise ParamsMismatch("keystore belongs to different parameters")
-    state = _group_state(store, pp, pairs)
-    key = _transport_key(state.K)
+    if store.issuer is None:
+        state = nike.shared_key(pp, pairs[0], [pair.e for pair in pairs[1:]])
+        members, group_key = state.members, state.K
+    else:
+        members = tuple(sorted(pair.e for pair in pairs))
+        group_key = nike.kdf(pp, kgc.group_element(pp, store.issuer, members))
+    key = _transport_key(group_key)
     nonce = rng.randbytes(NONCE_LEN)
-    aad = _header_bytes(digest, state.members)
+    aad = _header_bytes(digest, members)
     ct = AESGCM(key).encrypt(nonce, message, aad)
-    return BroadcastCiphertext(
-        params_ref=digest, authorized=state.members, nonce=nonce, ct=ct
-    )
+    return BroadcastCiphertext(params_ref=digest, authorized=members, nonce=nonce, ct=ct)
 
 
 def brod_decrypt(pp: PublicParams, my_pair: KeyPair, bc: BroadcastCiphertext) -> bytes:

@@ -141,7 +141,7 @@ def cmd_join(args: argparse.Namespace) -> int:
 def cmd_broadcast_encrypt(args: argparse.Namespace) -> int:
     pp = params.load_public(args.params)
     ids = _split_ids(args.authorized)
-    # a transient keystore of the authorized pairs, never saved: its sender memo starts empty
+    # a transient keystore of the authorized pairs, never saved: it sends through the first's d
     store = kgc.Keystore(params.params_digest(pp), kgc.load_pairs(args.keystore, pp, ids))
     message = artifact.read(args.infile)
     bc = broadcast.brod_encrypt(store, pp, ids, message, Rng(args.seed))

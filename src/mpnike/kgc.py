@@ -9,11 +9,12 @@ for fresh odd exponents y < z*q and k < p, so e < 2*p*z*q has at most
 m + 1 bits and (y, k) -> e is injective.  The hidden base h = g_p**(p^-1 mod
 z*q) has order z*q and only the issuer can compute it; as e = p*y (mod z*q),
 d = h**e = g_p**y = g**(p*y).  The audit of a pair is the same formula,
-h**e == d (mod N).  Both are computed by CRT, as g_p has order z mod p' and
-order q mod q'.  Since p, z, q, y, k are all odd, e is always even.  Even e
-does not stop collusion: two members' Bezout combination is h**c with
-c = gcd(e_i, e_j), and (h**c)**(prod e_W / c) is F_W whenever c divides
-prod e_W; `attacks` has the details.
+h**e == d (mod N), and a group's element h**(prod e_W) is `group_element`.
+All are computed by CRT, as g_p has order z mod p' and order q mod q'.
+Since p, z, q, y, k are all odd, e is always even.  Even e does not stop
+collusion: two members' Bezout combination is h**c with c = gcd(e_i, e_j),
+and (h**c)**(prod e_W / c) is F_W whenever c divides prod e_W; `attacks`
+has the details.
 """
 
 from __future__ import annotations
@@ -24,6 +25,7 @@ from typing import Iterable, Optional
 from . import artifact, numt
 from .errors import (
     CollisionBudgetExceeded,
+    DegenerateResult,
     DuplicateUser,
     FormatError,
     InvalidInput,
@@ -74,15 +76,15 @@ class Keystore:
 
     `records` is given (by `store_load`, or by a caller wrapping pairs from
     `load_pairs`) or filled by `keygen`; `issued_keys`, the index of issued
-    e, is built from it and kept in step by `keygen`.  `derived` is
-    the sender memo of `broadcast`, which sets its policy.  Neither index
-    nor memo takes part in equality or repr, and `store_save` writes neither.
+    e, is built from it and kept in step by `keygen`, which also sets `issuer`,
+    the master secret `broadcast` sends under (None in a loaded or wrapped
+    keystore).  Neither takes part in equality or repr; `store_save` writes neither.
     """
 
     params_ref: str
     records: dict[str, KeyPair] = field(default_factory=dict)
     issued_keys: set[int] = field(init=False, compare=False, repr=False)
-    derived: dict = field(default_factory=dict, init=False, compare=False, repr=False)
+    issuer: Optional[MasterSecret] = field(default=None, init=False, compare=False, repr=False)
 
     def __post_init__(self):
         self.issued_keys = {r.e for r in self.records.values()}
@@ -120,7 +122,10 @@ def _issuer_pow(pp: PublicParams, msk: MasterSecret, x: int) -> int:
     """
     if msk.p_prime * msk.q_prime != pp.N:
         raise ParamsMismatch("master secret belongs to different parameters")
-    x *= msk.p_inv
+    try:
+        x *= msk.p_inv
+    except ValueError:
+        raise InvalidInput("master secret is malformed: p is not invertible mod z*q") from None
     a = pow(pp.g_p, x % msk.z, msk.p_prime)
     b = pow(pp.g_p, x % msk.q, msk.q_prime)
     return b + msk.q_prime * ((a - b) * msk.q_prime_inv % msk.p_prime)
@@ -150,7 +155,24 @@ def keygen(
     pair = KeyPair(user_id, e, _issuer_pow(pp, msk, e))
     store.records[user_id] = pair
     store.issued_keys.add(e)
+    store.issuer = msk
     return pair
+
+
+def group_element(pp: PublicParams, msk: MasterSecret, es: Iterable[int]) -> int:
+    """F_W = h ** (product of the distinct es) mod N, from the master secret.
+
+    The product is reduced mod z*q, the order of h, so this is one CRT pair
+    of half-size pows whatever |W| is; `count_mod_exps` does not count it.
+    """
+    zq = msk.z * msk.q
+    x = 1
+    for e in set(es):
+        x = x * e % zq
+    F = _issuer_pow(pp, msk, x)
+    if F == 1:
+        raise DegenerateResult("group element collapsed to the identity")
+    return F
 
 
 def verify_pair(pp: PublicParams, msk: MasterSecret, e: int, d: int) -> bool:

@@ -107,7 +107,7 @@ def test_only_artifact_opens_files():
 
 
 def test_kgc_imports_nothing_from_the_layers_that_use_it():
-    # the keystore holds the sender memo of broadcast, but not its type or policy
+    # broadcast calls kgc.group_element and reads Keystore.issuer; kgc knows nothing of broadcast
     with open(os.path.join(SRC, "kgc.py"), encoding="utf-8") as fh:
         tree = ast.parse(fh.read())
     imported = set()

@@ -1,3 +1,5 @@
+import functools
+
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -6,6 +8,7 @@ from conftest import EDITS, apply_edits
 from mpnike import broadcast, kgc, nike, params
 from mpnike.errors import (
     AuthFailure,
+    DegenerateResult,
     FormatError,
     GroupTooSmall,
     NotAuthorized,
@@ -137,13 +140,28 @@ def roster():
     return broadcast.brod_setup(12, params.security_level("toy", 64), Rng(90))
 
 
+@functools.cache
+def _issued(bits, seed):
+    """A toy system whose keystore `keygen` issued into: user001 to user008."""
+    pp, _, store = broadcast.brod_setup(8, params.security_level("toy", bits), Rng(seed))
+    return pp, store
+
+
 def _ids(*numbers):
     return [f"user{i:03d}" for i in numbers]
 
 
-def _fresh(store):
-    """A keystore with the same records and nothing remembered."""
+def _wrapped(store):
+    """The same records in a keystore with no issuer, as the CLI builds one."""
     return kgc.Keystore(store.params_ref, dict(store.records))
+
+
+def _sent(store, pp, ids, seed):
+    """The bytes of an encryption to ids, or DegenerateResult when F_W is 1."""
+    try:
+        return broadcast.ct_to_bytes(broadcast.brod_encrypt(store, pp, ids, b"m", Rng(seed)))
+    except DegenerateResult:
+        return DegenerateResult
 
 
 def _encrypt_cost(store, pp, ids):
@@ -152,65 +170,35 @@ def _encrypt_cost(store, pp, ids):
     return counter.count
 
 
-_ROSTER_IDS = _ids(*range(1, 13))
-# prefixes of one roster order (nested, as a gateway's sets often are) or any subset
-_AUTHORIZED = st.one_of(
-    st.integers(2, 12).map(lambda n: _ROSTER_IDS[:n]),
-    st.sets(st.sampled_from(_ROSTER_IDS), min_size=2).map(sorted),
-)
-
-
-class TestKeystoreMemo:
+class TestIssuerPath:
+    @pytest.mark.parametrize("bits", [16, 64])
+    @example(seed=2, numbers={2, 6}, nonce=0)  # F_W = 1 at toy-16
     @settings(max_examples=60, deadline=None)
-    @given(sets=st.lists(_AUTHORIZED, min_size=1, max_size=12), seed=st.integers(0, 1 << 32))
-    def test_ciphertexts_equal_a_fresh_keystores(self, roster, sets, seed):
-        pp, _, issued = roster
-        store = _fresh(issued)
-        for i, ids in enumerate(sets):
-            got = broadcast.brod_encrypt(store, pp, ids, b"payload", Rng(seed + i))
-            want = broadcast.brod_encrypt(_fresh(issued), pp, ids, b"payload", Rng(seed + i))
-            assert broadcast.ct_to_bytes(got) == broadcast.ct_to_bytes(want)
-            assert len(store.derived) <= broadcast.MEMO_SETS
+    @given(
+        seed=st.integers(1, 29),
+        numbers=st.sets(st.integers(1, 8), min_size=2),
+        nonce=st.integers(0, 1 << 32),
+    )
+    def test_issuer_and_member_send_the_same_bytes(self, bits, seed, numbers, nonce):
+        pp, store = _issued(bits, seed)
+        ids = _ids(*numbers)
+        assert store.issuer is not None
+        assert _sent(store, pp, ids, nonce) == _sent(_wrapped(store), pp, ids, nonce)
+
+    def test_issuer_reads_no_members_d(self):
+        pp, _, store = broadcast.brod_setup(5, params.security_level("toy", 64), Rng(91))
+        true_pairs = dict(store.records)
+        for user_id, pair in true_pairs.items():
+            store.records[user_id] = kgc.KeyPair(user_id, pair.e, 2)
+        bc = broadcast.brod_encrypt(store, pp, sorted(true_pairs), b"m", Rng(92))
+        for pair in true_pairs.values():
+            assert broadcast.brod_decrypt(pp, pair, bc) == b"m"
 
     def test_exponentiation_counts(self, roster):
         pp, _, issued = roster
-        store = _fresh(issued)
-        assert _encrypt_cost(store, pp, _ids(1, 2, 3, 4)) == 3  # miss: |W| - 1
-        assert _encrypt_cost(store, pp, _ids(4, 3, 2, 1)) == 0  # exact repeat
-        assert _encrypt_cost(store, pp, _ids(1, 2, 3, 4, 5, 6, 7)) == 3  # 3 new members
-        assert _encrypt_cost(store, pp, _ids(1, 2, 3, 4, 5, 6, 7, 8)) == 1  # largest subset
-        assert _encrypt_cost(store, pp, _ids(1, 2, 3, 9, 10)) == 4  # no remembered subset
-        assert _encrypt_cost(store, pp, _ids(1, 2, 3)) == 2  # a subset is a miss too
-
-    def test_memo_keeps_the_newest_sets(self, roster):
-        pp, _, issued = roster
-        store = _fresh(issued)
-        sets = [frozenset(_ids(1, i)) for i in range(2, 13)]
-        sets += [frozenset(_ids(2, i)) for i in range(3, 13)]
-        for ids in sets:
-            broadcast.brod_encrypt(store, pp, ids, b"m", Rng(1))
-            assert len(store.derived) <= broadcast.MEMO_SETS
-        remembered = [frozenset(state.members) for state in store.derived.values()]
-        newest = [frozenset(store.pair(u).e for u in ids) for ids in sets[-broadcast.MEMO_SETS :]]
-        assert remembered == newest
-        # a hit makes its set the newest, so the oldest left is the one evicted next
-        broadcast.brod_encrypt(store, pp, sets[-broadcast.MEMO_SETS], b"m", Rng(1))
-        broadcast.brod_encrypt(store, pp, _ids(3, 4), b"m", Rng(1))
-        assert newest[0] in store.derived and newest[1] not in store.derived
-
-    def test_memo_is_not_part_of_the_keystore(self, roster, tmp_path):
-        pp, _, issued = roster
-        store = _fresh(issued)
-        before, after = str(tmp_path / "before.tsv"), str(tmp_path / "after.tsv")
-        kgc.store_save(store, before)
-        for n in range(2, 8):
-            broadcast.brod_encrypt(store, pp, _ROSTER_IDS[:n], b"m", Rng(n))
-        assert store.derived
-        kgc.store_save(store, after)
-        with open(before, "rb") as fh_before, open(after, "rb") as fh_after:
-            assert fh_before.read() == fh_after.read()
-        assert store == _fresh(issued) == kgc.store_load(after, pp)
-        assert repr(store) == repr(_fresh(issued))
+        for ids in (_ids(1, 2), _ids(4, 3, 2, 1), _ids(*range(1, 13))):
+            assert _encrypt_cost(_wrapped(issued), pp, ids) == len(ids) - 1
+            assert _encrypt_cost(issued, pp, ids) == 0
 
 
 class TestWireFormat:

@@ -5,6 +5,7 @@ import io
 import itertools
 import os
 import re
+import shlex
 import shutil
 import subprocess
 import sys
@@ -416,7 +417,8 @@ class TestKeystoreFile:
 
 
 class TestParseErrorsHideValues:
-    """A bad hex field is named by file, line and field; its value is never printed."""
+    """A bad hex field is named by file, line and field, and a master secret that
+    parses but cannot issue by what is wrong with it; no value is ever printed."""
 
     def test_derive_on_keystore_with_leading_zero_d(self, tmp_path, capsys):
         files = _setup(capsys, tmp_path, "64")
@@ -445,6 +447,27 @@ class TestParseErrorsHideValues:
         assert f"error[FormatError]: {files['msk']}:9: z is not canonical lowercase hex" in err
         assert z_hex not in out + err
         assert "Traceback" not in err
+
+    def test_issue_on_master_with_p_equal_to_z(self, tmp_path, capsys):
+        # p' * q' still equals n, so only p's missing inverse mod z*q shows the fault
+        files = {"pp": str(tmp_path / "pp.txt"), "msk": str(tmp_path / "msk.txt")}
+        code, _, _ = run(capsys, "setup", "--security", "toy", "--toy-bits", "64", "--seed", "1",
+                         "--params", files["pp"], "--msk", files["msk"])
+        assert code == 0
+        text = Path(files["msk"]).read_text()
+        values = dict(re.findall(r"^(\w+) = (.*)$", text, re.M))
+        Path(files["msk"]).write_text(re.sub(r"^p = .*$", f"p = {values['z']}", text, flags=re.M))
+        code, out, err = run(
+            capsys,
+            "issue", "--params", files["pp"], "--msk", files["msk"],
+            "--keystore", str(tmp_path / "ks.tsv"), "--user", "alice", "--seed", "01",
+        )
+        assert code == 1
+        assert re.fullmatch(r"error\[InvalidInput\]: [^\n]*\n", err)
+        for name in ("p", "z", "q", "g", "p_prime", "q_prime"):
+            assert values[name] not in out + err
+            assert str(int(values[name], 16)) not in out + err
+        assert not os.path.exists(tmp_path / "ks.tsv")
 
 
 @pytest.fixture(scope="module")
@@ -718,6 +741,55 @@ class TestHygiene:
 
 _COMMANDS = cli._commands().run
 _SCHEMES = _COMMANDS["attack"].run
+
+
+def _walkthrough() -> list[list]:
+    """The README's CLI walkthrough as [argv, expected output lines, exit code] steps.
+
+    In a sh block each `mpnike` line is a step and the `#   ` lines under it
+    show its output, with "(exit 1)" on a failing one; an `echo "text" > file`
+    line is a step that writes the file.  An untagged block
+    after a sh block shows more output of that block's last step.  "..." in an
+    expected line stands for the rest of a value.
+    """
+    section = _readme().split("## CLI walkthrough", 1)[1].split("\n## ", 1)[0]
+    steps: list[list] = []
+    for lang, body in re.findall(r"^```(\w*)\n(.*?)^```", section, re.M | re.S):
+        if not lang:
+            if not body.startswith("$ "):  # a `$` block shows a usage error, not a step
+                steps[-1][1].extend(body.splitlines())
+            continue
+        for line in body.replace("\\\n", " ").splitlines():
+            if line.startswith(("mpnike ", "echo ")):
+                steps.append([shlex.split(line, comments=True), [], 0])
+            elif line.startswith("#   "):
+                expected, exit_code = re.fullmatch(r"#   (.*?)(?:  \(exit (\d)\))?", line).groups()
+                steps[-1][1].append(expected)
+                if exit_code:
+                    steps[-1][2] = int(exit_code)
+    return steps
+
+
+def test_readme_walkthrough_prints_what_the_readme_shows(tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    steps = _walkthrough()
+    shown = [line.split(":")[0] for _, expected, _ in steps for line in expected]
+    for key in ("key_fingerprint", "consistent", "error[NotAuthorized]", "gcd", "forged_key",
+                "honest_key", "verdict"):
+        assert key in shown
+    for argv, expected, exit_code in steps:
+        if argv[0] == "echo":
+            _, text, redirect, name = argv
+            assert redirect == ">"
+            Path(name).write_text(text + "\n")
+            continue
+        code, out, err = run(capsys, *argv[1:])
+        assert code == exit_code, argv
+        printed = (out + err).splitlines()
+        for line in expected:
+            pattern = ".*?".join(map(re.escape, line.split("...")))
+            assert any(re.fullmatch(pattern, got) for got in printed), (argv, line)
+    assert Path("out.txt").read_text() == Path("msg.txt").read_text()
 
 
 def _readme() -> str:

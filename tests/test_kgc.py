@@ -1,3 +1,4 @@
+import dataclasses
 import math
 from itertools import repeat
 
@@ -6,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import EDITS, ScriptedRng, apply_edits, issuing
-from mpnike import artifact, kgc, params
+from mpnike import artifact, kgc, nike, numt, params
 from mpnike.errors import (
     CollisionBudgetExceeded,
     DuplicateUser,
@@ -15,9 +16,9 @@ from mpnike.errors import (
     ParamsMismatch,
     UnknownUser,
 )
-from mpnike.numt import Rng
+from mpnike.numt import Rng, count_mod_exps
 
-from oracles import issuance_exponents, slow_pow
+from oracles import closed_form_group_element, issuance_exponents, slow_pow
 
 
 class TestKeygen:
@@ -207,6 +208,31 @@ class TestIssuerCrt:
         with pytest.raises(ParamsMismatch):
             kgc.verify_pair(pp, other, pair.e, pair.d)
 
+    def test_p_without_inverse_mod_zq_is_an_error(self, toy64, toy64_users):
+        # p = z keeps p' * q' == N, so only the inverse of p mod z*q can catch it
+        pp, msk = toy64
+        broken = dataclasses.replace(msk, p=msk.z)
+        store = kgc.new_keystore(pp)
+        with pytest.raises(InvalidInput, match="malformed"):
+            kgc.keygen(pp, broken, store, "alice", Rng(24))
+        assert not store.records and store.issuer is None
+        _, pairs = toy64_users
+        with pytest.raises(InvalidInput, match="malformed"):
+            kgc.group_element(pp, broken, [p.e for p in pairs[:3]])
+
+    @pytest.mark.parametrize("level", ["toy64", "big1024"])
+    def test_group_element_is_the_closed_form(self, request, level):
+        pp, msk = request.getfixturevalue(level)
+        _, pairs = request.getfixturevalue(f"{level}_users")
+        for members in (pairs[:2], pairs[:5], pairs):
+            es = [p.e for p in members]
+            with count_mod_exps() as counter:
+                F = kgc.group_element(pp, msk, es + es[:1])  # a repeated e counts once
+            assert counter.count == 0
+            ys = [issuance_exponents(msk, e)[0] for e in es]
+            assert F == closed_form_group_element(msk, pp.N, ys)
+            assert F == nike.shared_key(pp, members[0], es[1:]).F
+
 
 class TestKeystoreFiles:
     def test_roundtrip(self, toy16, tmp_path):
@@ -244,6 +270,24 @@ class TestKeystoreFiles:
         kgc.store_save(store, str(tmp_path / "after"))
         assert (tmp_path / "after").read_bytes() == (tmp_path / "before").read_bytes()
         assert kgc.store_load(str(tmp_path / "after"), pp).pair("u0").powers is None
+
+    def test_issuer_is_not_part_of_the_keystore(self, toy64, tmp_path):
+        pp, msk = toy64
+        store = kgc.new_keystore(pp)
+        for i in range(4):
+            kgc.keygen(pp, msk, store, f"u{i}", Rng(i))
+        wrapped = kgc.Keystore(store.params_ref, dict(store.records))
+        assert store.issuer is msk and wrapped.issuer is None
+        kgc.store_save(store, str(tmp_path / "issued"))
+        kgc.store_save(wrapped, str(tmp_path / "wrapped"))
+        assert (tmp_path / "issued").read_bytes() == (tmp_path / "wrapped").read_bytes()
+        loaded = kgc.store_load(str(tmp_path / "issued"), pp)
+        assert store == loaded and loaded.issuer is None
+        # the master secret's own repr prints p' and q', the factors of N
+        assert str(msk.p_prime) in repr(msk)
+        for factor in (msk.p_prime, msk.q_prime):
+            assert str(factor) not in repr(store) and numt.int_to_hex(factor) not in repr(store)
+        assert repr(store) == repr(wrapped)
 
     def test_pair_lookup(self, toy16_users):
         store, pairs = toy16_users
