@@ -1,4 +1,4 @@
-"""Collusion attacks on the legacy schemes, plus a probe of the main one.
+"""Collusion attacks on the legacy schemes and on the main one.
 
 All three follow the same Euclidean recipe: two colluders with public
 exponents e_i, e_j compute Bezout coefficients and combine their private
@@ -11,19 +11,18 @@ values so the unknown exponents cancel.
  * Main scheme: every private key is d = h**e for the issuer's hidden
    base h, and F_W = h**(prod e_W).  Every issued e is even, so
    gcd(e_i, e_j) = c >= 2 and the combination reaches h**c, which passes
-   the issuer's audit as the pair (c, h**c).  The probe raises h**c to
-   prod e_W and so reaches F_W**c, not F_W.  But raising it to
-   prod e_W / c gives F_W exactly whenever c divides prod e_W, and since
-   every e is even, c = 2 is common: two colluders then forge the key of
-   any group.  The break is this repository's own finding against its own
-   implementation of the scheme.
+   the issuer's audit as the pair (c, h**c).  Raised to prod e_W (the
+   probe) it reaches only F_W**c; `forge_by_division` raises it to
+   prod e_W / c, which is F_W whenever c divides prod e_W.  Every e is
+   even, so c = 2 is common: two colluders forge the key of any group.
+   This is the repository's own finding against its own implementation.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import gcd
-from typing import Iterable, Sequence
+from math import gcd, prod
+from typing import Iterable, Optional, Sequence
 
 from . import kgc, nike, numt
 from .errors import InvalidInput, NotCoprime
@@ -47,6 +46,13 @@ def collude(N: int, e_i: int, d_i: int, e_j: int, d_j: int) -> tuple[int, int, i
     """
     c, a, b = bezout_pos(e_i, e_j)
     return c, a, b, numt.mod_exp(d_i, a, N) * numt.mod_exp(d_j, -b, N) % N
+
+
+def forge_by_division(N: int, c: int, hc: int, target_es: Iterable[int]) -> Optional[int]:
+    """hc**(prod e_W / c) mod N over the distinct target_es in one counted `mod_exp`, or
+    None when c does not divide that product; for `collude`'s hc = h**c it is F_W."""
+    product = prod(set(target_es))
+    return None if product % c else numt.mod_exp(hc, product // c, N)
 
 
 def fiat_naor_recover_g(N: int, e_i: int, d_i: int, e_j: int, d_j: int) -> int:
@@ -126,8 +132,8 @@ def proposed_scheme_attack_probe(
     product of target_es.  The combined pair passes the issuer audit
     (kgc.verify_pair under msk), and the forged key, from F**c, fails to
     match honest_key, since c >= 2 for honestly issued keys.  This
-    pipeline does not divide by c: when c divides the product of target_es,
-    combined_d ** (product / c) is the honest F itself.
+    pipeline does not divide by c; `forge_by_division` does, and gives the
+    honest F itself whenever c divides the product of target_es.
     """
     if len(pairs) < 2:
         raise InvalidInput("need at least two colluding key pairs")

@@ -18,6 +18,7 @@ from .errors import InvalidInput, MpnikeError, ParamsMismatch
 from .numt import Rng
 
 _FP_TAG = b"MPNIKE-FP"
+MAX_COLLUDERS = 4  # `attack collude` adds colluders up to this many until c divides prod e_W
 
 
 def _emit(args: argparse.Namespace, items: list[tuple[str, str]]):
@@ -45,12 +46,12 @@ def _member_view(
     Every keystore row is checked; only the pairs of --user, the --group ids
     and `named` are decoded.
     """
-    pp = params.load_public(args.params)
-    group_ids = _split_ids(args.group) if args.group and not args.group_file else []
-    pairs = kgc.load_pairs(args.keystore, pp, [args.user, *group_ids, *named])
-    pair = pairs[args.user]
     if bool(args.group) == bool(args.group_file):
         raise InvalidInput("supply exactly one of --group / --group-file")
+    group_ids = [] if args.group_file else _split_ids(args.group)
+    pp = params.load_public(args.params)
+    pairs = kgc.load_pairs(args.keystore, pp, [args.user, *group_ids, *named])
+    pair = pairs[args.user]
     if args.group_file:
         members = nike.load_group(args.group_file, pp)
     else:
@@ -179,10 +180,10 @@ def cmd_validate(args: argparse.Namespace) -> int:
     return 0 if report.ok else 1
 
 
-def _attack_report(args, scheme, n, e_i, e_j, details, forged, honest, match, expected=True):
+def _attack_report(args, scheme, n, e_i, e_j, details, forged, honest, match):
     """Print one attack transcript, the same shape for every scheme: the scheme, n and the
     colluders' e; the scheme's own details rows; the forged and honest keys and the verdict.
-    Returns the exit code: 0 when match is what the demonstration expects."""
+    Returns the exit code: 0 on MATCH, 1 otherwise."""
 
     def row(key: str, value) -> tuple[str, str]:
         return key, value.hex() if isinstance(value, bytes) else numt.int_to_hex(value)
@@ -190,7 +191,7 @@ def _attack_report(args, scheme, n, e_i, e_j, details, forged, honest, match, ex
     head = [("scheme", scheme), row("n", n), row("colluder_e_i", e_i), row("colluder_e_j", e_j)]
     tail = [row("forged_key", forged), row("honest_key", honest)]
     _emit(args, head + details + tail + [("verdict", "MATCH" if match else "NO-MATCH")])
-    return 0 if match == expected else 1
+    return 0 if match else 1
 
 
 def _attack_fiatnaor(args: argparse.Namespace) -> int:
@@ -228,20 +229,28 @@ def _attack_eskeland(args: argparse.Namespace) -> int:
                           forged == honest)
 
 
-def _attack_probe(args: argparse.Namespace) -> int:
+def _attack_collude(args: argparse.Namespace) -> int:
     rng = Rng(args.seed)
     pp, msk = params.setup(_level(args), rng)
     store = kgc.new_keystore(pp)
-    colluders = [kgc.keygen(pp, msk, store, f"colluder{i}", rng) for i in (1, 2)]
-    targets = [kgc.keygen(pp, msk, store, f"target{i}", rng) for i in range(args.group_size)]
+    i, j = (kgc.keygen(pp, msk, store, f"colluder{k}", rng) for k in (1, 2))
+    targets = [kgc.keygen(pp, msk, store, f"target{k}", rng) for k in range(args.group_size)]
     target_es = [t.e for t in targets]
     honest = nike.shared_key(pp, targets[0], target_es[1:])
-    report = attacks.proposed_scheme_attack_probe(pp, msk, colluders, target_es, honest.K)
-    details = [("gcd", str(report.gcd)), ("bezout_a", str(report.a)), ("bezout_b", str(report.b)),
-               ("combined_passes_audit", "yes" if report.combined_passes_audit else "no")]
-    # the expected outcome of this pipeline, which does not divide by gcd, is NO-MATCH
-    return _attack_report(args, "main", pp.N, report.e_i, report.e_j, details, report.forged_K,
-                          honest.K, report.matches_honest, expected=False)
+    c, _, _, hc = attacks.collude(pp.N, i.e, i.d, j.e, j.d)
+    colluders, F = 2, attacks.forge_by_division(pp.N, c, hc, target_es)
+    while F is None and colluders < MAX_COLLUDERS:
+        colluders += 1
+        more = kgc.keygen(pp, msk, store, f"colluder{colluders}", rng)
+        c, _, _, hc = attacks.collude(pp.N, c, hc, more.e, more.d)
+        F = attacks.forge_by_division(pp.N, c, hc, target_es)
+    if F is None:  # without the division the colluders reach only F**c
+        F = numt.exp_chain(hc, target_es, pp.N)
+    forged = nike.kdf(pp, F)
+    details = [("gcd", str(c)), ("colluders", str(colluders)),
+               ("combined_passes_audit", "yes" if kgc.verify_pair(pp, msk, c, hc) else "no")]
+    return _attack_report(args, "main", pp.N, i.e, j.e, details, forged, honest.K,
+                          forged == honest.K)
 
 
 def _hex(raw: str) -> int:
@@ -305,8 +314,8 @@ def _commands() -> Command:
         "fiatnaor": Command("break Fiat-Naor", _attack_fiatnaor, "--seed", "--bits", bits=24),
         "eskeland": Command("break Eskeland", _attack_eskeland, "--seed", "--bits", "--group-size",
                             bits=64),
-        "probe": Command("probe the main scheme", _attack_probe, "--seed", "--security",
-                         "--toy-bits", "--group-size", security="toy", toy_default=64),
+        "collude": Command("break the main scheme", _attack_collude, "--seed", "--security",
+                           "--toy-bits", "--group-size", security="toy", toy_default=64),
     }
     return Command("Multi-party non-interactive key exchange toolkit", {
         "setup": Command("generate parameters", cmd_setup, "--seed", "--params", "--security",

@@ -15,8 +15,10 @@ interpreter's `_hashlib` extension already links (`BN_mod_exp`, and
 `BN_mod_exp2_mont` for `fixed_base_chain`'s two-base step), and on the
 builtin `pow` where that library cannot be loaded (no `_hashlib`, or its
 symbols are not exported, as on Windows).  Both give the same value, and
-`count_mod_exps` counts one call either way.  Only the issuer
-(`kgc._issuer_pow`) keeps the builtin `pow`; its docstring says why.
+`count_mod_exps` counts one call either way.  The issuer
+(`kgc._issuer_pow`) keeps the builtin `pow`; its docstring says why.  So do
+the legacy schemes' `fn_keygen` and `_max_order_unit`: at their 24-64-bit
+moduli the builtin beats a native call's fixed cost of about 20 us.
 """
 
 from __future__ import annotations

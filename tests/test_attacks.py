@@ -64,6 +64,45 @@ class TestCollude:
         assert kgc.verify_pair(pp, msk, c3, hc3)
 
 
+class TestForgeByDivision:
+    def test_worked_instance(self):
+        # h = 2 mod 35, c = 2: (2**2)**(3*6 / 2) = 2**18 = 29, one counted mod_exp
+        with numt.count_mod_exps() as counter:
+            assert attacks.forge_by_division(35, 2, 4, [3, 6]) == pow(2, 18, 35) == 29
+        assert counter.count == 1
+
+    def test_none_when_c_does_not_divide(self):
+        # 4 does not divide 3*6 = 18: no exponentiation at all
+        with numt.count_mod_exps() as counter:
+            assert attacks.forge_by_division(35, 4, 16, [3, 6]) is None
+        assert counter.count == 0
+
+    def test_repeated_target_counted_once(self):
+        # a group's product runs over its distinct e, as exp_chain's does: 3*6 = 18, not
+        # 324, and 4 divides 6*6 but not 6
+        assert attacks.forge_by_division(35, 2, 4, [3, 6, 6, 3]) == 29
+        assert attacks.forge_by_division(35, 4, 16, [6, 6]) is None
+
+    def test_equals_the_closed_form_element(self, toy64, toy64_users):
+        pp, msk = toy64
+        _, pairs = toy64_users
+        colluders, targets = pairs[:4], pairs[4:8]
+        forged = 0
+        for i, pair_i in enumerate(colluders):
+            for pair_j in colluders[i + 1 :]:
+                c, _, _, hc = attacks.collude(pp.N, pair_i.e, pair_i.d, pair_j.e, pair_j.d)
+                for size in (2, 3, 4):
+                    target_es = [t.e for t in targets[:size]]
+                    F = attacks.forge_by_division(pp.N, c, hc, target_es)
+                    if F is None:
+                        assert math.prod(target_es) % c
+                        continue
+                    ys = [issuance_exponents(msk, e)[0] for e in target_es]
+                    assert F == closed_form_group_element(msk, pp.N, ys)
+                    forged += 1
+        assert forged > 0
+
+
 class TestFiatNaorAttack:
     def test_worked_instance(self):
         # colluders hold (5, 2^5) and (7, 2^7) mod 35; master g = 2
@@ -229,10 +268,9 @@ class TestDivisionForgery:
                 continue
             report = attacks.proposed_scheme_attack_probe(pp, msk, colluders, target_es, honest.K)
             trials += 1
-            prod = math.prod(target_es)
-            if prod % report.gcd:
+            F = attacks.forge_by_division(pp.N, report.gcd, report.combined_d, target_es)
+            if F is None:
                 continue
-            F = pow(report.combined_d, prod // report.gcd, pp.N)
             ys = [issuance_exponents(msk, e)[0] for e in target_es]
             assert F == honest.F == closed_form_group_element(msk, pp.N, ys)
             forged += 1
@@ -245,15 +283,15 @@ class TestDivisionForgery:
         authorized, outsiders = pairs[:5], pairs[5:]
         payload = b"for the authorized set only"
         bc = broadcast.brod_encrypt(store, pp, [p.user_id for p in authorized], payload, rng)
-        prod = math.prod(bc.authorized)
         opened = 0
         for i, pair_i in enumerate(outsiders):
             for pair_j in outsiders[i + 1 :]:
                 # the outsiders' own pairs combine to h**c, c = gcd(e_i, e_j)
                 c, _, _, hc = attacks.collude(pp.N, pair_i.e, pair_i.d, pair_j.e, pair_j.d)
-                if prod % c:
+                F = attacks.forge_by_division(pp.N, c, hc, bc.authorized)
+                if F is None:
                     continue
-                key = broadcast._transport_key(nike.kdf(pp, pow(hc, prod // c, pp.N)))
+                key = broadcast._transport_key(nike.kdf(pp, F))
                 aad = broadcast._header_bytes(bc.params_ref, bc.authorized)
                 assert AESGCM(key).decrypt(bc.nonce, bc.ct, aad) == payload
                 opened += 1

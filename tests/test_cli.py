@@ -263,15 +263,38 @@ class TestAttacks:
         assert record["verdict"] == "MATCH"
         assert record["u_prime_matches_u_mod_phi"] == "yes"
 
-    def test_probe(self, capsys):
+    @pytest.mark.parametrize(
+        "level", [["--security", "toy"], ["--security", "80"]], ids=["toy-64", "level-80"]
+    )
+    def test_collude(self, capsys, level):
         code, out, _ = run(
-            capsys, "attack", "probe", "--seed", "07", "--format", "line-record"
+            capsys, "attack", "collude", *level, "--seed", "07", "--format", "line-record"
         )
         assert code == 0
         record = kv(out)
-        assert record["verdict"] == "NO-MATCH"
+        assert record["verdict"] == "MATCH"
+        assert record["forged_key"] == record["honest_key"]
+        assert (record["gcd"], record["colluders"], record["combined_passes_audit"]) == (
+            "2", "2", "yes")
+
+    # at seed 17 the first two colluders' c does not divide the targets' product
+    @pytest.mark.parametrize(
+        "cap, code, colluders, verdict", [(4, 0, "3", "MATCH"), (2, 1, "2", "NO-MATCH")]
+    )
+    def test_collude_adds_colluders_up_to_the_cap(self, capsys, monkeypatch, cap, code,
+                                                  colluders, verdict):
+        monkeypatch.setattr(cli, "MAX_COLLUDERS", cap)
+        got, out, _ = run(capsys, "attack", "collude", "--seed", "17", "--format", "line-record")
+        record = kv(out)
+        assert (got, record["colluders"], record["verdict"]) == (code, colluders, verdict)
+        assert (record["forged_key"] == record["honest_key"]) == (verdict == "MATCH")
         assert record["combined_passes_audit"] == "yes"
-        assert int(record["gcd"]) >= 2
+
+    def test_removed_probe_is_a_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["attack", "probe", "--seed", "07"])
+        assert exc.value.code == 2
+        assert "invalid choice: 'probe'" in capsys.readouterr().err
 
     # SHA-256 of stdout and the exit code of `mpnike attack <scheme> --seed 07`:
     # every transcript row and exit code stays as it is
@@ -286,10 +309,10 @@ class TestAttacks:
              "ad8e1d34d8299e838d8f75cfe6c33c064bbc6eaf11a4005d50f507518b0644ad"),
             ("eskeland", "line-record", 0,
              "b779d90138e1cd514ebbaf8dc9a4bc67439a058a2791f308046f2e3ab678c78b"),
-            ("probe", "text", 0,
-             "0a65e04c0302fb637cedb1141853f944c8c32bdc6ae532ae61e8a90a2f11277d"),
-            ("probe", "line-record", 0,
-             "6efb1041b18ef7ea40f5fa7a0f54ea675d85f6dbba17f2212c066f517f373f98"),
+            ("collude", "text", 0,
+             "e985908b493862d5efb7955e5e6aa6c4aadbe3cc09522d8e1352b266250f6fc1"),
+            ("collude", "line-record", 0,
+             "7dc73ff3a0d73eb7429e6f1eb274dbbfd91f89c445f4ba019f0c4d23443c663b"),
         ],
     )
     def test_transcript_known_answer(self, capsys, scheme, fmt, code, digest):
@@ -300,8 +323,8 @@ class TestAttacks:
 class TestSecurityLevel:
     @pytest.mark.parametrize(
         "argv",
-        [["setup", "--params", "pp.txt", "--msk", "msk.txt"], ["attack", "probe"]],
-        ids=["setup", "probe"],
+        [["setup", "--params", "pp.txt", "--msk", "msk.txt"], ["attack", "collude"]],
+        ids=["setup", "collude"],
     )
     def test_toy_bits_with_a_named_level_is_an_error(self, tmp_path, capsys, monkeypatch, argv):
         monkeypatch.chdir(tmp_path)
@@ -672,6 +695,16 @@ class TestHygiene:
         assert code == 1
         assert "error[InvalidInput]: empty id list" in err
 
+    @pytest.mark.parametrize("command", [["derive"], ["join", "--new", "b"]], ids=" ".join)
+    @pytest.mark.parametrize("groups", [[], ["--group", "a,b", "--group-file", "g.txt"]],
+                             ids=["neither", "both"])
+    def test_group_flags_checked_before_any_file(self, tmp_path, capsys, command, groups):
+        # no parameter file or keystore exists: the option fault is reported, not a read error
+        code, out, err = run(capsys, *command, "--params", str(tmp_path / "pp.txt"),
+                             "--keystore", str(tmp_path / "ks.tsv"), "--user", "a", *groups)
+        assert (code, out) == (1, "")
+        assert err == "error[InvalidInput]: supply exactly one of --group / --group-file\n"
+
     def test_no_master_secrets_leak(self, tmp_path, capsys):
         # 64-bit system so secret values are long enough that substring
         # collisions are implausible
@@ -733,10 +766,18 @@ class TestHygiene:
         assert named == set(_SCHEMES)
 
     def test_readme_attack_table_lists_each_schemes_options(self):
+        # the same schemes with the same options, and each "(default x)" the parser's own
         table = _readme().split("| scheme | options |\n", 1)[1].split("\n\n", 1)[0]
         rows = re.findall(r"^\| `([a-z]+)` \| (.*) \|$", table, re.M)
-        listed = {name: set(re.findall(r"`(--[a-z-]+)`", cell)) for name, cell in rows}
-        assert listed == {name: set(s.options) for name, s in _SCHEMES.items()}
+        option = r"`(--[a-z-]+)`(?: \([^)]*?default `?(\w+)`?\))?"
+        listed = {name: dict(re.findall(option, cell)) for name, cell in rows}
+        parsed = {}
+        for name, scheme in _SCHEMES.items():
+            args = cli._parse("mpnike", cli._commands(), ["attack", name], "command")
+            args.toy_bits = getattr(args, "toy_default", None)  # --toy-bits shows toy's default
+            defaults = {flag: getattr(args, flag[2:].replace("-", "_")) for flag in scheme.options}
+            parsed[name] = {flag: "" if v is None else str(v) for flag, v in defaults.items()}
+        assert listed == parsed
 
 
 _COMMANDS = cli._commands().run
@@ -801,7 +842,7 @@ def _readme() -> str:
 @pytest.mark.parametrize(
     "argv, prog, bad",
     [
-        (["attack", "probe", "--bits", "64"], "mpnike attack probe", "--bits"),
+        (["attack", "collude", "--bits", "64"], "mpnike attack collude", "--bits"),
         (["validate", "--params", "x", "--msk", "y", "--bogus"], "mpnike validate", "--bogus"),
         (
             ["derive", "--params", "x", "--keystore", "y", "--user", "a", "--bogus"],
@@ -881,13 +922,13 @@ def _bad(*argv, message=None):
     "argv, message",
     [
         _bad("attack", "fiatnaor", "--seed", "zz", message="--seed: not a hex number: 'zz'"),
-        _bad("attack", "probe", "--group-size", "0"),
-        _bad("attack", "probe", "--group-size", "-1"),
+        _bad("attack", "collude", "--group-size", "0"),
+        _bad("attack", "collude", "--group-size", "-1"),
         _bad("attack", "eskeland", "--group-size", "0"),
         # more targets than there are 17-bit primes
         _bad("attack", "eskeland", "--group-size", "6000", message="error[ExhaustedAttempts]"),
         # options of another scheme
-        _bad("attack", "probe", "--bits", "64"),
+        _bad("attack", "collude", "--bits", "64"),
         _bad("attack", "fiatnaor", "--group-size", "5"),
         _bad("attack", "fiatnaor", "--security", "80"),
         _bad("attack", "eskeland", "--toy-bits", "32"),
@@ -897,11 +938,11 @@ def _bad(*argv, message=None):
         # a custom type names the input it expects, not its Python function
         _bad("setup", "--seed", "0x", message="--seed: not a hex number: '0x'"),
         _bad("attack", "eskeland", "--seed", "", message="--seed: not a hex number: ''"),
-        _bad("attack", "probe", "--group-size", "x", message="--group-size: not an integer: 'x'"),
+        _bad("attack", "collude", "--group-size", "x", message="--group-size: not an integer: 'x'"),
         _bad("attack", "eskeland", "--group-size", "2.5", message="not an integer: '2.5'"),
         # a seed is written one way: lowercase hex digits, leading zeros allowed
         _bad("attack", "fiatnaor", "--seed", "0x05", message="--seed: not a hex number: '0x05'"),
-        _bad("attack", "probe", "--seed", " 5", message="--seed: not a hex number: ' 5'"),
+        _bad("attack", "collude", "--seed", " 5", message="--seed: not a hex number: ' 5'"),
         _bad("setup", "--seed", "0_5", message="--seed: not a hex number: '0_5'"),
         _bad("attack", "eskeland", "--seed=-5", message="--seed: not a hex number: '-5'"),
     ],
