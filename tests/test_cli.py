@@ -1007,8 +1007,12 @@ def fuzz_home(tmp_path_factory):
     files = {name: str(d / name) for name in _FILES if name}
     issuer = ["--params", files["pp.txt"], "--msk", files["msk.txt"]]
     assert main(["setup", "--security", "toy", "--toy-bits", "16", "--seed", "5", *issuer]) == 0
-    for user in ("alice", "bob", "carol"):
-        assert main(["issue", *issuer, "--keystore", files["ks.tsv"], "--user", user]) == 0
+    # seeded: on a 16-bit modulus some rosters give a degenerate group key,
+    # which derive refuses by design (exit 1, DegenerateResult; README,
+    # Security notes); unseeded, about one workspace in a hundred hit one
+    for seed, user in enumerate(("alice", "bob", "carol"), 1):
+        argv = ["issue", *issuer, "--keystore", files["ks.tsv"], "--user", user]
+        assert main([*argv, "--seed", f"{seed}"]) == 0
     member = ["--params", files["pp.txt"], "--keystore", files["ks.tsv"]]
     argv = ["derive", *member, "--user", "alice", "--group", "alice,bob"]
     assert main(argv + ["--write-group", files["group.txt"]]) == 0
