@@ -11,22 +11,27 @@ values so the unknown exponents cancel.
  * Main scheme: every private key is d = h**e for the issuer's hidden
    base h, and F_W = h**(prod e_W).  Every issued e is even, so
    gcd(e_i, e_j) = c >= 2 and the combination reaches h**c, which passes
-   the issuer's audit as the pair (c, h**c).  Raised to prod e_W (the
-   probe) it reaches only F_W**c; `forge_by_division` raises it to
-   prod e_W / c, which is F_W whenever c divides prod e_W.  Every e is
-   even, so c = 2 is common: two colluders forge the key of any group.
-   This is the repository's own finding against its own implementation.
+   the issuer's audit as the pair (c, h**c).  Raised to prod e_W it
+   reaches only F_W**c; `forge_by_division` raises it to prod e_W / c,
+   which is F_W whenever c divides prod e_W.  Every e is even, so c = 2
+   is common: two colluders forge the key of any group.
+
+The paper rests the main scheme on the hardness of root extraction modulo
+a composite.  That assumption stops applying exactly when c divides
+prod e_W: the forgery then takes no root at all.  Every e is even, so any
+power of 2 in c up to 2**|W| divides; the colluders need a root only when
+c has a factor that no target e supplies, and one more colluder often
+removes it.  This is the repository's own finding against its own
+implementation.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import gcd, prod
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Optional
 
-from . import kgc, nike, numt
+from . import numt
 from .errors import InvalidInput, NotCoprime
-from .params import MasterSecret, PublicParams
 
 
 def bezout_pos(x: int, y: int) -> tuple[int, int, int]:
@@ -100,56 +105,3 @@ def eskeland_forge_group_key(
     residues mod phi(N) survive.
     """
     return numt.exp_chain(numt.mod_exp(g, u_prime, N), target_es, N)
-
-
-@dataclass(frozen=True)
-class ProbeReport:
-    """Transcript of one Euclidean-combination attempt on the main scheme."""
-
-    e_i: int
-    e_j: int
-    gcd: int
-    a: int
-    b: int
-    combined_d: int
-    forged_F: int
-    forged_K: bytes
-    combined_passes_audit: bool
-    matches_honest: bool
-
-
-def proposed_scheme_attack_probe(
-    pp: PublicParams,
-    msk: MasterSecret,
-    pairs: Sequence[kgc.KeyPair],
-    target_es: Iterable[int],
-    honest_key: bytes,
-) -> ProbeReport:
-    """Run the two-colluder Euclidean pipeline against the main scheme.
-
-    Combines the two lowest-e colluders with `collude` into
-    (c, d_i**a * d_j**-b), where the combined d is h**c, and raises it to the
-    product of target_es.  The combined pair passes the issuer audit
-    (kgc.verify_pair under msk), and the forged key, from F**c, fails to
-    match honest_key, since c >= 2 for honestly issued keys.  This
-    pipeline does not divide by c; `forge_by_division` does, and gives the
-    honest F itself whenever c divides the product of target_es.
-    """
-    if len(pairs) < 2:
-        raise InvalidInput("need at least two colluding key pairs")
-    kp_i, kp_j = sorted(pairs, key=lambda kp: kp.e)[:2]
-    c, a, b, combined_d = collude(pp.N, kp_i.e, kp_i.d, kp_j.e, kp_j.d)
-    F = numt.exp_chain(combined_d, target_es, pp.N)
-    forged_K = nike.kdf(pp, F)
-    return ProbeReport(
-        e_i=kp_i.e,
-        e_j=kp_j.e,
-        gcd=c,
-        a=a,
-        b=b,
-        combined_d=combined_d,
-        forged_F=F,
-        forged_K=forged_K,
-        combined_passes_audit=kgc.verify_pair(pp, msk, c, combined_d),
-        matches_honest=forged_K == honest_key,
-    )

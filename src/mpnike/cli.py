@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import argparse
 import hashlib
-import os
 import sys
 from typing import Optional, Sequence
 
@@ -97,13 +96,10 @@ def _issuer_view(args: argparse.Namespace) -> tuple[params.PublicParams, params.
 
 
 def cmd_issue(args: argparse.Namespace) -> int:
+    """Add --user's row to --keystore: one check of the rows and one new row encoded,
+    whatever the roster size (`kgc.store_issue`)."""
     pp, msk = _issuer_view(args)
-    if os.path.exists(args.keystore):
-        store = kgc.store_load(args.keystore, pp)
-    else:
-        store = kgc.new_keystore(pp)
-    pair = kgc.keygen(pp, msk, store, args.user, Rng(args.seed))
-    kgc.store_save(store, args.keystore)
+    pair = kgc.store_issue(args.keystore, pp, msk, args.user, Rng(args.seed))
     items = [("user", pair.user_id), ("e", numt.int_to_hex(pair.e))]
     if args.reveal:
         items.append(("d", numt.int_to_hex(pair.d)))

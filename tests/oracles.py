@@ -5,6 +5,8 @@ exponentiation, full order enumeration instead of factored-order tests,
 a literal sieve instead of probabilistic primality.
 """
 
+from math import gcd
+
 
 def slow_pow(base: int, exp: int, n: int) -> int:
     """base**exp mod n by repeated multiplication; exp must be >= 0."""
@@ -59,3 +61,16 @@ def issuance_exponents(msk, e: int) -> tuple[int, int]:
     k, rest = divmod(e - msk.p * y, zq)
     assert rest == 0 and 0 < y < zq and k > 0
     return y, k
+
+
+def forgeable(colluder_es: list[int], target_es: list[int]) -> bool:
+    """Do the colluders forge the targets' group key?  They reach h**c for c the
+    gcd of their e, and F_W = h**(prod e_W) by division when c divides the
+    product of the distinct target e."""
+    c = 0
+    for e in colluder_es:
+        c = gcd(c, e)
+    product = 1
+    for e in set(target_es):
+        product *= e
+    return product % c == 0

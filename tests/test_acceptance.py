@@ -213,11 +213,14 @@ def test_criterion_05_eskeland_break(esk512):
 
 
 def test_criterion_06_probe_never_matches(toy64):
+    """Two colluders' Euclidean combination h**c passes the audit.  Raised to
+    prod e_W undivided (the probe) it never gives the honest key; raised to
+    prod e_W / c it gives the honest F exactly when c divides prod e_W."""
     failures = []
     pp, msk = toy64
     rng = Rng(MASTER_SEED + 6)
     rnd = random.Random(MASTER_SEED + 6)
-    matches = 0
+    matches = divided = 0
     trials = 0
     generation = -1
     pool: list[kgc.KeyPair] = []
@@ -236,23 +239,36 @@ def test_criterion_06_probe_never_matches(toy64):
             honest = nike.shared_key(pp, targets[0], target_es[1:])
         except DegenerateResult:
             continue
-        report = attacks.proposed_scheme_attack_probe(pp, msk, colluders, target_es, honest.K)
+        i, j = sorted(colluders, key=lambda kp: kp.e)
+        c, a, b, hc = attacks.collude(pp.N, i.e, i.d, j.e, j.d)
         trials += 1
-        if report.gcd < 2:
-            failures.append(f"trial {trials}: colluder gcd {report.gcd} below 2")
-        if report.a * report.e_i - report.b * report.e_j != report.gcd:
+        if c < 2:
+            failures.append(f"trial {trials}: colluder gcd {c} below 2")
+        if a * i.e - b * j.e != c:
             failures.append(f"trial {trials}: Bezout identity violated")
-        if not report.combined_passes_audit:
+        if not kgc.verify_pair(pp, msk, c, hc):
             failures.append(f"trial {trials}: combined pair failed the issuer audit")
-        if report.matches_honest:
+        if nike.kdf(pp, numt.exp_chain(hc, target_es, pp.N)) == honest.K:
             matches += 1
+        F = attacks.forge_by_division(pp.N, c, hc, target_es)
+        if (F is not None) != oracles.forgeable([i.e, j.e], target_es):
+            failures.append(f"trial {trials}: forge_by_division disagrees on whether c divides")
+        elif F is not None:
+            ys = [oracles.issuance_exponents(msk, e)[0] for e in target_es]
+            if not F == honest.F == oracles.closed_form_group_element(msk, pp.N, ys):
+                failures.append(f"trial {trials}: divided combination is not the honest F")
+            divided += 1
     if matches:
-        failures.append(f"forged key matched the honest key {matches}/1000 times")
+        failures.append(f"undivided forged key matched the honest key {matches}/1000 times")
+    if divided <= trials // 2:
+        failures.append(f"division forged only {divided}/{trials} honest keys")
     _finish(
         6,
-        "Euclidean combination passes the audit but never reproduces an honest key",
+        "two colluders' Euclidean combination h^c passes the audit; raised to prod e_W it never "
+        "reproduces an honest key, raised to prod e_W / c it does wherever c divides prod e_W",
         failures,
-        f"0 matches in {trials} trials at 64-bit toy size",
+        f"64-bit toy size, {trials} trials: undivided 0 matches; divided {divided} honest keys, "
+        f"{trials - divided} with c not dividing prod e_W",
     )
 
 

@@ -202,43 +202,33 @@ class TestEskelandAttack:
 
 
 class TestProposedSchemeProbe:
+    """The probe: two colluders' h**c raised to prod e_W undivided reaches only F_W**c."""
+
     def test_pipeline_blocked(self, toy64, toy64_users):
         pp, msk = toy64
         _, pairs = toy64_users
-        colluders = pairs[:2]
+        i, j = pairs[:2]
         targets = pairs[2:5]
         target_es = [t.e for t in targets]
         honest = nike.shared_key(pp, targets[0], target_es[1:])
-        report = attacks.proposed_scheme_attack_probe(pp, msk, colluders, target_es, honest.K)
+        c, a, b, hc = attacks.collude(pp.N, i.e, i.d, j.e, j.d)
         # even exponents force a common factor >= 2
-        assert report.gcd >= 2 and report.gcd % 2 == 0
-        assert report.a * report.e_i - report.b * report.e_j == report.gcd
+        assert c >= 2 and c % 2 == 0
+        assert a * i.e - b * j.e == c
         # the issuer audit cannot reject the combined pair (malleability)...
-        assert report.combined_passes_audit is True
-        # ...but the forged key reaches only the gcd-th power of the target
-        assert report.matches_honest is False
-        assert report.forged_F == pow(honest.F, report.gcd, pp.N)
-        assert report.forged_K != honest.K
+        assert kgc.verify_pair(pp, msk, c, hc)
+        # ...but undivided it reaches only the c-th power of the target
+        F = numt.exp_chain(hc, target_es, pp.N)
+        assert F == pow(honest.F, c, pp.N)
+        assert nike.kdf(pp, F) != honest.K
 
     def test_combined_pair_is_valid_linear_combination(self, toy64, toy64_users):
         pp, msk = toy64
         _, pairs = toy64_users
-        honest = nike.shared_key(pp, pairs[3], [pairs[4].e])
-        report = attacks.proposed_scheme_attack_probe(
-            pp, msk, pairs[:2], [pairs[3].e, pairs[4].e], honest.K
-        )
-        i = next(p for p in pairs[:2] if p.e == report.e_i)
-        j = next(p for p in pairs[:2] if p.e == report.e_j)
-        expect = (
-            numt.mod_exp(i.d, report.a, pp.N) * numt.mod_exp(j.d, -report.b, pp.N)
-        ) % pp.N
-        assert report.combined_d == expect
-
-    def test_needs_two_pairs(self, toy64, toy64_users):
-        pp, msk = toy64
-        _, pairs = toy64_users
-        with pytest.raises(InvalidInput):
-            attacks.proposed_scheme_attack_probe(pp, msk, pairs[:1], [pairs[2].e], b"")
+        i, j = pairs[:2]
+        c, a, b, hc = attacks.collude(pp.N, i.e, i.d, j.e, j.d)
+        expect = (numt.mod_exp(i.d, a, pp.N) * numt.mod_exp(j.d, -b, pp.N)) % pp.N
+        assert hc == expect == kgc._issuer_pow(pp, msk, c)
 
 
 class TestDivisionForgery:
@@ -266,9 +256,10 @@ class TestDivisionForgery:
                 honest = nike.shared_key(pp, targets[0], target_es[1:])
             except DegenerateResult:
                 continue
-            report = attacks.proposed_scheme_attack_probe(pp, msk, colluders, target_es, honest.K)
+            i, j = sorted(colluders, key=lambda kp: kp.e)
+            c, _, _, hc = attacks.collude(pp.N, i.e, i.d, j.e, j.d)
             trials += 1
-            F = attacks.forge_by_division(pp.N, report.gcd, report.combined_d, target_es)
+            F = attacks.forge_by_division(pp.N, c, hc, target_es)
             if F is None:
                 continue
             ys = [issuance_exponents(msk, e)[0] for e in target_es]

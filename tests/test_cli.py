@@ -20,7 +20,7 @@ from mpnike import broadcast, cli, kgc, params
 from mpnike.cli import main
 from mpnike.numt import Rng
 
-from oracles import issuance_exponents
+from oracles import forgeable, issuance_exponents
 
 
 def kv(out: str) -> dict[str, str]:
@@ -290,6 +290,30 @@ class TestAttacks:
         assert (record["forged_key"] == record["honest_key"]) == (verdict == "MATCH")
         assert record["combined_passes_audit"] == "yes"
 
+    # every ninth of BENCH_7.json's toy-64 seeds (00..63 hex) at each of its target counts
+    @pytest.mark.parametrize("cap", [4, 2])
+    def test_collude_verdict_is_the_oracles(self, capsys, monkeypatch, cap):
+        monkeypatch.setattr(cli, "MAX_COLLUDERS", cap)
+        verdicts = set()
+        for seed, targets in itertools.product(range(0, 0x64, 9), (2, 3, 4, 5)):
+            code, out, _ = run(capsys, "attack", "collude", "--seed", f"{seed:02x}",
+                               "--group-size", str(targets), "--format", "line-record")
+            record = kv(out)
+            # the command's draws: parameters, two colluders, the targets, then more colluders
+            rng = Rng(seed)
+            pp, msk = params.setup(params.security_level("toy", 64), rng)
+            store = kgc.new_keystore(pp)
+            es = [kgc.keygen(pp, msk, store, f"colluder{k}", rng).e for k in (1, 2)]
+            target_es = [kgc.keygen(pp, msk, store, f"target{k}", rng).e for k in range(targets)]
+            es += [kgc.keygen(pp, msk, store, f"colluder{k}", rng).e for k in range(3, cap + 1)]
+            assert (record["colluder_e_i"], record["colluder_e_j"]) == (f"{es[0]:x}", f"{es[1]:x}")
+            used = next((k for k in range(2, cap + 1) if forgeable(es[:k], target_es)), None)
+            verdict = "NO-MATCH" if used is None else "MATCH"
+            assert (code, record["verdict"]) == (int(used is None), verdict)
+            assert record["colluders"] == str(used or cap)
+            verdicts.add(verdict)
+        assert verdicts == ({"MATCH", "NO-MATCH"} if cap == 2 else {"MATCH"})
+
     def test_removed_probe_is_a_usage_error(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["attack", "probe", "--seed", "07"])
@@ -533,6 +557,47 @@ def _member_argv(files, argv, out):
     return [name, "--params", files["pp"], "--keystore", files["ks"], *rest]
 
 
+def _break_last_row(files, tmp_path):
+    header, *rows, last = Path(files["ks"]).read_text().splitlines()
+    user, e_hex, d_hex = last.split("\t")
+    Path(files["ks"]).write_text("\n".join([header, *rows, f"{user}\t{e_hex}\t0{d_hex}"]) + "\n")
+
+
+def _other_params(files, tmp_path):
+    other = {"pp": str(tmp_path / "other-pp.txt"), "msk": str(tmp_path / "other-msk.txt")}
+    argv = ["setup", "--security", "toy", "--toy-bits", "64", "--seed", "beef"]
+    assert main([*argv, "--params", other["pp"], "--msk", other["msk"]]) == 0
+    files.update(other)
+
+
+class TestIssueRefusal:
+    """A refused `issue` exits 1 with one error line and leaves the keystore as it was."""
+
+    @pytest.mark.parametrize(
+        "user, spoil, error",
+        [
+            ("alice", None, "DuplicateUser"),
+            ("dave,eve", None, "InvalidInput"),
+            ("dave", _break_last_row, "FormatError"),
+            ("dave", _other_params, "ParamsMismatch"),
+        ],
+        ids=["duplicate id", "bad id", "malformed row", "other params"],
+    )
+    def test_keystore_bytes_unchanged(self, member_home, tmp_path, capsys, user, spoil, error):
+        files = dict(member_home, ks=str(tmp_path / "ks.tsv"))
+        shutil.copyfile(member_home["ks"], files["ks"])
+        if spoil:
+            spoil(files, tmp_path)
+        capsys.readouterr()
+        before, listing = Path(files["ks"]).read_bytes(), sorted(os.listdir(tmp_path))
+        code, out, err = run(capsys, "issue", "--params", files["pp"], "--msk", files["msk"],
+                             "--keystore", files["ks"], "--user", user, "--seed", "09")
+        assert (code, out) == (1, "")
+        assert err.startswith(f"error[{error}]: ") and err.count("\n") == 1
+        assert Path(files["ks"]).read_bytes() == before
+        assert sorted(os.listdir(tmp_path)) == listing
+
+
 class TestMemberReads:
     """Member commands check every keystore row but decode only the rows they name."""
 
@@ -592,9 +657,9 @@ class TestMemberReads:
         built = []
         make = kgc.KeyPair
         monkeypatch.setattr(kgc, "KeyPair", lambda *a: built.append(a[0]) or make(*a))
-        # the issuer still reads every row, and writes what it always wrote
+        # the issuer checks every row but builds only the new pair, and writes what it always wrote
         assert _issue(capsys, files, "zz", "07") == 0
-        assert len(built) == 64
+        assert built == ["zz"]
         digest = hashlib.sha256(Path(files["ks"]).read_bytes()).hexdigest()
         assert digest == "a98157dc6fffe86b422d5c4043717e35cddce5b0ff78cf0b6677123d766e306c"
         built.clear()

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import os
 from itertools import repeat
 
 import pytest
@@ -13,6 +14,7 @@ from mpnike.errors import (
     DuplicateUser,
     FormatError,
     InvalidInput,
+    MpnikeError,
     ParamsMismatch,
     UnknownUser,
 )
@@ -426,3 +428,122 @@ class TestKeystoreFiles:
         assert sorted(built) == sorted(set(named))
         with pytest.raises(UnknownUser):
             kgc.load_pairs(path, toy16[0], [pairs[0].user_id, "nobody"])
+
+
+def _valid_id(user_id: str) -> bool:
+    try:
+        kgc._check_user_id(user_id)
+    except InvalidInput:
+        return False
+    return True
+
+
+# "é" * 128 is exactly 256 UTF-8 bytes; "é" * 129 and the rest are refused
+_VALID_IDS = st.one_of(
+    st.sampled_from(("a00", "é", "é" * 128, "zz")),
+    st.text(min_size=1, max_size=6).filter(_valid_id),
+)
+_BAD_IDS = st.sampled_from(("", "é" * 129, "a,b", " a", "a\tb", "a\u2028b"))
+
+
+def _issue_both_ways(pp, msk, path, raw, user_id, make_rng):
+    """Issue user_id into the keystore bytes raw (None: no file) at path, once by
+    store_load + keygen + store_save and once by store_issue.  Per way: the pair or
+    (error type, message), the file's bytes afterwards, and the Rng's next draw."""
+    ways = []
+    for way in ("load-keygen-save", "store_issue"):
+        if os.path.exists(path):
+            os.unlink(path)
+        if raw is not None:
+            artifact.write(path, raw, private=True)
+        rng = make_rng()
+        try:
+            if way == "store_issue":
+                got = kgc.store_issue(path, pp, msk, user_id, rng)
+            else:
+                store = kgc.store_load(path, pp) if raw is not None else kgc.new_keystore(pp)
+                got = kgc.keygen(pp, msk, store, user_id, rng)
+                kgc.store_save(store, path)
+        except MpnikeError as exc:
+            got = (type(exc), str(exc))
+        written = artifact.read(path) if os.path.exists(path) else None
+        ways.append((got, written, rng.getrandbits(64)))
+    return ways
+
+
+class TestStoreIssue:
+    """`store_issue` checks every row and encodes only the new one, with the draws
+    and bytes of store_load + keygen + store_save."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        roster=st.lists(_VALID_IDS, unique=True, max_size=6),
+        absent=st.booleans(),
+        seed=st.integers(0, 1 << 32),
+        data=st.data(),
+    )
+    def test_same_bytes_as_load_keygen_save(
+        self, toy16, tmp_path_factory, roster, absent, seed, data
+    ):
+        pp, msk = toy16
+        store, rng = kgc.new_keystore(pp), Rng(seed + 1)
+        for uid in roster:
+            kgc.keygen(pp, msk, store, uid, rng)
+        path = str(tmp_path_factory.getbasetemp() / "ks-issue-parity.tsv")
+        raw = None
+        if roster or not absent:
+            kgc.store_save(store, path)
+            raw = artifact.read(path)
+        pick = [_VALID_IDS, _BAD_IDS] + ([st.sampled_from(roster)] if roster else [])
+        user_id = data.draw(st.one_of(pick))
+        old, new = _issue_both_ways(pp, msk, path, raw, user_id, lambda: Rng(seed))
+        assert new == old
+        if not isinstance(new[0], kgc.KeyPair):
+            assert new[1] == raw
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        edits=EDITS,
+        rows_only=st.booleans(),
+        user_id=st.sampled_from(("a02", "a00", "é" * 128, "")),
+    )
+    def test_edited_file_fails_as_store_load_fails(
+        self, toy16, tmp_path_factory, edits, rows_only, user_id
+    ):
+        pp, msk = toy16
+        store = kgc.new_keystore(pp)
+        for i, uid in enumerate(("a00", "a01", "é")):
+            kgc.keygen(pp, msk, store, uid, Rng(17 + i))
+        path = str(tmp_path_factory.getbasetemp() / "ks-issue-edits.tsv")
+        kgc.store_save(store, path)
+        raw = artifact.read(path)
+        # edits anywhere, or (to reach the rows more often) only after the header line
+        keep = raw.index(b"\n") + 1 if rows_only else 0
+        raw = raw[:keep] + apply_edits(raw[keep:], edits)
+        old, new = _issue_both_ways(pp, msk, path, raw, user_id, lambda: Rng(40))
+        assert new == old
+        try:
+            artifact.write(path, raw)
+            kgc.store_load(path, pp)
+        except (FormatError, ParamsMismatch) as exc:
+            assert new[0] == (type(exc), str(exc)) and new[1] == raw
+
+    @pytest.mark.parametrize(
+        "script, error",
+        [(lambda: [5, 3], None), (lambda: repeat(32), CollisionBudgetExceeded)],
+        ids=["one resample", "budget exhausted"],
+    )
+    def test_collisions_as_keygen(self, toy16, tmp_path, script, error):
+        # "b" replays the draws that issued "a" (see TestKeygen's collision tests)
+        pp, msk = toy16
+        store = kgc.new_keystore(pp)
+        first = kgc.keygen(pp, msk, store, "a", ScriptedRng(script(), seed=1))
+        path = str(tmp_path / "ks.tsv")
+        kgc.store_save(store, path)
+        raw = artifact.read(path)
+        old, new = _issue_both_ways(pp, msk, path, raw, "b", lambda: ScriptedRng(script(), seed=2))
+        assert new == old
+        if error is None:
+            assert new[0].e != first.e
+        else:
+            assert new[0][0] is error and new[1] == raw
