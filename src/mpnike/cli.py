@@ -302,7 +302,8 @@ def _commands() -> Command:
     that draws randomness lists --seed among its options.
 
     Built per `main` call, not at import, so that a handler rebound on this
-    module (as perfbench's recorder does) is the one that runs.
+    module (as perfbench's recorder does) is the one that runs.  The parsers
+    built from it are kept (`_PARSERS`), as they hold no handler.
     """
     member = ("--params", "--keystore", "--user")
     group = ("--reveal", "--group", "--group-file")
@@ -330,23 +331,36 @@ def _commands() -> Command:
     })
 
 
-def _parse(prog: str, cmd: Command, argv: Optional[Sequence[str]], level: str):
-    """Parse argv for cmd with one parser per level: a table level reads only the
-    name of the next entry and leaves the rest of argv to that entry's parser."""
+# the parser of each prog, built on first use and kept for the process
+_PARSERS: dict[str, argparse.ArgumentParser] = {}
+
+
+def _parser(prog: str, cmd: Command, level: str) -> argparse.ArgumentParser:
     if isinstance(cmd.run, dict):
         listing = "".join(f"\n  {name:<20}{sub.summary}" for name, sub in cmd.run.items())
         ap = argparse.ArgumentParser(
             prog=prog, description=cmd.summary, epilog=f"{level}s:{listing}",
             formatter_class=argparse.RawDescriptionHelpFormatter,
         )
-        ap.add_argument(level, nargs=argparse.PARSER, choices=cmd.run)
-        name, *rest = getattr(ap.parse_args(argv), level)
-        return _parse(f"{prog} {name}", cmd.run[name], rest, "scheme")
+        ap.add_argument(level, nargs=argparse.PARSER, choices=tuple(cmd.run))
+        return ap
     ap = argparse.ArgumentParser(prog=prog)
     for flag in ("--format", *cmd.options):
         ap.add_argument(flag, **_OPTIONS[flag])
-    ap.set_defaults(func=cmd.run, **cmd.defaults)
-    return ap.parse_args(argv)
+    ap.set_defaults(**cmd.defaults)
+    return ap
+
+
+def _parse(prog: str, cmd: Command, argv: Optional[Sequence[str]], level: str):
+    """Parse argv for cmd with one parser per level: a table level reads only the
+    name of the next entry and leaves the rest of argv to that entry's parser."""
+    ap = _PARSERS.get(prog)
+    if ap is None:
+        ap = _PARSERS[prog] = _parser(prog, cmd, level)
+    if isinstance(cmd.run, dict):
+        name, *rest = getattr(ap.parse_args(argv), level)
+        return _parse(f"{prog} {name}", cmd.run[name], rest, "scheme")
+    return ap.parse_args(argv, argparse.Namespace(func=cmd.run))
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:

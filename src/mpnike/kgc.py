@@ -19,8 +19,10 @@ has the details.
 
 from __future__ import annotations
 
+import operator
 import os
 from dataclasses import dataclass, field
+from itertools import repeat
 from typing import Callable, Iterable, Optional
 
 from . import artifact, numt
@@ -206,12 +208,51 @@ def _store_rows(path: str, digest: str) -> tuple[dict[str, str], set[str]]:
 
     A row is 3 tab-separated fields; user ids are valid and strictly
     ascending; e and d are canonical hex; no e appears twice.  Canonical hex
-    is one text per value, so comparing e as text compares the keys.
+    is one text per value, so comparing e as text compares the keys.  The
+    rules are checked a column at a time; a file that fails any of them is
+    walked row by row (`_walk_rows`), which names the first bad line.
     """
+    lines = artifact.read_bound(path, _STORE_HEADER, digest)
+    return _column_rows(lines) or _walk_rows(path, lines)
+
+
+def _column_rows(lines: list[str]) -> Optional[tuple[dict[str, str], set[str]]]:
+    """`_walk_rows`' result when every column passes its rules, else None.
+
+    None can also mean only that the file has no row, or that a rule was
+    checked more strictly than the walk checks it: an e or d of "0" is
+    canonical but starts with "0".
+    """
+    cols = list(map(str.split, lines, repeat("\t")))
+    if set(map(len, cols)) != {3}:
+        return None
+    ids, es, ds = zip(*cols)
+    id_text, hexes, issued = "\t".join(ids), es + ds, set(es)
+    if not (
+        # `_check_user_id`'s rules, then strictly ascending
+        all(ids)
+        and max(map(len, map(str.encode, ids))) <= MAX_USER_ID_BYTES
+        and id_text.splitlines() == [id_text]
+        and "," not in id_text
+        and tuple(map(str.strip, ids)) == ids
+        and all(map(operator.lt, ids, ids[1:]))
+        # canonical hex: every field nonempty and without a leading "0", so the
+        # least is at least "1", and nothing but lowercase hex digits
+        and min(hexes) >= "1"
+        and not "".join(hexes).encode().translate(None, b"0123456789abcdef")
+        and len(issued) == len(es)
+    ):
+        return None
+    return dict(zip(ids, lines)), issued
+
+
+def _walk_rows(path: str, lines: list[str]) -> tuple[dict[str, str], set[str]]:
+    """`_store_rows` one row at a time: the reference its column checks must
+    agree with, and the path that raises the first bad line's FormatError."""
     rows: dict[str, str] = {}
     seen_e: set[str] = set()
     previous = ""
-    for lineno, line in enumerate(artifact.read_bound(path, _STORE_HEADER, digest), 2):
+    for lineno, line in enumerate(lines, 2):
         cols = line.split("\t")
         if len(cols) != 3:
             raise FormatError(f"{path}:{lineno}: expected 3 tab-separated fields")

@@ -1,5 +1,6 @@
 import contextlib
 import dataclasses
+import gc
 import hashlib
 import io
 import itertools
@@ -973,10 +974,30 @@ def test_main_builds_one_parser_per_level(monkeypatch, capsys, path):
         init(self, *args, **kwargs)
 
     monkeypatch.setattr(cli.argparse.ArgumentParser, "__init__", counting)
+    monkeypatch.setattr(cli, "_PARSERS", {})
     with pytest.raises(SystemExit):
         main([*path, "-h"])
-    capsys.readouterr()
+    first = capsys.readouterr().out
     assert len(built) == len(path) + 1, built
+    # a repeat call builds none and prints the same help
+    with pytest.raises(SystemExit):
+        main([*path, "-h"])
+    assert capsys.readouterr().out == first
+    assert len(built) == len(path) + 1, built
+
+
+def test_main_leaves_no_reference_cycles(tmp_path, capsys):
+    argv = ["validate", "--params", str(tmp_path / "pp"), "--msk", str(tmp_path / "msk")]
+    main(argv)  # builds the parsers
+    gc.collect()
+    gc.disable()
+    try:
+        codes = [main(argv) for _ in range(3)]
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+    assert codes == [1, 1, 1]
+    capsys.readouterr()
 
 
 def _bad(*argv, message=None):

@@ -308,6 +308,16 @@ class TestKeystoreFiles:
             lambda lines: lines + [lines[1].replace("a00", "b\r0", 1)],  # bad id
             lambda lines: [lines[0], lines[1].replace("a00", "a,00", 1)],  # id with ","
             lambda lines: [lines[0], lines[1].replace("a00", "a00 ", 1)],  # trailing space
+            # 1 and 3 tabs: split as one text, the fields would line up in 3 columns
+            lambda lines: lines + ["b00\tab", "cd\tc00\tef\t12"],
+            lambda lines: [lines[0], lines[1].replace("a00", "a00\x85", 1)],  # trailing NEL
+            lambda lines: [lines[0], lines[1].replace("a00", "a00\u2028", 1)],
+            lambda lines: [lines[0], lines[1].replace("a00", "a\x1c00", 1)],  # inner separator
+            lambda lines: [lines[0], lines[1].replace("a00", "é" * 129, 1)],  # 258 bytes
+            lambda lines: [lines[0], "\tab\tcd", lines[1]],  # empty id before a valid one
+            lambda lines: [lines[0], _with_e(lines[1], lambda e: e.upper() + "A")],
+            lambda lines: [lines[0], _with_e(lines[1], lambda e: "0" + e)],
+            lambda lines: [lines[0], _with_e(lines[1], lambda e: e[:2] + "٣" + e[2:])],
         ],
     )
     def test_load_rejects_malformed(self, toy16, tmp_path, mutation):
@@ -428,6 +438,58 @@ class TestKeystoreFiles:
         assert sorted(built) == sorted(set(named))
         with pytest.raises(UnknownUser):
             kgc.load_pairs(path, toy16[0], [pairs[0].user_id, "nobody"])
+
+
+def _with_e(line: str, edit) -> str:
+    user_id, e_hex, d_hex = line.split("\t")
+    return "\t".join((user_id, edit(e_hex), d_hex))
+
+
+# characters on which a column check can part from the row walk: line breaks
+# that are not "\n", separators, whitespace, "," and the tab, non-ASCII letters
+# and digits, uppercase hex and "0"
+_EDGE_TEXT = st.text(st.sampled_from("ab0fAé٣ ,\t\r\x0b\x1c\x85\u2028"), max_size=3)
+_ROW_HEX = st.integers(0, 1 << 70).map("{:x}".format)
+
+
+@st.composite
+def _keystore_lines(draw):
+    """Rows of a valid keystore body, then up to three edits that each can
+    break one rule: edge text put into or over a field, a field copied to
+    another row, two rows swapped."""
+    ids = st.text(st.sampled_from("abé"), min_size=1, max_size=3) | st.just("é" * 128)
+    rows = [[uid, draw(_ROW_HEX), draw(_ROW_HEX)] for uid in sorted(draw(st.sets(ids, max_size=5)))]
+    for _ in range(draw(st.integers(0, 3)) if rows else 0):
+        i, k = draw(st.integers(0, len(rows) - 1)), draw(st.integers(0, len(rows) - 1))
+        j = draw(st.integers(0, 2))
+        field = rows[i][j]
+        op = draw(st.sampled_from(("insert", "replace", "copy", "swap")))
+        if op == "insert":
+            at = draw(st.sampled_from((0, len(field) // 2, len(field))))
+            rows[i][j] = field[:at] + draw(_EDGE_TEXT) + field[at:]
+        elif op == "replace":
+            rows[i][j] = draw(_EDGE_TEXT)
+        elif op == "copy":
+            rows[k][j] = field
+        else:
+            rows[i], rows[k] = rows[k], rows[i]
+    return ["\t".join(row) for row in rows]
+
+
+@settings(max_examples=500, deadline=None)
+@given(lines=_keystore_lines())
+def test_store_rows_agrees_with_the_row_walk(tmp_path_factory, lines):
+    """The column check returns the walk's rows and e set, or its exact error."""
+    path = str(tmp_path_factory.getbasetemp() / "ks-columns.tsv")
+    artifact.write_bound(path, kgc._STORE_HEADER, "digest", lines)
+    try:
+        walked = kgc._walk_rows(path, lines)
+    except FormatError as exc:
+        with pytest.raises(FormatError) as got:
+            kgc._store_rows(path, "digest")
+        assert str(got.value) == str(exc)
+    else:
+        assert kgc._store_rows(path, "digest") == walked
 
 
 def _valid_id(user_id: str) -> bool:
