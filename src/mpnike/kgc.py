@@ -77,11 +77,11 @@ class KeyPair:
 class Keystore:
     """Issuer-side database, bound to one parameter set by digest.
 
-    `records` is given (by `store_load`, or by a caller wrapping pairs from
-    `load_pairs`) or filled by `keygen`; `issued_keys`, the index of issued
-    e, is built from it and kept in step by `keygen`, which also sets `issuer`,
-    the master secret `broadcast` sends under (None in a loaded or wrapped
-    keystore).  Neither takes part in equality or repr; `store_save` writes neither.
+    `records` is given (by a caller wrapping pairs from `load_pairs`) or
+    filled by `keygen`; `issued_keys`, the index of issued e, is built from
+    it and kept in step by `keygen`, which also sets `issuer`, the master
+    secret `broadcast` sends under (None in a wrapped keystore).  Neither
+    takes part in equality or repr; `store_save` writes neither.
     """
 
     params_ref: str
@@ -202,9 +202,11 @@ def store_save(store: Keystore, path: str):
     artifact.write_bound(path, _STORE_HEADER, store.params_ref, rows, private=True)
 
 
-def _store_rows(path: str, digest: str) -> tuple[dict[str, str], set[str]]:
+def store_load(path: str, pp: PublicParams) -> tuple[dict[str, str], set[str]]:
     """Every row of the keystore at path, checked against the whole format and
-    kept as its line text, keyed by user id; and the set of e texts.
+    kept as its line text, keyed by user id; and the set of e texts.  This is
+    the one checked read of a keystore file: `load_pairs` and `store_issue`
+    go through it, and it decodes no row.
 
     A row is 3 tab-separated fields; user ids are valid and strictly
     ascending; e and d are canonical hex; no e appears twice.  Canonical hex
@@ -212,7 +214,7 @@ def _store_rows(path: str, digest: str) -> tuple[dict[str, str], set[str]]:
     rules are checked a column at a time; a file that fails any of them is
     walked row by row (`_walk_rows`), which names the first bad line.
     """
-    lines = artifact.read_bound(path, _STORE_HEADER, digest)
+    lines = artifact.read_bound(path, _STORE_HEADER, params_digest(pp))
     return _column_rows(lines) or _walk_rows(path, lines)
 
 
@@ -247,8 +249,8 @@ def _column_rows(lines: list[str]) -> Optional[tuple[dict[str, str], set[str]]]:
 
 
 def _walk_rows(path: str, lines: list[str]) -> tuple[dict[str, str], set[str]]:
-    """`_store_rows` one row at a time: the reference its column checks must
-    agree with, and the path that raises the first bad line's FormatError."""
+    """`store_load`'s check one row at a time: the reference its column checks
+    must agree with, and the path that raises the first bad line's FormatError."""
     rows: dict[str, str] = {}
     seen_e: set[str] = set()
     previous = ""
@@ -273,44 +275,20 @@ def _walk_rows(path: str, lines: list[str]) -> tuple[dict[str, str], set[str]]:
     return rows, seen_e
 
 
-def _decode(line: str) -> KeyPair:
-    """The pair of a row `_store_rows` has checked."""
-    user_id, e_hex, d_hex = line.split("\t")
-    return KeyPair(user_id, int(e_hex, 16), int(d_hex, 16))
-
-
-def store_load(
-    path: str, pp: PublicParams, *, decode: bool = True
-) -> Keystore | tuple[dict[str, str], set[str]]:
-    """The keystore at path, every row checked and decoded, for a library caller
-    that wants every pair in memory.
-
-    decode=False is `store_issue`'s row check and nothing else: no row is
-    decoded, and the result is `_store_rows`'.  It goes through this name
-    only because the benchmark's tracer times `store_load` and not
-    `store_issue`; once it traces `store_issue`, that calls `_store_rows`
-    and the keyword goes (ROADMAP item 1 part 3).
-    """
-    digest = params_digest(pp)
-    if not decode:
-        return _store_rows(path, digest)
-    rows, _ = _store_rows(path, digest)
-    return Keystore(digest, {user_id: _decode(line) for user_id, line in rows.items()})
-
-
 def load_pairs(path: str, pp: PublicParams, user_ids: Iterable[str]) -> dict[str, KeyPair]:
     """The pairs of the named users: a member's read.
 
-    The whole file is checked as `store_load` checks it, but only the named
-    rows are decoded.  The first name not in the file raises UnknownUser.
+    Every row is checked by `store_load`, but only the named rows are
+    decoded.  The first name not in the file raises UnknownUser.
     """
-    rows, _ = _store_rows(path, params_digest(pp))
+    rows, _ = store_load(path, pp)
     pairs: dict[str, KeyPair] = {}
     for user_id in user_ids:
         if user_id not in rows:
             raise UnknownUser(user_id)
         if user_id not in pairs:
-            pairs[user_id] = _decode(rows[user_id])
+            _, e_hex, d_hex = rows[user_id].split("\t")
+            pairs[user_id] = KeyPair(user_id, int(e_hex, 16), int(d_hex, 16))
     return pairs
 
 
@@ -319,13 +297,13 @@ def store_issue(
 ) -> KeyPair:
     """Issue a key pair for user_id into the keystore file at path, creating it if absent.
 
-    The file is checked as `store_load` checks it, but no row is decoded:
-    the issued keys are the e texts the check collects, and the checked
-    lines are written back unchanged with the new row among them.  The
-    draws and the bytes written are those of `store_load`, `keygen` and
-    `store_save`.
+    Every row is checked by `store_load` and none is decoded: the issued
+    keys are the e texts the check collects, and the checked lines are
+    written back unchanged with the new row among them.  The draws and the
+    bytes written are those of `keygen` and `store_save` on a `Keystore` of
+    the file's pairs.
     """
-    rows, issued = store_load(path, pp, decode=False) if os.path.exists(path) else ({}, set())
+    rows, issued = store_load(path, pp) if os.path.exists(path) else ({}, set())
     _check_user_id(user_id)
     if user_id in rows:
         raise DuplicateUser(user_id)

@@ -54,6 +54,12 @@ def issuing(y: int, k: int) -> ScriptedRng:
     return ScriptedRng([(y - 1) // 2, (k - 1) // 2])
 
 
+def load_keystore(path: str, pp) -> kgc.Keystore:
+    """The keystore file at path with every row decoded, as one `Keystore`."""
+    rows, _ = kgc.store_load(path, pp)
+    return kgc.Keystore(params.params_digest(pp), kgc.load_pairs(path, pp, rows))
+
+
 def pytest_terminal_summary(terminalreporter, exitstatus, config):
     if acceptance_log.LINES:
         terminalreporter.section("acceptance criteria")

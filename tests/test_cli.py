@@ -21,6 +21,7 @@ from mpnike import broadcast, cli, kgc, params
 from mpnike.cli import main
 from mpnike.numt import Rng
 
+from conftest import load_keystore
 from oracles import forgeable, issuance_exponents
 
 
@@ -416,7 +417,7 @@ class TestKeystoreFile:
         rows = [line.split("\t") for line in text.splitlines()[1:]]
         assert [len(row) for row in rows] == [3, 3, 3]
         _, msk = params.load_master(files["msk"])
-        for pair in kgc.store_load(files["ks"], params.load_public(files["pp"])).records.values():
+        for pair in load_keystore(files["ks"], params.load_public(files["pp"])).records.values():
             y, k = issuance_exponents(msk, pair.e)
             assert format(y, "x") not in text
             assert format(k, "x") not in text
@@ -647,6 +648,24 @@ class TestMemberReads:
         assert code == 1
         assert err.startswith(f"error[{error}]: ") and err.count("\n") == 1
         assert out == ""
+
+    @pytest.mark.parametrize("command", ["issue", *_MEMBER_COMMANDS])
+    def test_every_command_checks_the_keystore_once_through_store_load(
+        self, member_home, tmp_path, capsys, monkeypatch, command
+    ):
+        files = dict(member_home, ks=str(tmp_path / "ks.tsv"))
+        shutil.copyfile(member_home["ks"], files["ks"])
+        paths = []
+        load = kgc.store_load
+        monkeypatch.setattr(kgc, "store_load", lambda *a, **k: paths.append(a[0]) or load(*a, **k))
+        if command == "issue":
+            argv = ["issue", "--params", files["pp"], "--msk", files["msk"],
+                    "--keystore", files["ks"], "--user", "dave", "--seed", "09"]
+        else:
+            argv = _member_argv(files, _MEMBER_COMMANDS[command], str(tmp_path / "out"))
+        code, _, err = run(capsys, *argv)
+        assert (code, err) == (0, "")
+        assert paths == [files["ks"]]
 
     def test_member_commands_decode_only_named_rows(self, tmp_path, capsys, monkeypatch):
         files = _setup(capsys, tmp_path, "64")

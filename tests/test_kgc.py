@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import EDITS, ScriptedRng, apply_edits, issuing
+from conftest import EDITS, ScriptedRng, apply_edits, issuing, load_keystore
 from mpnike import artifact, kgc, nike, numt, params
 from mpnike.errors import (
     CollisionBudgetExceeded,
@@ -94,14 +94,14 @@ class TestKeygen:
             kgc.keygen(pp, msk, store, "b", ScriptedRng(repeat(32)))
 
     def test_collision_with_loaded_or_given_records(self, toy16, tmp_path):
-        # the index of issued e is filled by store_load and by the constructor
+        # the constructor fills the index of issued e, from loaded or from issued pairs
         pp, msk = toy16
         store = kgc.new_keystore(pp)
         kgc.keygen(pp, msk, store, "a", ScriptedRng(repeat(32)))
         path = str(tmp_path / "ks.tsv")
         kgc.store_save(store, path)
         built = kgc.Keystore(store.params_ref, dict(store.records))
-        for reloaded in (kgc.store_load(path, pp), built):
+        for reloaded in (load_keystore(path, pp), built):
             assert reloaded.issued_keys == {store.pair("a").e}
             with pytest.raises(CollisionBudgetExceeded):
                 kgc.keygen(pp, msk, reloaded, "b", ScriptedRng(repeat(32)))
@@ -245,7 +245,7 @@ class TestKeystoreFiles:
             kgc.keygen(pp, msk, store, f"user-{i:02d}", rng)
         path = str(tmp_path / "ks.tsv")
         kgc.store_save(store, path)
-        assert kgc.store_load(path, pp) == store
+        assert load_keystore(path, pp) == store
 
     def test_params_mismatch(self, toy16, forced713, tmp_path):
         pp, msk = toy16
@@ -271,7 +271,7 @@ class TestKeystoreFiles:
         assert "powers" not in repr(held)
         kgc.store_save(store, str(tmp_path / "after"))
         assert (tmp_path / "after").read_bytes() == (tmp_path / "before").read_bytes()
-        assert kgc.store_load(str(tmp_path / "after"), pp).pair("u0").powers is None
+        assert load_keystore(str(tmp_path / "after"), pp).pair("u0").powers is None
 
     def test_issuer_is_not_part_of_the_keystore(self, toy64, tmp_path):
         pp, msk = toy64
@@ -283,7 +283,7 @@ class TestKeystoreFiles:
         kgc.store_save(store, str(tmp_path / "issued"))
         kgc.store_save(wrapped, str(tmp_path / "wrapped"))
         assert (tmp_path / "issued").read_bytes() == (tmp_path / "wrapped").read_bytes()
-        loaded = kgc.store_load(str(tmp_path / "issued"), pp)
+        loaded = load_keystore(str(tmp_path / "issued"), pp)
         assert store == loaded and loaded.issuer is None
         # the master secret's own repr prints p' and q', the factors of N
         assert str(msk.p_prime) in repr(msk)
@@ -384,7 +384,7 @@ class TestKeystoreFiles:
         raw = apply_edits(artifact.read(path), edits)
         artifact.write(path, raw)
         try:
-            loaded = kgc.store_load(path, pp)
+            loaded = load_keystore(path, pp)
         except (FormatError, ParamsMismatch):
             return
         kgc.store_save(loaded, path)
@@ -410,19 +410,23 @@ class TestKeystoreFiles:
         keep = raw.index(b"\n") + 1 if rows_only else 0
         artifact.write(path, raw[:keep] + apply_edits(raw[keep:], edits))
         try:
-            loaded = kgc.store_load(path, pp)
+            rows, _ = kgc.store_load(path, pp)
         except (FormatError, ParamsMismatch) as exc:
             with pytest.raises(type(exc)) as member:
                 kgc.load_pairs(path, pp, named)
             assert type(member.value) is type(exc) and str(member.value) == str(exc)
             return
-        unknown = [uid for uid in named if uid not in loaded.records]
+        unknown = [uid for uid in named if uid not in rows]
         if unknown:
             with pytest.raises(UnknownUser) as member:
                 kgc.load_pairs(path, pp, named)
             assert str(member.value) == str(UnknownUser(unknown[0]))
         else:
-            assert kgc.load_pairs(path, pp, named) == {uid: loaded.records[uid] for uid in named}
+            decoded = {}
+            for uid in named:
+                user_id, e_hex, d_hex = rows[uid].split("\t")
+                decoded[uid] = kgc.KeyPair(user_id, int(e_hex, 16), int(d_hex, 16))
+            assert kgc.load_pairs(path, pp, named) == decoded
 
     def test_member_read_decodes_only_the_named_rows(
         self, toy16, toy16_users, tmp_path, monkeypatch
@@ -478,18 +482,19 @@ def _keystore_lines(draw):
 
 @settings(max_examples=500, deadline=None)
 @given(lines=_keystore_lines())
-def test_store_rows_agrees_with_the_row_walk(tmp_path_factory, lines):
-    """The column check returns the walk's rows and e set, or its exact error."""
+def test_store_rows_agrees_with_the_row_walk(toy16, tmp_path_factory, lines):
+    """`store_load`'s column check returns the walk's rows and e set, or its exact error."""
+    pp = toy16[0]
     path = str(tmp_path_factory.getbasetemp() / "ks-columns.tsv")
-    artifact.write_bound(path, kgc._STORE_HEADER, "digest", lines)
+    artifact.write_bound(path, kgc._STORE_HEADER, params.params_digest(pp), lines)
     try:
         walked = kgc._walk_rows(path, lines)
     except FormatError as exc:
         with pytest.raises(FormatError) as got:
-            kgc._store_rows(path, "digest")
+            kgc.store_load(path, pp)
         assert str(got.value) == str(exc)
     else:
-        assert kgc._store_rows(path, "digest") == walked
+        assert kgc.store_load(path, pp) == walked
 
 
 def _valid_id(user_id: str) -> bool:
@@ -510,7 +515,7 @@ _BAD_IDS = st.sampled_from(("", "é" * 129, "a,b", " a", "a\tb", "a\u2028b"))
 
 def _issue_both_ways(pp, msk, path, raw, user_id, make_rng):
     """Issue user_id into the keystore bytes raw (None: no file) at path, once by
-    store_load + keygen + store_save and once by store_issue.  Per way: the pair or
+    load_keystore + keygen + store_save and once by store_issue.  Per way: the pair or
     (error type, message), the file's bytes afterwards, and the Rng's next draw."""
     ways = []
     for way in ("load-keygen-save", "store_issue"):
@@ -523,7 +528,7 @@ def _issue_both_ways(pp, msk, path, raw, user_id, make_rng):
             if way == "store_issue":
                 got = kgc.store_issue(path, pp, msk, user_id, rng)
             else:
-                store = kgc.store_load(path, pp) if raw is not None else kgc.new_keystore(pp)
+                store = load_keystore(path, pp) if raw is not None else kgc.new_keystore(pp)
                 got = kgc.keygen(pp, msk, store, user_id, rng)
                 kgc.store_save(store, path)
         except MpnikeError as exc:
@@ -535,7 +540,7 @@ def _issue_both_ways(pp, msk, path, raw, user_id, make_rng):
 
 class TestStoreIssue:
     """`store_issue` checks every row and encodes only the new one, with the draws
-    and bytes of store_load + keygen + store_save."""
+    and bytes of load_keystore + keygen + store_save."""
 
     @settings(max_examples=150, deadline=None)
     @given(
