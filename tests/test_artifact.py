@@ -103,6 +103,9 @@ def _src_lines_matching(pattern: str) -> list[str]:
 # what opens, renames or removes a file: outside `artifact`, a write could skip
 # its 0600 mode or its atomic rename
 _FILE_OPS = {"open", "os.open", "os.fdopen", "os.replace", "os.rename", "os.unlink", "os.remove"}
+# an `open` or `fdopen` reached through any receiver or import: io.open,
+# codecs.open, builtins.open, Path(p).open, from io import open
+_OPENERS = {"open", "fdopen"}
 
 
 def _dotted(node: ast.AST) -> str:
@@ -119,11 +122,15 @@ def test_only_artifact_opens_files():
         with open(path, encoding="utf-8") as fh:
             tree = ast.parse(fh.read())
         for node in ast.walk(tree):
-            if isinstance(node, ast.ImportFrom) and node.module == "os":
-                names = {f"os.{alias.name}" for alias in node.names}
+            if isinstance(node, ast.ImportFrom):
+                names = {f"os.{alias.name}" for alias in node.names if node.module == "os"}
+                names |= {alias.name for alias in node.names} & _OPENERS
+            elif isinstance(node, ast.Attribute) and node.attr in _OPENERS:
+                names = {_dotted(node) or f"<expr>.{node.attr}"}
             else:
                 names = {_dotted(node)}
-            offenders += [f"{os.path.basename(path)}:{node.lineno}: {n}" for n in names & _FILE_OPS]
+            offenders += [f"{os.path.basename(path)}:{node.lineno}: {n}"
+                          for n in names if n in _FILE_OPS or n.rsplit(".", 1)[-1] in _OPENERS]
     assert not offenders
 
 
