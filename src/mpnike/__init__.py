@@ -20,7 +20,6 @@ from .errors import (
     InvalidInput,
     MpnikeError,
     NotAuthorized,
-    NotCoprime,
     NotInvertible,
     OutOfRange,
     ParamsMismatch,
@@ -58,7 +57,6 @@ __all__ = [
     "MasterSecret",
     "MpnikeError",
     "NotAuthorized",
-    "NotCoprime",
     "NotInvertible",
     "OutOfRange",
     "ParamsMismatch",

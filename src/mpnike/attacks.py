@@ -5,9 +5,11 @@ exponents e_i, e_j compute Bezout coefficients and combine their private
 values so the unknown exponents cancel.
 
  * Fiat-Naor: `collude`'s c = 1 gives g = d_i**a * d_j**-b mod N, the
-   master generator, after which any group key can be forged.
+   master generator; group W's key is `numt.exp_chain(g, e_W, N)`.
  * Eskeland: `eskeland_collude`'s c = 1 gives u' = a*d_i - b*d_j, congruent
-   to the master secret u modulo phi(N), which is just as good as u.
+   to the master secret u mod phi(N): each honest d is z*u + v*phi and g has
+   order dividing lambda(N) | phi(N), so only residues mod phi(N) survive,
+   and group W's key is `numt.exp_chain(g**u' mod N, e_W, N)`.
  * Main scheme: every private key is d = h**e for the issuer's hidden
    base h, and F_W = h**(prod e_W).  Every issued e is even, so
    gcd(e_i, e_j) = c >= 2 and the combination reaches h**c, which passes
@@ -31,7 +33,7 @@ from math import gcd, prod
 from typing import Iterable, Optional
 
 from . import numt
-from .errors import InvalidInput, NotCoprime
+from .errors import InvalidInput
 
 
 def bezout_pos(x: int, y: int) -> tuple[int, int, int]:
@@ -60,19 +62,6 @@ def forge_by_division(N: int, c: int, hc: int, target_es: Iterable[int]) -> Opti
     return None if product % c else numt.mod_exp(hc, product // c, N)
 
 
-def fiat_naor_recover_g(N: int, e_i: int, d_i: int, e_j: int, d_j: int) -> int:
-    """The Fiat-Naor master generator from two coprime-e colluders: `collude`'s c = 1."""
-    c = gcd(e_i, e_j)
-    if c != 1:  # before any exponentiation
-        raise NotCoprime(f"colluder exponents share gcd {c}")
-    return collude(N, e_i, d_i, e_j, d_j)[3]
-
-
-def fiat_naor_forge_key(N: int, g: int, member_es: Iterable[int]) -> int:
-    """Group key for any member set, computed from the recovered g."""
-    return numt.exp_chain(g, member_es, N)
-
-
 def eskeland_collude(e_i: int, d_i: int, e_j: int, d_j: int) -> tuple[int, int, int, int]:
     """(c, a, b, a*d_i - b*d_j) for a*e_i - b*e_j = c = gcd(e_i, e_j).
 
@@ -81,27 +70,3 @@ def eskeland_collude(e_i: int, d_i: int, e_j: int, d_j: int) -> tuple[int, int, 
     """
     c, a, b = bezout_pos(e_i, e_j)
     return c, a, b, a * d_i - b * d_j
-
-
-def eskeland_recover_u(e_i: int, d_i: int, e_j: int, d_j: int) -> int:
-    """u' = a*d_i - b*d_j for a*e_i - b*e_j = 1: `eskeland_collude`'s c = 1 case.
-
-    u' == u (mod phi(N)): the masking multiples of phi cancel up to a known
-    multiple, and exponentiation only sees u mod phi(N) anyway.
-    """
-    c, _, _, u_prime = eskeland_collude(e_i, d_i, e_j, d_j)
-    if c != 1:
-        raise NotCoprime(f"colluder exponents share gcd {c}")
-    return u_prime
-
-
-def eskeland_forge_group_key(
-    N: int, g: int, u_prime: int, target_es: Iterable[int]
-) -> int:
-    """Forge the Eskeland key of an arbitrary group from recovered u'.
-
-    Matches what a target member computes because each honest d is
-    z*u + v*phi and g has order dividing lambda(N) | phi: only the
-    residues mod phi(N) survive.
-    """
-    return numt.exp_chain(numt.mod_exp(g, u_prime, N), target_es, N)

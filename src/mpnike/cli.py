@@ -199,7 +199,7 @@ def _attack_fiatnaor(args: argparse.Namespace) -> int:
     _, s, b, g = attacks.collude(fn.N, i.e, i.d, j.e, j.d)
     found = g == fn.g % fn.N
     target_es = [t.e for t in targets]
-    forged = attacks.fiat_naor_forge_key(fn.N, g, target_es)
+    forged = numt.exp_chain(g, target_es, fn.N)
     honest = legacy.fn_shared_key(fn.N, targets[0], target_es[1:])
     details = [("bezout_s", str(s)), ("bezout_t", str(-b)), ("recovered_g", numt.int_to_hex(g)),
                ("generator_recovered", "yes" if found else "no")]
@@ -217,7 +217,7 @@ def _attack_eskeland(args: argparse.Namespace) -> int:
     # the exps are distinct primes, so c = 1 and u' is u modulo phi(N)
     c, a, b, u_prime = attacks.eskeland_collude(i.e, i.d, j.e, j.d)
     target_es = [t.e for t in targets]
-    forged = attacks.eskeland_forge_group_key(esk.N, esk.g, u_prime, target_es)
+    forged = numt.exp_chain(numt.mod_exp(esk.g, u_prime, esk.N), target_es, esk.N)
     honest = legacy.esk_shared_key(esk.N, esk.g, targets[0], target_es[1:])
     details = [("bezout_a", str(a)), ("bezout_b", str(b)), ("gcd", str(c)),
                ("u_prime_matches_u_mod_phi", "yes" if (u_prime - esk.u) % esk.phi == 0 else "no")]

@@ -69,10 +69,6 @@ class AlreadyMember(MpnikeError):
     """The joining public key already belongs to the group."""
 
 
-class NotCoprime(MpnikeError):
-    """Two quantities required to be coprime share a factor."""
-
-
 class UnknownUser(MpnikeError):
     """The user id is not present in the keystore."""
 

@@ -105,7 +105,11 @@ def new_keystore(pp: PublicParams) -> Keystore:
 def _check_user_id(user_id: str):
     if not user_id:
         raise InvalidInput("user id must be nonempty")
-    if len(user_id.encode("utf-8")) > MAX_USER_ID_BYTES:
+    try:  # argv carries a byte that is not UTF-8 as a lone surrogate
+        size = len(user_id.encode("utf-8"))
+    except UnicodeEncodeError:
+        raise InvalidInput("user id must be valid UTF-8") from None
+    if size > MAX_USER_ID_BYTES:
         raise InvalidInput(f"user id exceeds {MAX_USER_ID_BYTES} UTF-8 bytes")
     if "\t" in user_id or user_id.splitlines() != [user_id]:
         raise InvalidInput("user id must not contain tabs or line breaks")
@@ -127,11 +131,12 @@ def _issuer_pow(pp: PublicParams, msk: MasterSecret, x: int) -> int:
         raise ParamsMismatch("master secret belongs to different parameters")
     try:
         x *= msk.p_inv
+        crt = msk.q_prime_inv
     except ValueError:
-        raise InvalidInput("master secret is malformed: p is not invertible mod z*q") from None
+        raise InvalidInput("master secret is malformed: p or q' is not invertible") from None
     a = pow(pp.g_p, x % msk.z, msk.p_prime)
     b = pow(pp.g_p, x % msk.q, msk.q_prime)
-    return b + msk.q_prime * ((a - b) * msk.q_prime_inv % msk.p_prime)
+    return b + msk.q_prime * ((a - b) * crt % msk.p_prime)
 
 
 def _draw_e(msk: MasterSecret, taken: Callable[[int], bool], user_id: str, rng: Rng) -> int:

@@ -146,22 +146,26 @@ def test_criterion_03_join_equals_rederivation(toy16, toy16_users, big1024, big1
 
 def test_criterion_04_fiat_naor_break():
     failures = []
-    if attacks.fiat_naor_recover_g(35, 5, 32, 7, 23) != 2:
+    c, _, _, g = attacks.collude(35, 5, 32, 7, 23)
+    if c != 1 or g != 2:
         failures.append("small worked instance did not recover g = 2")
     rng = Rng(MASTER_SEED + 4)
     rnd = random.Random(MASTER_SEED + 4)
     for trial in range(100):
         fn = legacy.fn_setup(24, rng)
         members = [legacy.fn_keygen(fn, rng) for _ in range(5)]
-        recovered = attacks.fiat_naor_recover_g(
+        c, _, _, recovered = attacks.collude(
             fn.N, members[0].e, members[0].d, members[1].e, members[1].d
         )
+        if c != 1:
+            failures.append(f"trial {trial}: colluder exponents share gcd {c}")
+            break
         if recovered != fn.g:
             failures.append(f"trial {trial}: recovered value is not the generator")
             break
         group = rnd.sample(members, rnd.randrange(2, 6))
         es = [kp.e for kp in group]
-        forged = attacks.fiat_naor_forge_key(fn.N, recovered, es)
+        forged = numt.exp_chain(recovered, es, fn.N)
         honest = {
             legacy.fn_shared_key(fn.N, me, [e for e in es if e != me.e])
             for me in group
@@ -187,16 +191,19 @@ def test_criterion_05_eskeland_break(esk512):
         while len(es) < 6:
             es.add(numt.random_prime(17, rng))
         members = [legacy.esk_keygen(esk, e, rng) for e in sorted(es)]
-        u_prime = attacks.eskeland_recover_u(
+        c, _, _, u_prime = attacks.eskeland_collude(
             members[0].e, members[0].d, members[1].e, members[1].d
         )
+        if c != 1:
+            failures.append(f"{label}: colluder exponents share gcd {c}")
+            continue
         if u_prime % esk.phi != esk.u % esk.phi:
             failures.append(f"{label}: u' is not congruent to u mod phi(N)")
             continue
         for trial in range(100):
             group = rnd.sample(members, rnd.randrange(2, 6))
             ges = [kp.e for kp in group]
-            forged = attacks.eskeland_forge_group_key(esk.N, esk.g, u_prime, ges)
+            forged = numt.exp_chain(numt.mod_exp(esk.g, u_prime, esk.N), ges, esk.N)
             honest = {
                 legacy.esk_shared_key(esk.N, esk.g, me, [e for e in ges if e != me.e])
                 for me in group

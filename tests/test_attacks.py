@@ -5,7 +5,7 @@ import pytest
 from cryptography.hazmat.primitives.ciphers.aead import AESGCM
 
 from mpnike import attacks, broadcast, kgc, legacy, nike, numt
-from mpnike.errors import DegenerateResult, InvalidInput, NotCoprime, NotInvertible
+from mpnike.errors import DegenerateResult, InvalidInput, NotInvertible
 from mpnike.kgc import KeyPair
 from mpnike.numt import Rng
 
@@ -106,18 +106,13 @@ class TestForgeByDivision:
 class TestFiatNaorAttack:
     def test_worked_instance(self):
         # colluders hold (5, 2^5) and (7, 2^7) mod 35; master g = 2
-        assert attacks.fiat_naor_recover_g(35, 5, 32, 7, 23) == 2
-
-    def test_combine_with_common_factor(self):
-        # e = 5 and 10 share gcd 5: the combination would land on g^5, not g
-        with numt.count_mod_exps() as counter, pytest.raises(NotCoprime):
-            attacks.fiat_naor_recover_g(35, 5, 32, 10, pow(2, 10, 35))
-        assert counter.count == 0
+        c, _, _, g = attacks.collude(35, 5, 32, 7, 23)
+        assert (c, g) == (1, 2)
 
     def test_not_invertible_surfaces_factor(self):
         # d_j = 5 shares a factor with N and gets a negative exponent
         with pytest.raises(NotInvertible) as exc:
-            attacks.fiat_naor_recover_g(35, 5, 7, 7, 5)
+            attacks.collude(35, 5, 7, 7, 5)
         assert exc.value.factor in (5, 7)
 
     def test_random_instances(self):
@@ -126,7 +121,8 @@ class TestFiatNaorAttack:
             fn = legacy.fn_setup(24, rng)
             a = legacy.fn_keygen(fn, rng)
             b = legacy.fn_keygen(fn, rng)
-            recovered = attacks.fiat_naor_recover_g(fn.N, a.e, a.d, b.e, b.d)
+            c, _, _, recovered = attacks.collude(fn.N, a.e, a.d, b.e, b.d)
+            assert c == 1
             assert recovered == fn.g % fn.N
 
     def test_forged_key_matches_honest(self):
@@ -135,11 +131,12 @@ class TestFiatNaorAttack:
         colluder_a = legacy.fn_keygen(fn, rng)
         colluder_b = legacy.fn_keygen(fn, rng)
         targets = [legacy.fn_keygen(fn, rng) for _ in range(3)]
-        g = attacks.fiat_naor_recover_g(
+        c, _, _, g = attacks.collude(
             fn.N, colluder_a.e, colluder_a.d, colluder_b.e, colluder_b.d
         )
+        assert c == 1
         target_es = [t.e for t in targets]
-        forged = attacks.fiat_naor_forge_key(fn.N, g, target_es)
+        forged = numt.exp_chain(g, target_es, fn.N)
         honest = legacy.fn_shared_key(fn.N, targets[0], target_es[1:])
         assert forged == honest
 
@@ -147,16 +144,13 @@ class TestFiatNaorAttack:
 class TestEskelandAttack:
     def test_worked_instance(self):
         # u = 7, phi = 24; colluders (5, 83) and (3, 45)
-        u_prime = attacks.eskeland_recover_u(5, 83, 3, 45)
+        c, _, _, u_prime = attacks.eskeland_collude(5, 83, 3, 45)
+        assert c == 1
         assert u_prime == 31
         assert (u_prime - 7) % 24 == 0
 
-    def test_rejects_common_factor(self):
-        with pytest.raises(NotCoprime):
-            attacks.eskeland_recover_u(6, 100, 9, 200)
-
     def test_collude_returns_its_coefficients(self):
-        # 2*5 - 3*3 = 1 gives recover_u's u'; 2*6 - 1*9 = 3 combines without raising
+        # 2*5 - 3*3 = 1 gives u'; 2*6 - 1*9 = 3 combines as well
         assert attacks.eskeland_collude(5, 83, 3, 45) == (1, 2, 3, 31)
         assert attacks.eskeland_collude(6, 100, 9, 200) == (3, 2, 1, 0)
 
@@ -166,7 +160,8 @@ class TestEskelandAttack:
         e_i, e_j = 65537, 65539
         pair_i = legacy.esk_keygen(esk, e_i, rng)
         pair_j = legacy.esk_keygen(esk, e_j, rng)
-        u_prime = attacks.eskeland_recover_u(e_i, pair_i.d, e_j, pair_j.d)
+        c, _, _, u_prime = attacks.eskeland_collude(e_i, pair_i.d, e_j, pair_j.d)
+        assert c == 1
         assert (u_prime - esk.u) % esk.phi == 0
 
     def test_forgery_with_negative_u_prime(self):
@@ -174,10 +169,11 @@ class TestEskelandAttack:
         esk = legacy.EskParams(N=35, g=2, u=7, phi=24, p=5, q=7)
         pair_i = legacy.esk_keygen(esk, 5, ScriptedRng([1]))
         pair_j = legacy.esk_keygen(esk, 3, ScriptedRng([30]))
-        u_prime = attacks.eskeland_recover_u(5, pair_i.d, 3, pair_j.d)
+        c, _, _, u_prime = attacks.eskeland_collude(5, pair_i.d, 3, pair_j.d)
+        assert c == 1
         assert u_prime < 0
         assert (u_prime - 7) % 24 == 0
-        forged = attacks.eskeland_forge_group_key(35, 2, u_prime, [11, 13])
+        forged = numt.exp_chain(numt.mod_exp(2, u_prime, 35), [11, 13], 35)
         honest_member = legacy.esk_keygen(esk, 11, ScriptedRng([3]))
         honest = legacy.esk_shared_key(35, 2, honest_member, [13])
         assert forged == honest
@@ -189,11 +185,12 @@ class TestEskelandAttack:
         exps = [legacy.fresh_prime(17, taken, rng) for _ in range(5)]
         colluders = [legacy.esk_keygen(esk, e, rng) for e in exps[:2]]
         targets = [legacy.esk_keygen(esk, e, rng) for e in exps[2:]]
-        u_prime = attacks.eskeland_recover_u(
+        c, _, _, u_prime = attacks.eskeland_collude(
             colluders[0].e, colluders[0].d, colluders[1].e, colluders[1].d
         )
+        assert c == 1
         target_es = [t.e for t in targets]
-        forged = attacks.eskeland_forge_group_key(esk.N, esk.g, u_prime, target_es)
+        forged = numt.exp_chain(numt.mod_exp(esk.g, u_prime, esk.N), target_es, esk.N)
         for member in targets:
             honest = legacy.esk_shared_key(
                 esk.N, esk.g, member, [e for e in target_es if e != member.e]

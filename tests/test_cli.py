@@ -39,6 +39,19 @@ def run(capsys, *argv):
     return code, captured.out, captured.err
 
 
+def _mpnike(*argv) -> subprocess.CompletedProcess:
+    """`python -m mpnike` in a child process on this checkout's src; argv items may be bytes."""
+    src = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, "-m", "mpnike", *argv],
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, PYTHONPATH=path),
+        timeout=120,
+    )
+
+
 @pytest.fixture(scope="module")
 def ws(tmp_path_factory):
     d = tmp_path_factory.mktemp("cli")
@@ -518,6 +531,24 @@ class TestParseErrorsHideValues:
             assert str(int(values[name], 16)) not in out + err
         assert not os.path.exists(tmp_path / "ks.tsv")
 
+    def test_issue_on_master_with_q_prime_equal_to_p_prime(self, tmp_path, capsys):
+        # N = 7 * 7: p' * q' equals n, but q' has no inverse mod p' for the CRT
+        pp, msk = params.setup(params.security_level("toy", 16), Rng(1))
+        pp = dataclasses.replace(pp, N=49, g_p=2)
+        msk = dataclasses.replace(msk, p=5, z=1, q=3, p_prime=7, q_prime=7)
+        files = {"pp": str(tmp_path / "pp.txt"), "msk": str(tmp_path / "msk.txt")}
+        params.save_public(pp, files["pp"])
+        params.save_master(pp, msk, files["msk"])
+        code, out, err = run(
+            capsys,
+            "issue", "--params", files["pp"], "--msk", files["msk"],
+            "--keystore", str(tmp_path / "ks.tsv"), "--user", "alice", "--seed", "01",
+        )
+        assert (code, out) == (1, "")
+        message = "master secret is malformed: p or q' is not invertible"
+        assert err == f"error[InvalidInput]: {message}\n"
+        assert not os.path.exists(tmp_path / "ks.tsv")
+
 
 @pytest.fixture(scope="module")
 def member_home(tmp_path_factory):
@@ -597,6 +628,18 @@ class TestIssueRefusal:
         assert (code, out) == (1, "")
         assert err.startswith(f"error[{error}]: ") and err.count("\n") == 1
         assert Path(files["ks"]).read_bytes() == before
+        assert sorted(os.listdir(tmp_path)) == listing
+
+    def test_id_bytes_not_utf8_exit_1(self, member_home, tmp_path):
+        # argv decodes the byte 0xff to a lone surrogate, which has no UTF-8 encoding
+        ks = tmp_path / "ks.tsv"
+        shutil.copyfile(member_home["ks"], ks)
+        before, listing = ks.read_bytes(), sorted(os.listdir(tmp_path))
+        proc = _mpnike("issue", "--params", member_home["pp"], "--msk", member_home["msk"],
+                       "--keystore", str(ks), "--user", b"a\xffb", "--seed", "09")
+        assert (proc.returncode, proc.stdout) == (1, "")
+        assert proc.stderr == "error[InvalidInput]: user id must be valid UTF-8\n"
+        assert ks.read_bytes() == before
         assert sorted(os.listdir(tmp_path)) == listing
 
 
@@ -1053,15 +1096,7 @@ def _bad(*argv, message=None):
     ],
 )
 def test_bad_arguments_exit_without_traceback(argv, message):
-    src = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "src")
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    proc = subprocess.run(
-        [sys.executable, "-m", "mpnike", *argv],
-        capture_output=True,
-        text=True,
-        env=dict(os.environ, PYTHONPATH=path),
-        timeout=120,
-    )
+    proc = _mpnike(*argv)
     assert proc.returncode in (1, 2), proc.stderr
     if message is not None:
         assert message in proc.stderr
@@ -1070,8 +1105,9 @@ def test_bad_arguments_exit_without_traceback(argv, message):
 
 
 # the fuzzed argv below runs in a copy of this toy-16 workspace
-_USERS = ("alice", "bob", "carol", "nobody", "alice,bob", "")
-_SETS = ("alice,bob", "alice,bob,carol", "alice", "bob,nobody", ",", "")
+# "a\udcffb" is how argv carries an id whose bytes are not UTF-8
+_USERS = ("alice", "bob", "carol", "nobody", "alice,bob", "", "a\udcffb")
+_SETS = ("alice,bob", "alice,bob,carol", "alice", "bob,nobody", ",", "", "alice,a\udcffb")
 _FILES = ("pp.txt", "msk.txt", "ks.tsv", "group.txt", "plain.bin", "msg.ct", "missing", "")
 
 

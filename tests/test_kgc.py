@@ -125,7 +125,9 @@ class TestKeygen:
         # the CLI's comma-separated id lists could never name these
         + ["dave,eve", ",", " frank", "frank ", " ", "a\u3000"]
         # every other line break str.splitlines splits on
-        + [f"a{c}b" for c in "\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"],
+        + [f"a{c}b" for c in "\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"]
+        # argv's byte 0xff that is not UTF-8, decoded to a lone surrogate
+        + ["a\udcffb"],
     )
     def test_bad_user_ids(self, toy16, bad_id):
         pp, msk = toy16
@@ -510,7 +512,7 @@ _VALID_IDS = st.one_of(
     st.sampled_from(("a00", "é", "é" * 128, "zz")),
     st.text(min_size=1, max_size=6).filter(_valid_id),
 )
-_BAD_IDS = st.sampled_from(("", "é" * 129, "a,b", " a", "a\tb", "a\u2028b"))
+_BAD_IDS = st.sampled_from(("", "é" * 129, "a,b", " a", "a\tb", "a\u2028b", "a\udcffb"))
 
 
 def _issue_both_ways(pp, msk, path, raw, user_id, make_rng):
