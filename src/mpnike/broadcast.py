@@ -24,9 +24,6 @@ import hashlib
 from dataclasses import dataclass, field
 from typing import Iterable
 
-from cryptography.exceptions import InvalidTag
-from cryptography.hazmat.primitives.ciphers.aead import AESGCM
-
 from . import artifact, kgc, nike, params
 from .errors import AuthFailure, FormatError, GroupTooSmall, NotAuthorized, ParamsMismatch
 from .kgc import KeyPair, Keystore
@@ -69,6 +66,13 @@ def brod_setup(
 def _transport_key(group_key: bytes) -> bytes:
     """AES-256 key: one SHA-256 block over tag || counter byte 0 || K."""
     return hashlib.sha256(TRANSPORT_TAG + b"\x00" + group_key).digest()
+
+
+def _aead(key: bytes):
+    """AES-256-GCM under key; `cryptography` loads on the first seal or open."""
+    from cryptography.hazmat.primitives.ciphers.aead import AESGCM
+
+    return AESGCM(key)
 
 
 def _frame(*payloads: bytes) -> bytes:
@@ -115,7 +119,7 @@ def brod_encrypt(
     key = _transport_key(group_key)
     nonce = rng.randbytes(NONCE_LEN)
     aad = _header_bytes(digest, members)
-    ct = AESGCM(key).encrypt(nonce, message, aad)
+    ct = _aead(key).encrypt(nonce, message, aad)
     return BroadcastCiphertext(params_ref=digest, authorized=members, nonce=nonce, ct=ct)
 
 
@@ -130,8 +134,9 @@ def brod_decrypt(pp: PublicParams, my_pair: KeyPair, bc: BroadcastCiphertext) ->
     state = nike.held_key(pp, my_pair, others)
     key = _transport_key(state.K)
     aad = _header_bytes(bc.params_ref, bc.authorized)
+    from cryptography.exceptions import InvalidTag
     try:
-        return AESGCM(key).decrypt(bc.nonce, bc.ct, aad)
+        return _aead(key).decrypt(bc.nonce, bc.ct, aad)
     except InvalidTag:
         raise AuthFailure("broadcast ciphertext failed authentication") from None
 

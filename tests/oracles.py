@@ -74,3 +74,32 @@ def forgeable(colluder_es: list[int], target_es: list[int]) -> bool:
     for e in set(target_es):
         product *= e
     return product % c == 0
+
+
+def forge_rate(targets: int, colluders: int) -> float:
+    """The modelled chance that `colluders` issued keys forge the group key of
+    `targets` other members, that is, that `forgeable` holds.
+
+    Division works exactly when, for every prime r, the power of r in the
+    colluders' gcd c is at most its power in prod e_W.  The model takes the
+    power of r in each e as independent and geometric: r**j divides e with
+    chance r**-j for odd r, and 2**j with chance 2**-(j-1), since every e is
+    even.  Summing over the power s of r in prod e_W (a negative binomial),
+    the chance that r stops the division is
+
+        (1 - 1/r)**n * r**-k * (1 - r**-(k+1))**-n       for odd r,
+        2**-(k*n) * (1/2)**n * (1 - 2**-(k+1))**-n      for r = 2,
+
+    with n = targets and k = colluders; the rate is the product of one minus
+    these.  For k >= 2 a prime above a few thousand almost never divides two
+    e at once, so the product stops at 3000.
+    """
+    rate = 1.0
+    for r in sieve(3000):
+        spread = 1 - r ** -(colluders + 1)
+        if r == 2:
+            stop = 2.0 ** -(colluders * targets) * (0.5 / spread) ** targets
+        else:
+            stop = r**-colluders * ((1 - 1 / r) / spread) ** targets
+        rate *= 1 - stop
+    return rate

@@ -2,6 +2,8 @@ import ast
 import glob
 import os
 import re
+import subprocess
+import sys
 
 import pytest
 
@@ -152,3 +154,39 @@ def test_kgc_imports_nothing_from_the_layers_that_use_it():
 def test_no_module_picks_a_hash_by_name():
     # the version-1 formats fix H to SHA-256; hashlib.new would let a name choose it
     assert not _src_lines_matching(r"hashlib\.new\(")
+
+
+# a fresh interpreter runs every command that never seals a payload, then one that does
+_AEAD_LOAD_PROBE = """
+import sys
+import mpnike, mpnike.cli
+from mpnike.cli import main
+ws = sys.argv[1] + "/"
+pp, msk, ks = ["--params", ws + "pp"], ["--msk", ws + "msk"], ["--keystore", ws + "ks"]
+commands = [["setup", "--security", "toy", "--toy-bits", "16", "--seed", "a1", *pp, *msk]]
+commands += [["issue", *pp, *msk, *ks, "--user", u, "--seed", s] for u, s in
+             (("alice", "1"), ("bob", "2"), ("carol", "3"))]
+commands += [["derive", *pp, *ks, "--user", "alice", "--group", "alice,bob",
+              "--write-group", ws + "group"],
+             ["join", *pp, *ks, "--user", "alice", "--group-file", ws + "group", "--new", "carol"],
+             ["validate", *pp, *msk]]
+for argv in commands:
+    assert main(argv) == 0, argv
+loaded_before = "cryptography" in sys.modules
+with open(ws + "msg", "wb") as fh:
+    fh.write(b"payload")
+assert main(["broadcast-encrypt", *pp, *ks, "--authorized", "alice,bob", "--in", ws + "msg",
+             "--out", ws + "ct", "--seed", "5"]) == 0
+print(loaded_before, "cryptography" in sys.modules)
+"""
+
+
+def test_cryptography_loads_only_to_seal_or_open(tmp_path):
+    src = os.path.join(SRC, os.pardir)
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    child = subprocess.run(
+        [sys.executable, "-c", _AEAD_LOAD_PROBE, str(tmp_path)],
+        capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=path), timeout=60,
+    )
+    assert child.returncode == 0, child.stderr
+    assert child.stdout.splitlines()[-1] == "False True"

@@ -1,16 +1,18 @@
+import json
 import math
+import os
 import random
 
 import pytest
 from cryptography.hazmat.primitives.ciphers.aead import AESGCM
 
-from mpnike import attacks, broadcast, kgc, legacy, nike, numt
+from mpnike import attacks, broadcast, kgc, legacy, nike, numt, params
 from mpnike.errors import DegenerateResult, InvalidInput, NotInvertible
 from mpnike.kgc import KeyPair
 from mpnike.numt import Rng
 
 from conftest import MASTER_SEED, ScriptedRng
-from oracles import closed_form_group_element, issuance_exponents
+from oracles import closed_form_group_element, forge_rate, forgeable, issuance_exponents, sieve
 
 
 class TestBezoutPos:
@@ -298,3 +300,70 @@ class TestDivisionForgery:
             e, d = c * t, numt.mod_exp(hc, t, pp.N)
             assert kgc.verify_pair(pp, msk, e, d)
             assert e not in store.issued_keys
+
+
+# a sample agrees with its modelled rate when neither binomial tail at its count is below this:
+# about 3.9 standard errors either way
+TAIL_BOUND = 1e-4
+RESILIENCE_SETS, KEYS_PER_SET = 20, 600
+
+
+def _within_bound(n: int, p: float, x: int) -> bool:
+    """Neither P(X <= x) nor P(X >= x) is below TAIL_BOUND, for X ~ Binomial(n, p), 0 < p < 1."""
+    pmf = [math.exp(math.lgamma(n + 1) - math.lgamma(i + 1) - math.lgamma(n - i + 1)
+                    + i * math.log(p) + (n - i) * math.log1p(-p)) for i in range(n + 1)]
+    return min(sum(pmf[: x + 1]), sum(pmf[x:])) >= TAIL_BOUND
+
+
+@pytest.fixture(scope="module")
+def issued_es():
+    """The e of 600 keys issued by `kgc.keygen` under each of 20 fresh toy-64 parameter sets."""
+    pools = []
+    for s in range(RESILIENCE_SETS):
+        pp, msk = params.setup(params.security_level("toy", 64), Rng(MASTER_SEED + 240 + s))
+        store, rng = kgc.new_keystore(pp), Rng(MASTER_SEED + 2400 + s)
+        pools.append([kgc.keygen(pp, msk, store, f"u{i}", rng).e for i in range(KEYS_PER_SET)])
+    return pools
+
+
+class TestResilienceFormula:
+    """`oracles.forge_rate`, the modelled chance that k colluders forge a |W|-member
+    group key by division, against library samples."""
+
+    @pytest.mark.parametrize("targets, colluders", [(2, 2), (2, 3), (3, 2), (5, 2), (8, 2)])
+    def test_matches_a_fresh_sample(self, issued_es, targets, colluders):
+        # each roster takes the next k + |W| keys of one parameter set: k colluders, then W
+        width = colluders + targets
+        rosters = [pool[i : i + width] for pool in issued_es
+                   for i in range(0, len(pool) - width + 1, width)]
+        forged = sum(forgeable(r[:colluders], r[colluders:]) for r in rosters)
+        assert _within_bound(len(rosters), forge_rate(targets, colluders), forged), (
+            f"{forged}/{len(rosters)} forged, modelled {forge_rate(targets, colluders):.4f}")
+
+    def test_matches_bench_7_resilience_map(self):
+        path = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "BENCH_7.json")
+        with open(path, encoding="utf-8") as fh:
+            rows = json.load(fh)["resilience"]
+        checked = 0
+        for row in rows:
+            # colluders join in turn and c only shrinks, so "at most k" is "the first k"
+            for k, fraction in row["forged_with_at_most"].items():
+                forged = round(fraction * row["runs"])
+                rate = forge_rate(row["targets"], int(k))
+                assert _within_bound(row["runs"], rate, forged), (row["level"], row["targets"], k)
+                checked += 1
+        assert checked == 36
+
+    def test_small_prime_powers_divide_e_as_modelled(self, issued_es):
+        es = [e for pool in issued_es for e in pool]
+        assert all(e % 2 == 0 for e in es)
+        checked = 0
+        for r in sieve(30):
+            j = 2 if r == 2 else 1
+            # r**j divides e with chance r**-j (odd r) or 2**-(j-1); powers while 10 are expected
+            while len(es) * (p := (2.0 ** -(j - 1) if r == 2 else float(r) ** -j)) >= 10:
+                divided = sum(e % r**j == 0 for e in es)
+                assert _within_bound(len(es), p, divided), (r, j, divided, len(es))
+                j += 1
+                checked += 1
+        assert checked == 35
