@@ -20,14 +20,17 @@ ciphertext.
 
 from __future__ import annotations
 
+import ctypes
 import hashlib
 from dataclasses import dataclass, field
 from typing import Iterable
 
-from . import artifact, kgc, nike, params
-from .errors import AuthFailure, FormatError, GroupTooSmall, NotAuthorized, ParamsMismatch
+from . import artifact, kgc, nike, numt, params
+from .errors import (
+    AuthFailure, FormatError, GroupTooSmall, InvalidInput, MpnikeError, NotAuthorized,
+    ParamsMismatch,
+)
 from .kgc import KeyPair, Keystore
-from .numt import Rng
 from .params import MasterSecret, PublicParams, SecurityLevel
 
 MAGIC = b"MPNIKEBC"
@@ -36,6 +39,9 @@ TRANSPORT_TAG = b"MPNIKE-BC1"
 NONCE_LEN = 12
 TAG_LEN = 16
 DIGEST_LEN = 32
+_MAX_LEN = 2**31 - 1  # libcrypto takes each length as a C int
+_GET_TAG, _SET_TAG = 0x10, 0x11  # EVP_CTRL_GCM_GET_TAG, EVP_CTRL_GCM_SET_TAG
+_AUTH_FAILED = "broadcast ciphertext failed authentication"
 
 
 @dataclass(frozen=True)
@@ -51,7 +57,7 @@ class BroadcastCiphertext:
 def brod_setup(
     eta: int,
     level: SecurityLevel,
-    rng: Rng,
+    rng: numt.Rng,
 ) -> tuple[PublicParams, MasterSecret, Keystore]:
     """Provision parameters plus eta enrolled users (user001, user002, ...)."""
     if eta < 2:
@@ -68,11 +74,40 @@ def _transport_key(group_key: bytes) -> bytes:
     return hashlib.sha256(TRANSPORT_TAG + b"\x00" + group_key).digest()
 
 
-def _aead(key: bytes):
-    """AES-256-GCM under key; `cryptography` loads on the first seal or open."""
-    from cryptography.hazmat.primitives.ciphers.aead import AESGCM
+def _aes_gcm(key: bytes, nonce: bytes, data: bytes, aad: bytes, seal: bool) -> bytes:
+    """AES-256-GCM on `numt`'s libcrypto: seal data to body || tag, or open body || tag.
 
-    return AESGCM(key)
+    Each call owns its context; opening returns no byte unless libcrypto accepts the tag.
+    """
+    lib = numt._LIBCRYPTO
+    if lib is None:
+        raise MpnikeError("broadcast needs the libcrypto that Python's _hashlib links")
+    if len(nonce) != NONCE_LEN:
+        raise FormatError(f"nonce must be {NONCE_LEN} bytes")
+    if not seal and len(data) < TAG_LEN:
+        raise AuthFailure(_AUTH_FAILED)
+    size = len(data) if seal else len(data) - TAG_LEN
+    if max(size, len(aad)) > _MAX_LEN:
+        raise InvalidInput(f"payload and associated data are limited to {_MAX_LEN} bytes")
+    out = ctypes.create_string_buffer(size + TAG_LEN)
+    tag, n = ctypes.byref(out, size), ctypes.byref(ctypes.c_int())
+    ctx = lib.EVP_CIPHER_CTX_new()
+    try:
+        if not (
+            ctx
+            and lib.EVP_CipherInit_ex(ctx, lib.EVP_aes_256_gcm(), None, key, nonce, seal) == 1
+            and lib.EVP_CipherUpdate(ctx, None, n, aad, len(aad)) == 1
+            and lib.EVP_CipherUpdate(ctx, out, n, data, size) == 1
+            and (seal or lib.EVP_CIPHER_CTX_ctrl(ctx, _SET_TAG, TAG_LEN, data[size:]) == 1)
+        ):
+            raise MpnikeError("libcrypto AES-256-GCM failed")
+        if lib.EVP_CipherFinal_ex(ctx, tag, n) != 1:
+            raise AuthFailure(_AUTH_FAILED)
+        if seal and lib.EVP_CIPHER_CTX_ctrl(ctx, _GET_TAG, TAG_LEN, tag) != 1:
+            raise MpnikeError("libcrypto AES-256-GCM failed")
+    finally:
+        lib.EVP_CIPHER_CTX_free(ctx)
+    return out.raw if seal else ctypes.string_at(out, size)
 
 
 def _frame(*payloads: bytes) -> bytes:
@@ -95,7 +130,7 @@ def brod_encrypt(
     pp: PublicParams,
     authorized_ids: Iterable[str],
     message: bytes,
-    rng: Rng,
+    rng: numt.Rng,
 ) -> BroadcastCiphertext:
     """Encrypt message so exactly the named users can decrypt.
 
@@ -119,7 +154,7 @@ def brod_encrypt(
     key = _transport_key(group_key)
     nonce = rng.randbytes(NONCE_LEN)
     aad = _header_bytes(digest, members)
-    ct = _aead(key).encrypt(nonce, message, aad)
+    ct = _aes_gcm(key, nonce, message, aad, seal=True)
     return BroadcastCiphertext(params_ref=digest, authorized=members, nonce=nonce, ct=ct)
 
 
@@ -134,11 +169,7 @@ def brod_decrypt(pp: PublicParams, my_pair: KeyPair, bc: BroadcastCiphertext) ->
     state = nike.held_key(pp, my_pair, others)
     key = _transport_key(state.K)
     aad = _header_bytes(bc.params_ref, bc.authorized)
-    from cryptography.exceptions import InvalidTag
-    try:
-        return _aead(key).decrypt(bc.nonce, bc.ct, aad)
-    except InvalidTag:
-        raise AuthFailure("broadcast ciphertext failed authentication") from None
+    return _aes_gcm(key, bc.nonce, bc.ct, aad, seal=False)
 
 
 def ct_to_bytes(bc: BroadcastCiphertext) -> bytes:

@@ -15,7 +15,9 @@ interpreter's `_hashlib` extension already links (`BN_mod_exp`, and
 `BN_mod_exp2_mont` for `fixed_base_chain`'s two-base step), and on the
 builtin `pow` where that library cannot be loaded (no `_hashlib`, or its
 symbols are not exported, as on Windows).  Both give the same value, and
-`count_mod_exps` counts one call either way.  The issuer
+`count_mod_exps` counts one call either way.  The same handle serves
+`broadcast`'s AES-256-GCM (the `EVP_Cipher*` calls), which has no builtin
+fallback: without it the broadcast calls raise `MpnikeError`.  The issuer
 (`kgc._issuer_pow`) keeps the builtin `pow`; its docstring says why.  So do
 the legacy schemes' `fn_keygen` and `_max_order_unit`: at their 24-64-bit
 moduli the builtin beats a native call's fixed cost of about 20 us.
@@ -86,7 +88,7 @@ _SYSTEM_RNG = Rng()
 
 
 def _load_libcrypto() -> Optional[ctypes.CDLL]:
-    """libcrypto's bignum calls through `_hashlib`'s handle, or None."""
+    """libcrypto's bignum and AES-GCM calls through `_hashlib`'s handle, or None."""
     try:
         import _hashlib
 
@@ -101,6 +103,13 @@ def _load_libcrypto() -> Optional[ctypes.CDLL]:
             ("BN_bn2binpad", (ptr, ptr, i), i),
             ("BN_clear_free", (ptr,), None),
             ("BN_CTX_free", (ptr,), None),
+            ("EVP_CIPHER_CTX_new", (), ptr),
+            ("EVP_CIPHER_CTX_free", (ptr,), None),
+            ("EVP_aes_256_gcm", (), ptr),
+            ("EVP_CipherInit_ex", (ptr, ptr, ptr, buf, buf, i), i),
+            ("EVP_CipherUpdate", (ptr, ptr, ptr, buf, i), i),
+            ("EVP_CipherFinal_ex", (ptr, ptr, ptr), i),
+            ("EVP_CIPHER_CTX_ctrl", (ptr, i, i, ptr), i),
         ):
             fn = getattr(lib, name)
             fn.argtypes, fn.restype = args, res

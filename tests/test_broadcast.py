@@ -1,16 +1,22 @@
+import dataclasses
 import functools
+import random
 
 import pytest
+from cryptography.hazmat.primitives.ciphers.aead import AESGCM
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import EDITS, apply_edits
-from mpnike import broadcast, kgc, nike, params
+from mpnike import broadcast, kgc, nike, numt, params
+from mpnike.cli import main
 from mpnike.errors import (
     AuthFailure,
     DegenerateResult,
     FormatError,
     GroupTooSmall,
+    InvalidInput,
+    MpnikeError,
     NotAuthorized,
     ParamsMismatch,
     UnknownUser,
@@ -320,3 +326,168 @@ class TestWireFormat:
         except FormatError:
             return
         assert broadcast.ct_to_bytes(parsed) == raw
+
+
+def _seal(key, nonce, message, aad):
+    return broadcast._aes_gcm(key, nonce, message, aad, seal=True)
+
+
+def _open(key, nonce, ct, aad):
+    return broadcast._aes_gcm(key, nonce, ct, aad, seal=False)
+
+
+def _flip(raw: bytes, bit: int) -> bytes:
+    out = bytearray(raw)
+    out[bit // 8] ^= 1 << (bit % 8)
+    return bytes(out)
+
+
+class TestAesGcm:
+    """The libcrypto AES-256-GCM against known answers and `cryptography`'s AESGCM."""
+
+    # McGrew and Viega, "The Galois/Counter Mode of Operation", test cases 13 and 14:
+    # AES-256, all-zero key and IV, no associated data
+    @pytest.mark.parametrize("message, sealed", [
+        (b"", "530f8afbc74536b9a963b4f1c4cb738b"),
+        (bytes(16), "cea7403d4d606b6e074ec5d3baf39d18" "d0d1c8a799996bf0265b98b5d48ab919"),
+    ], ids=["case13", "case14"])
+    def test_known_answer(self, message, sealed):
+        key, nonce = bytes(32), bytes(12)
+        assert _seal(key, nonce, message, b"").hex() == sealed
+        assert _open(key, nonce, bytes.fromhex(sealed), b"") == message
+
+    @pytest.mark.parametrize("size", [0, 1, 15, 16, 17, 1024, 65536])
+    @pytest.mark.parametrize("aad_size", [0, 1, 300])
+    def test_matches_cryptography(self, size, aad_size):
+        draw = random.Random(f"aes-gcm-{size}-{aad_size}").randbytes
+        key, nonce, message, aad = draw(32), draw(12), draw(size), draw(aad_size)
+        sealed = _seal(key, nonce, message, aad)
+        assert sealed == AESGCM(key).encrypt(nonce, message, aad)
+        assert _open(key, nonce, sealed, aad) == message
+
+    # every bit of one input: the body is the sealed bytes before the tag
+    @pytest.mark.parametrize("name, bits", [
+        ("nonce", range(96)), ("aad", range(240)), ("sealed", range(320)),
+        ("sealed", range(320, 448)),
+    ], ids=["nonce", "aad", "body", "tag"])
+    def test_flipped_bit_fails_auth(self, name, bits):
+        draw = random.Random("aes-gcm-flip").randbytes
+        key, nonce, aad = draw(32), draw(12), draw(30)
+        inputs = {"nonce": nonce, "aad": aad, "sealed": _seal(key, nonce, draw(40), aad)}
+        for bit in bits:
+            flipped = dict(inputs, **{name: _flip(inputs[name], bit)})
+            with pytest.raises(AuthFailure, match="^broadcast ciphertext failed authentication$"):
+                _open(key, flipped["nonce"], flipped["sealed"], flipped["aad"])
+
+    def test_nonce_of_wrong_length_is_a_format_error(self, system):
+        pp, _, store = system
+        bc = broadcast.brod_encrypt(store, pp, ["user001", "user002"], b"m", Rng(83))
+        for nonce in (bc.nonce[:11], bc.nonce + b"\x00"):
+            odd = dataclasses.replace(bc, nonce=nonce)
+            with pytest.raises(FormatError, match="nonce must be 12"):
+                broadcast.brod_decrypt(pp, store.pair("user001"), odd)
+            with pytest.raises(FormatError, match="nonce must be 12"):
+                _seal(bytes(32), nonce, b"m", b"")
+
+    def test_ct_shorter_than_tag_fails_auth(self, system):
+        pp, _, store = system
+        bc = broadcast.brod_encrypt(store, pp, ["user001", "user002"], b"", Rng(84))
+        for size in (0, 1, broadcast.TAG_LEN - 1):
+            short = dataclasses.replace(bc, ct=bc.ct[:size])
+            with pytest.raises(AuthFailure, match="failed authentication"):
+                broadcast.brod_decrypt(pp, store.pair("user002"), short)
+
+    def test_lengths_above_the_c_int_limit_are_refused(self, system, monkeypatch):
+        # the limit lowered to 8 bytes: no 2 GiB buffer is needed to reach it
+        pp, _, store = system
+        monkeypatch.setattr(broadcast, "_MAX_LEN", 8)
+        key, nonce = bytes(32), bytes(12)
+        assert _open(key, nonce, _seal(key, nonce, bytes(8), bytes(8)), bytes(8)) == bytes(8)
+        for message, aad in ((bytes(9), b""), (b"", bytes(9))):
+            with pytest.raises(InvalidInput, match="limited to 8 bytes"):
+                _seal(key, nonce, message, aad)
+        with pytest.raises(InvalidInput, match="limited to 8 bytes"):
+            _open(key, nonce, bytes(9 + broadcast.TAG_LEN), b"")
+        with pytest.raises(InvalidInput, match="limited to 8 bytes"):  # the header is the AAD
+            broadcast.brod_encrypt(store, pp, ["user001", "user002"], b"", Rng(85))
+
+
+def _without_libcrypto(monkeypatch):
+    """numt as it loads where `_hashlib`'s libcrypto cannot: no handle, the builtin pow."""
+    monkeypatch.setattr(numt, "_LIBCRYPTO", None)
+    monkeypatch.setattr(numt, "_pow", pow)
+    monkeypatch.setattr(numt, "_pow2", numt._builtin_pow2)
+
+
+@pytest.fixture(scope="module")
+def cli_home(tmp_path_factory):
+    """A toy-16 CLI workspace with alice, bob and carol, and a message sealed to alice and bob."""
+    d = tmp_path_factory.mktemp("bc-cli")
+    files = {name: str(d / name) for name in ("pp", "msk", "ks", "msg", "ct")}
+    pp, ks = ["--params", files["pp"]], ["--keystore", files["ks"]]
+    assert main(["setup", "--security", "toy", "--toy-bits", "16", "--seed", "c1", *pp,
+                 "--msk", files["msk"]]) == 0
+    for user, seed in (("alice", "1"), ("bob", "2"), ("carol", "3")):
+        assert main(["issue", *pp, "--msk", files["msk"], *ks, "--user", user,
+                     "--seed", seed]) == 0
+    with open(files["msg"], "wb") as fh:
+        fh.write(b"sealed for alice and bob")
+    assert main(["broadcast-encrypt", *pp, *ks, "--authorized", "alice,bob", "--in",
+                 files["msg"], "--out", files["ct"], "--seed", "7"]) == 0
+    return files
+
+
+def _cli_decrypt(capsys, files, ct_path, out_path):
+    code = main(["broadcast-decrypt", "--params", files["pp"], "--keystore", files["ks"],
+                 "--user", "alice", "--in", ct_path, "--out", out_path])
+    return code, capsys.readouterr().err
+
+
+class TestCliAuthFailure:
+    @pytest.mark.parametrize("part", ["nonce", "header", "body", "tag"])
+    def test_tampered_file_writes_nothing(self, cli_home, tmp_path, capsys, part):
+        bc = broadcast.ct_load(cli_home["ct"])
+        pp = params.load_public(cli_home["pp"])
+        alice = kgc.load_pairs(cli_home["ks"], pp, ["alice"])["alice"].e
+        # bob's public key in the header, its lowest bit flipped
+        header = tuple(sorted(e if e == alice else e ^ 1 for e in bc.authorized))
+        tampered = {
+            "nonce": dataclasses.replace(bc, nonce=_flip(bc.nonce, 0)),
+            "header": dataclasses.replace(bc, authorized=header),
+            "body": dataclasses.replace(bc, ct=_flip(bc.ct, 0)),
+            "tag": dataclasses.replace(bc, ct=_flip(bc.ct, len(bc.ct) - 1)),
+        }[part]
+        broadcast.ct_save(tampered, ct_path := str(tmp_path / "tampered.ct"))
+        out = tmp_path / "pt"
+        code, err = _cli_decrypt(capsys, cli_home, ct_path, str(out))
+        assert code == 1
+        assert err == "error[AuthFailure]: broadcast ciphertext failed authentication\n"
+        assert not out.exists()
+        code, _ = _cli_decrypt(capsys, cli_home, cli_home["ct"], str(out))
+        assert code == 0 and out.read_bytes() == b"sealed for alice and bob"
+
+
+class TestWithoutLibcrypto:
+    NEED = "broadcast needs the libcrypto that Python's _hashlib links"
+
+    def test_seal_and_open_raise(self, system, monkeypatch):
+        pp, _, store = system
+        bc = broadcast.brod_encrypt(store, pp, ["user001", "user002"], b"m", Rng(86))
+        _without_libcrypto(monkeypatch)
+        with pytest.raises(MpnikeError, match=f"^{self.NEED}$"):
+            broadcast.brod_encrypt(store, pp, ["user001", "user002"], b"m", Rng(86))
+        with pytest.raises(MpnikeError, match=f"^{self.NEED}$"):
+            broadcast.brod_decrypt(pp, store.pair("user002"), bc)
+
+    def test_commands_exit_1_and_the_rest_run(self, cli_home, tmp_path, capsys, monkeypatch):
+        _without_libcrypto(monkeypatch)
+        want = f"error[MpnikeError]: {self.NEED}\n"
+        code = main(["broadcast-encrypt", "--params", cli_home["pp"], "--keystore",
+                     cli_home["ks"], "--authorized", "alice,bob", "--in", cli_home["msg"],
+                     "--out", str(tmp_path / "ct"), "--seed", "8"])
+        assert (code, capsys.readouterr().err) == (1, want)
+        assert _cli_decrypt(capsys, cli_home, cli_home["ct"], str(tmp_path / "pt")) == (1, want)
+        assert not (tmp_path / "ct").exists() and not (tmp_path / "pt").exists()
+        code = main(["derive", "--params", cli_home["pp"], "--keystore", cli_home["ks"],
+                     "--user", "alice", "--group", "alice,bob"])
+        assert code == 0 and capsys.readouterr().err == ""
