@@ -31,7 +31,7 @@ from .errors import (
     ParamsMismatch,
 )
 from .kgc import KeyPair, Keystore
-from .params import MasterSecret, PublicParams, SecurityLevel
+from .params import PublicParams
 
 MAGIC = b"MPNIKEBC"
 FORMAT_VERSION = 1
@@ -52,21 +52,6 @@ class BroadcastCiphertext:
     authorized: tuple[int, ...]
     nonce: bytes
     ct: bytes = field(repr=False)
-
-
-def brod_setup(
-    eta: int,
-    level: SecurityLevel,
-    rng: numt.Rng,
-) -> tuple[PublicParams, MasterSecret, Keystore]:
-    """Provision parameters plus eta enrolled users (user001, user002, ...)."""
-    if eta < 2:
-        raise GroupTooSmall("a broadcast system needs at least two users")
-    pp, msk = params.setup(level, rng)
-    store = kgc.new_keystore(pp)
-    for i in range(1, eta + 1):
-        kgc.keygen(pp, msk, store, f"user{i:03d}", rng)
-    return pp, msk, store
 
 
 def _transport_key(group_key: bytes) -> bytes:

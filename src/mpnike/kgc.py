@@ -139,34 +139,32 @@ def _issuer_pow(pp: PublicParams, msk: MasterSecret, x: int) -> int:
     return b + msk.q_prime * ((a - b) * crt % msk.p_prime)
 
 
-def _draw_e(msk: MasterSecret, taken: Callable[[int], bool], user_id: str, rng: Rng) -> int:
-    """A fresh e = p*y + z*q*k that is not `taken`, re-sampling k up to a fixed budget."""
+def _issue(
+    pp: PublicParams, msk: MasterSecret, user_id: str, taken: Callable[[int], bool], rng: Rng
+) -> KeyPair:
+    """The one issuance step: a pair for a valid user_id whose e = p*y + z*q*k is not
+    `taken`, re-sampling k up to a fixed budget, and d = h**e."""
+    _check_user_id(user_id)
     zq = msk.z * msk.q
     y = 2 * rng.randrange(0, (zq - 1) // 2) + 1
     for _ in range(_COLLISION_BUDGET):
         e = msk.p * y + zq * (2 * rng.randrange(0, (msk.p - 1) // 2) + 1)
         if not taken(e):
-            return e
+            return KeyPair(user_id, e, _issuer_pow(pp, msk, e))
     raise CollisionBudgetExceeded(f"could not find a fresh e for {user_id!r}")
 
 
 def keygen(
     pp: PublicParams, msk: MasterSecret, store: Keystore, user_id: str, rng: Rng
 ) -> KeyPair:
-    """Issue a key pair for user_id and record it in the keystore.
-
-    Re-samples k up to a fixed budget if the resulting e collides with an
-    already-issued one.
-    """
-    _check_user_id(user_id)
+    """Issue a key pair for user_id (`_issue`) and record it in the keystore."""
     if store.params_ref != params_digest(pp):
         raise ParamsMismatch("keystore belongs to different parameters")
     if user_id in store.records:
         raise DuplicateUser(user_id)
-    e = _draw_e(msk, store.issued_keys.__contains__, user_id, rng)
-    pair = KeyPair(user_id, e, _issuer_pow(pp, msk, e))
+    pair = _issue(pp, msk, user_id, store.issued_keys.__contains__, rng)
     store.records[user_id] = pair
-    store.issued_keys.add(e)
+    store.issued_keys.add(pair.e)
     store.issuer = msk
     return pair
 
@@ -309,12 +307,10 @@ def store_issue(
     the file's pairs.
     """
     rows, issued = store_load(path, pp) if os.path.exists(path) else ({}, set())
-    _check_user_id(user_id)
     if user_id in rows:
         raise DuplicateUser(user_id)
-    e = _draw_e(msk, lambda x: numt.int_to_hex(x) in issued, user_id, rng)
-    pair = KeyPair(user_id, e, _issuer_pow(pp, msk, e))
-    rows[user_id] = _row(user_id, e, pair.d)
+    pair = _issue(pp, msk, user_id, lambda e: numt.int_to_hex(e) in issued, rng)
+    rows[user_id] = _row(user_id, pair.e, pair.d)
     lines = (rows[u] for u in sorted(rows))
     artifact.write_bound(path, _STORE_HEADER, params_digest(pp), lines, private=True)
     return pair

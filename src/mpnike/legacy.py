@@ -25,6 +25,7 @@ from typing import Iterable, Optional
 from . import numt
 from .errors import EmptyGroup, ExhaustedAttempts, InvalidInput, SelfInGroup
 from .numt import Rng
+from .params import _MAX_BITS
 
 _E_BITS = 16
 _FACTOR_LIMIT = 1 << 20
@@ -35,6 +36,8 @@ def _rsa_instance(bits: int, rng: Rng) -> tuple[int, int, int]:
     g = _max_order_unit modulo N = p*q."""
     if bits < 6:
         raise InvalidInput("modulus too small")
+    if bits > _MAX_BITS:
+        raise InvalidInput(f"modulus must be <= {_MAX_BITS} bits")
     p_bits = bits - bits // 2
     q_bits = bits // 2
     p = numt.random_prime(p_bits, rng)

@@ -27,6 +27,7 @@ from .numt import Rng
 
 _LEVEL_BITS = {"80": 1024, "112": 2048, "128": 3072}
 TOY_MIN_BITS = 16
+_MAX_BITS = _LEVEL_BITS["128"]  # the widest modulus any command builds
 # lines every version-1 parameter file carries verbatim: H is SHA-256 and
 # derived keys are lambda = 0x100 = 256 bits wide
 _FIXED_VALUES = {"version": "1", "hash_id": "sha256", "lambda": "100"}
@@ -45,10 +46,12 @@ class SecurityLevel:
 
 
 def security_level(name: str, toy_bits: int = TOY_MIN_BITS) -> SecurityLevel:
-    """Resolve a level name; "toy" takes an explicit modulus width >= 16."""
+    """Resolve a level name; "toy" takes an explicit modulus width of 16 to 3072 bits."""
     if name == "toy":
         if toy_bits < TOY_MIN_BITS:
             raise InvalidInput(f"toy modulus must be >= {TOY_MIN_BITS} bits")
+        if toy_bits > _MAX_BITS:
+            raise InvalidInput(f"toy modulus must be <= {_MAX_BITS} bits")
         return SecurityLevel("toy", toy_bits)
     if name in _LEVEL_BITS:
         return SecurityLevel(name, _LEVEL_BITS[name])

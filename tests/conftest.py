@@ -67,6 +67,16 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
             terminalreporter.write_line(line)
 
 
+def enrolled(eta: int, bits: int, rng: Rng):
+    """Toy-`bits` parameters from rng, then a keystore `keygen` fills with user001, user002,
+    ... user<eta> from the same rng: (pp, msk, store)."""
+    pp, msk = params.setup(params.security_level("toy", bits), rng)
+    store = kgc.new_keystore(pp)
+    for i in range(1, eta + 1):
+        kgc.keygen(pp, msk, store, f"user{i:03d}", rng)
+    return pp, msk, store
+
+
 def _issue_many(pp, msk, n, seed, prefix="u"):
     store = kgc.new_keystore(pp)
     rng = Rng(seed)

@@ -15,7 +15,7 @@ from pathlib import Path
 
 import acceptance_log
 import oracles
-from conftest import FAST_1024_SEED, MASTER_SEED
+from conftest import FAST_1024_SEED, MASTER_SEED, enrolled
 from mpnike import attacks, broadcast, kgc, legacy, nike, numt, params
 from mpnike.cli import main as cli_main
 from mpnike.errors import DegenerateResult, MpnikeError, NotAuthorized
@@ -283,7 +283,7 @@ def test_criterion_07_broadcast():
     failures = []
     rng = Rng(MASTER_SEED + 7)
     rnd = random.Random(MASTER_SEED + 7)
-    pp, _, store = broadcast.brod_setup(8, params.security_level("toy", 16), rng)
+    pp, _, store = enrolled(8, 16, rng)
     users = sorted(store.records)
     done = 0
     for _ in range(2000):

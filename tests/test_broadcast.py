@@ -7,7 +7,7 @@ from cryptography.hazmat.primitives.ciphers.aead import AESGCM
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import EDITS, apply_edits
+from conftest import EDITS, apply_edits, enrolled
 from mpnike import broadcast, kgc, nike, numt, params
 from mpnike.cli import main
 from mpnike.errors import (
@@ -26,19 +26,7 @@ from mpnike.numt import Rng, count_mod_exps
 
 @pytest.fixture(scope="module")
 def system():
-    return broadcast.brod_setup(6, params.security_level("toy", 16), Rng(61))
-
-
-class TestSetup:
-    def test_enrolls_eta_users(self, system):
-        pp, msk, store = system
-        assert len(store.records) == 6
-        assert sorted(store.records) == [f"user{i:03d}" for i in range(1, 7)]
-        assert params.validate(pp, msk).ok
-
-    def test_rejects_tiny_system(self):
-        with pytest.raises(GroupTooSmall):
-            broadcast.brod_setup(1, params.security_level("toy", 16), Rng(62))
+    return enrolled(6, 16, Rng(61))
 
 
 class TestEncryptDecrypt:
@@ -143,13 +131,13 @@ class TestEncryptDecrypt:
 
 @pytest.fixture(scope="module")
 def roster():
-    return broadcast.brod_setup(12, params.security_level("toy", 64), Rng(90))
+    return enrolled(12, 64, Rng(90))
 
 
 @functools.cache
 def _issued(bits, seed):
     """A toy system whose keystore `keygen` issued into: user001 to user008."""
-    pp, _, store = broadcast.brod_setup(8, params.security_level("toy", bits), Rng(seed))
+    pp, _, store = enrolled(8, bits, Rng(seed))
     return pp, store
 
 
@@ -192,7 +180,7 @@ class TestIssuerPath:
         assert _sent(store, pp, ids, nonce) == _sent(_wrapped(store), pp, ids, nonce)
 
     def test_issuer_reads_no_members_d(self):
-        pp, _, store = broadcast.brod_setup(5, params.security_level("toy", 64), Rng(91))
+        pp, _, store = enrolled(5, 64, Rng(91))
         true_pairs = dict(store.records)
         for user_id, pair in true_pairs.items():
             store.records[user_id] = kgc.KeyPair(user_id, pair.e, 2)

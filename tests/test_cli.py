@@ -1093,6 +1093,15 @@ def _bad(*argv, message=None):
         _bad("attack", "collude", "--seed", " 5", message="--seed: not a hex number: ' 5'"),
         _bad("setup", "--seed", "0_5", message="--seed: not a hex number: '0_5'"),
         _bad("attack", "eskeland", "--seed=-5", message="--seed: not a hex number: '-5'"),
+        # widths past the largest named level, refused before any prime search
+        _bad("setup", "--security", "toy", "--toy-bits", "100000000000000000000", "--params", "p",
+             "--msk", "m", message="error[InvalidInput]: toy modulus must be <= 3072 bits"),
+        _bad("attack", "collude", "--toy-bits", "100000000000000000000",
+             message="error[InvalidInput]: toy modulus must be <= 3072 bits"),
+        _bad("attack", "eskeland", "--bits", "100000000000000000000",
+             message="error[InvalidInput]: modulus must be <= 3072 bits"),
+        _bad("attack", "fiatnaor", "--bits", "99999999999",
+             message="error[InvalidInput]: modulus must be <= 3072 bits"),
     ],
 )
 def test_bad_arguments_exit_without_traceback(argv, message):

@@ -118,6 +118,9 @@ class TestKeygen:
         other_store = kgc.new_keystore(forced713[0])
         with pytest.raises(ParamsMismatch):
             kgc.keygen(pp, msk, other_store, "alice", Rng(8))
+        # the store is checked before the id, as `store_issue` checks its file first
+        with pytest.raises(ParamsMismatch):
+            kgc.keygen(pp, msk, other_store, "a\tb", Rng(8))
 
     @pytest.mark.parametrize(
         "bad_id",
