@@ -297,38 +297,31 @@ class Command:
         self.summary, self.run, self.options, self.defaults = summary, run, options, defaults
 
 
-def _commands() -> Command:
-    """The command table; every command also takes --format, and a command
-    that draws randomness lists --seed among its options.
-
-    Built per `main` call, not at import, so that a handler rebound on this
-    module (as perfbench's recorder does) is the one that runs.  The parsers
-    built from it are kept (`_PARSERS`), as they hold no handler.
-    """
-    member = ("--params", "--keystore", "--user")
-    group = ("--reveal", "--group", "--group-file")
-    schemes = {
+# The command table; every command also takes --format, and a command that draws
+# randomness lists --seed among its options.
+_MEMBER = ("--params", "--keystore", "--user")
+_GROUP = ("--reveal", "--group", "--group-file")
+_COMMANDS = Command("Multi-party non-interactive key exchange toolkit", {
+    "setup": Command("generate parameters", cmd_setup, "--seed", "--params", "--security",
+                     "--toy-bits", "--msk", security="80", toy_default=16),
+    "issue": Command("issue a member key pair", cmd_issue, "--seed", *_MEMBER, "--msk",
+                     "--reveal"),
+    "derive": Command("derive a group key", cmd_derive, *_MEMBER, "--write-group", *_GROUP),
+    "join": Command("grow a group by one member", cmd_join, *_MEMBER, "--new", *_GROUP),
+    "broadcast-encrypt": Command("encrypt to an authorized set", cmd_broadcast_encrypt,
+                                 "--seed", "--params", "--keystore", "--authorized", "--in",
+                                 "--out"),
+    "broadcast-decrypt": Command("decrypt as an authorized user", cmd_broadcast_decrypt,
+                                 *_MEMBER, "--in", "--out"),
+    "attack": Command("run an attack demonstration", {
         "fiatnaor": Command("break Fiat-Naor", _attack_fiatnaor, "--seed", "--bits", bits=24),
-        "eskeland": Command("break Eskeland", _attack_eskeland, "--seed", "--bits", "--group-size",
-                            bits=64),
+        "eskeland": Command("break Eskeland", _attack_eskeland, "--seed", "--bits",
+                            "--group-size", bits=64),
         "collude": Command("break the main scheme", _attack_collude, "--seed", "--security",
                            "--toy-bits", "--group-size", security="toy", toy_default=64),
-    }
-    return Command("Multi-party non-interactive key exchange toolkit", {
-        "setup": Command("generate parameters", cmd_setup, "--seed", "--params", "--security",
-                         "--toy-bits", "--msk", security="80", toy_default=16),
-        "issue": Command("issue a member key pair", cmd_issue, "--seed", *member, "--msk",
-                         "--reveal"),
-        "derive": Command("derive a group key", cmd_derive, *member, "--write-group", *group),
-        "join": Command("grow a group by one member", cmd_join, *member, "--new", *group),
-        "broadcast-encrypt": Command("encrypt to an authorized set", cmd_broadcast_encrypt,
-                                     "--seed", "--params", "--keystore", "--authorized", "--in",
-                                     "--out"),
-        "broadcast-decrypt": Command("decrypt as an authorized user", cmd_broadcast_decrypt,
-                                     *member, "--in", "--out"),
-        "attack": Command("run an attack demonstration", schemes),
-        "validate": Command("check a parameter set", cmd_validate, "--params", "--msk"),
-    })
+    }),
+    "validate": Command("check a parameter set", cmd_validate, "--params", "--msk"),
+})
 
 
 # the parser of each prog, built on first use and kept for the process
@@ -364,9 +357,10 @@ def _parse(prog: str, cmd: Command, argv: Optional[Sequence[str]], level: str):
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    args = _parse("mpnike", _commands(), argv, "command")
+    args = _parse("mpnike", _COMMANDS, argv, "command")
     try:
-        return args.func(args)
+        # the handler bound on this module now, which perfbench's recorder rebinds
+        return globals()[args.func.__name__](args)
     except MpnikeError as exc:
         print(f"error[{type(exc).__name__}]: {exc}", file=sys.stderr)
         return 1

@@ -39,12 +39,12 @@ def run(capsys, *argv):
     return code, captured.out, captured.err
 
 
-def _mpnike(*argv) -> subprocess.CompletedProcess:
-    """`python -m mpnike` in a child process on this checkout's src; argv items may be bytes."""
+def _mpnike(*argv, module="mpnike") -> subprocess.CompletedProcess:
+    """`python -m <module>` in a child process on this checkout's src; argv items may be bytes."""
     src = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "src")
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     return subprocess.run(
-        [sys.executable, "-m", "mpnike", *argv],
+        [sys.executable, "-m", module, *argv],
         capture_output=True,
         text=True,
         env=dict(os.environ, PYTHONPATH=path),
@@ -901,14 +901,14 @@ class TestHygiene:
         listed = {name: dict(re.findall(option, cell)) for name, cell in rows}
         parsed = {}
         for name, scheme in _SCHEMES.items():
-            args = cli._parse("mpnike", cli._commands(), ["attack", name], "command")
+            args = cli._parse("mpnike", cli._COMMANDS, ["attack", name], "command")
             args.toy_bits = getattr(args, "toy_default", None)  # --toy-bits shows toy's default
             defaults = {flag: getattr(args, flag[2:].replace("-", "_")) for flag in scheme.options}
             parsed[name] = {flag: "" if v is None else str(v) for flag, v in defaults.items()}
         assert listed == parsed
 
 
-_COMMANDS = cli._commands().run
+_COMMANDS = cli._COMMANDS.run
 _SCHEMES = _COMMANDS["attack"].run
 
 
@@ -1060,6 +1060,46 @@ def test_main_leaves_no_reference_cycles(tmp_path, capsys):
         gc.enable()
     assert codes == [1, 1, 1]
     capsys.readouterr()
+
+
+def test_main_builds_no_command(tmp_path, monkeypatch, capsys):
+    argv = ["validate", "--params", str(tmp_path / "pp"), "--msk", str(tmp_path / "msk")]
+    main(argv)  # builds the parsers
+    built = []
+    init = cli.Command.__init__
+
+    def counting(self, *args, **kwargs):
+        built.append(args[0])
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(cli.Command, "__init__", counting)
+    assert [main(argv) for _ in range(3)] == [1, 1, 1]
+    assert built == []
+    capsys.readouterr()
+
+
+def test_main_runs_the_handler_bound_on_the_module(monkeypatch):
+    # perfbench's recorder rebinds cli.cmd_* and relies on main calling its wrapper
+    seen = []
+
+    def stub(args):
+        seen.append((args.params, args.msk))
+        return 7
+
+    monkeypatch.setattr(cli, "cmd_validate", stub)
+    assert main(["validate", "--params", "pp", "--msk", "msk"]) == 7
+    assert seen == [("pp", "msk")]
+
+
+@pytest.mark.parametrize("good", [True, False], ids=["valid", "absent-msk"])
+def test_cli_module_entry_matches_the_package_entry(ws, tmp_path, good):
+    # under `python -m mpnike.cli` the module runs as __main__ and main reads that namespace
+    msk = ws["msk"] if good else str(tmp_path / "absent")
+    argv = ["validate", "--params", ws["pp"], "--msk", msk]
+    package, module = _mpnike(*argv), _mpnike(*argv, module="mpnike.cli")
+    assert (module.returncode, module.stdout) == (package.returncode, package.stdout)
+    assert module.stderr == package.stderr
+    assert package.returncode == (0 if good else 1)
 
 
 def _bad(*argv, message=None):
