@@ -8,6 +8,7 @@ under --reveal; by default only fingerprints appear.
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import sys
 from typing import Optional, Sequence
@@ -262,6 +263,8 @@ def _group_size(raw: str) -> int:
         raise argparse.ArgumentTypeError(f"not an integer: {raw!r}") from None
     if value < 2:
         raise argparse.ArgumentTypeError(f"must be >= 2, got {value}")
+    if value > 64:  # one key pair per target, so a huge size would exhaust memory
+        raise argparse.ArgumentTypeError(f"must be <= 64, got {value}")
     return value
 
 
@@ -324,10 +327,7 @@ _COMMANDS = Command("Multi-party non-interactive key exchange toolkit", {
 })
 
 
-# the parser of each prog, built on first use and kept for the process
-_PARSERS: dict[str, argparse.ArgumentParser] = {}
-
-
+@functools.cache  # the parser of each prog, built on first use and kept for the process
 def _parser(prog: str, cmd: Command, level: str) -> argparse.ArgumentParser:
     if isinstance(cmd.run, dict):
         listing = "".join(f"\n  {name:<20}{sub.summary}" for name, sub in cmd.run.items())
@@ -347,9 +347,7 @@ def _parser(prog: str, cmd: Command, level: str) -> argparse.ArgumentParser:
 def _parse(prog: str, cmd: Command, argv: Optional[Sequence[str]], level: str):
     """Parse argv for cmd with one parser per level: a table level reads only the
     name of the next entry and leaves the rest of argv to that entry's parser."""
-    ap = _PARSERS.get(prog)
-    if ap is None:
-        ap = _PARSERS[prog] = _parser(prog, cmd, level)
+    ap = _parser(prog, cmd, level)
     if isinstance(cmd.run, dict):
         name, *rest = getattr(ap.parse_args(argv), level)
         return _parse(f"{prog} {name}", cmd.run[name], rest, "scheme")

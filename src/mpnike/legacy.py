@@ -22,10 +22,9 @@ from dataclasses import dataclass, field
 from math import gcd, lcm
 from typing import Iterable, Optional
 
-from . import numt
+from . import numt, params
 from .errors import EmptyGroup, ExhaustedAttempts, InvalidInput, SelfInGroup
 from .numt import Rng
-from .params import _MAX_BITS
 
 _E_BITS = 16
 _FACTOR_LIMIT = 1 << 20
@@ -36,8 +35,8 @@ def _rsa_instance(bits: int, rng: Rng) -> tuple[int, int, int]:
     g = _max_order_unit modulo N = p*q."""
     if bits < 6:
         raise InvalidInput("modulus too small")
-    if bits > _MAX_BITS:
-        raise InvalidInput(f"modulus must be <= {_MAX_BITS} bits")
+    if bits > params._MAX_BITS:
+        raise InvalidInput(f"modulus must be <= {params._MAX_BITS} bits")
     p_bits = bits - bits // 2
     q_bits = bits // 2
     p = numt.random_prime(p_bits, rng)
@@ -55,7 +54,7 @@ def fresh_prime(bits: int, taken: set[int], rng: Rng) -> int:
     raise ExhaustedAttempts(f"no fresh {bits}-bit prime in 256 draws")
 
 
-def _factor_small(n: int) -> Optional[list[int]]:
+def _factor_small(n: int) -> Optional[tuple[int, ...]]:
     """Prime factors of n by trial division, or None if n resists it."""
     factors = []
     rem = n
@@ -70,7 +69,7 @@ def _factor_small(n: int) -> Optional[list[int]]:
             factors.append(rem)
         else:
             return None
-    return sorted(set(factors))
+    return tuple(sorted(set(factors)))
 
 
 def _max_order_unit(N: int, lam: int, rng: Rng) -> int:
@@ -81,9 +80,7 @@ def _max_order_unit(N: int, lam: int, rng: Rng) -> int:
         x = rng.randrange(2, N)
         if gcd(x, N) != 1:
             continue
-        if primes is None:
-            return x
-        if all(pow(x, lam // r, N) != 1 for r in primes):
+        if primes is None or params._has_order(x, lam, primes, N):
             return x
     raise ExhaustedAttempts("no maximal-order unit found")
 
@@ -114,7 +111,7 @@ def fn_setup(bits: int, rng: Rng) -> FnParams:
 
 def fn_keygen(fn: FnParams, rng: Rng) -> KeyPair:
     e = fresh_prime(_E_BITS, fn.issued, rng)
-    return KeyPair(e=e, d=pow(fn.g, e, fn.N))
+    return KeyPair(e=e, d=numt.pow_mod(fn.g, e, fn.N))
 
 
 def _peers(my_e: int, others: Iterable[int]) -> list[int]:

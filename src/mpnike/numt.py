@@ -17,10 +17,9 @@ builtin `pow` where that library cannot be loaded (no `_hashlib`, or its
 symbols are not exported, as on Windows).  Both give the same value, and
 `count_mod_exps` counts one call either way.  The same handle serves
 `broadcast`'s AES-256-GCM (the `EVP_Cipher*` calls), which has no builtin
-fallback: without it the broadcast calls raise `MpnikeError`.  The issuer
-(`kgc._issuer_pow`) keeps the builtin `pow`; its docstring says why.  So do
-the legacy schemes' `fn_keygen` and `_max_order_unit`: at their 24-64-bit
-moduli the builtin beats a native call's fixed cost of about 20 us.
+fallback: without it the broadcast calls raise `MpnikeError`.  Only the
+issuer (`kgc._issuer_pow`) exponentiates outside this module, on the builtin
+`pow`; its docstring says why.
 """
 
 from __future__ import annotations

@@ -339,10 +339,11 @@ def test_criterion_08_cost_and_scaling(big1024, big1024_users):
     sizes = list(range(2, 59, 8)) + [64]
     seconds = [float("inf")] * len(sizes)
     # process CPU time leaves out the time other processes hold the core;
-    # min of 8 rounds, each visiting every size once, so a burst of load from
+    # min of 32 rounds, each visiting every size once, so a burst of load from
     # elsewhere on the machine inflates one round of all sizes rather than
-    # every rep of one size
-    for _ in range(8):
+    # every rep of one size, and only a slow spell lasting the whole window
+    # (seconds long at 1024 bits) can inflate every sample of a size
+    for _ in range(32):
         for i, size in enumerate(sizes):
             peer_es = [kp.e for kp in pairs[1:size]]
             t0 = time.process_time()

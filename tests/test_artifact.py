@@ -156,6 +156,33 @@ def test_no_module_picks_a_hash_by_name():
     assert not _src_lines_matching(r"hashlib\.new\(")
 
 
+def _modular_pows(tree: ast.AST):
+    """Each three-argument builtin `pow` call under tree that is not a modular inverse."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call) and _dotted(node.func) == "pow":
+            args = dict(zip(("base", "exp", "mod"), node.args))
+            args |= {kw.arg: kw.value for kw in node.keywords}
+            if "mod" in args and ast.unparse(args["exp"]) != "-1":
+                yield node
+
+
+def test_only_the_issuer_exponentiates_outside_numt():
+    # every other modular exponentiation runs on numt's backend; kgc._issuer_pow's
+    # docstring says why it keeps the builtin pow
+    offenders = []
+    for path in sorted(glob.glob(os.path.join(SRC, "*.py"))):
+        module = os.path.basename(path)
+        if module == "numt.py":
+            continue
+        with open(path, encoding="utf-8") as fh:
+            tree = ast.parse(fh.read())
+        for top in tree.body:
+            if module == "kgc.py" and getattr(top, "name", None) == "_issuer_pow":
+                continue
+            offenders += [f"{module}:{node.lineno}" for node in _modular_pows(top)]
+    assert not offenders
+
+
 # a fresh interpreter runs every command, a broadcast round trip last, and reports after each
 # one whether `cryptography` was loaded: AES-GCM runs on numt's libcrypto, so none loads it
 _NO_CRYPTOGRAPHY_PROBE = """

@@ -1,5 +1,6 @@
 import contextlib
 import dataclasses
+import functools
 import gc
 import hashlib
 import io
@@ -1036,7 +1037,7 @@ def test_main_builds_one_parser_per_level(monkeypatch, capsys, path):
         init(self, *args, **kwargs)
 
     monkeypatch.setattr(cli.argparse.ArgumentParser, "__init__", counting)
-    monkeypatch.setattr(cli, "_PARSERS", {})
+    monkeypatch.setattr(cli, "_parser", functools.cache(cli._parser.__wrapped__))
     with pytest.raises(SystemExit):
         main([*path, "-h"])
     first = capsys.readouterr().out
@@ -1113,8 +1114,13 @@ def _bad(*argv, message=None):
         _bad("attack", "collude", "--group-size", "0"),
         _bad("attack", "collude", "--group-size", "-1"),
         _bad("attack", "eskeland", "--group-size", "0"),
-        # more targets than there are 17-bit primes
-        _bad("attack", "eskeland", "--group-size", "6000", message="error[ExhaustedAttempts]"),
+        # sizes past 64 are refused before any set-up, however many targets they ask for
+        _bad("attack", "eskeland", "--group-size", "6000",
+             message="--group-size: must be <= 64, got 6000"),
+        _bad("attack", "eskeland", "--group-size", "1000000000",
+             message="--group-size: must be <= 64, got 1000000000"),
+        _bad("attack", "collude", "--group-size", "1000000000",
+             message="--group-size: must be <= 64, got 1000000000"),
         # options of another scheme
         _bad("attack", "collude", "--bits", "64"),
         _bad("attack", "fiatnaor", "--group-size", "5"),

@@ -118,6 +118,13 @@ class TestEskeland:
             legacy.esk_keygen(esk, 19, ScriptedRng(repeat(next(iter(esk.used_v)))))
         assert len(esk.used_v) == 4
 
+    def test_fresh_prime_exhausts_a_taken_pool(self):
+        # 5 and 7 are the only 3-bit primes
+        taken = {5, 7}
+        with pytest.raises(ExhaustedAttempts):
+            legacy.fresh_prime(3, taken, Rng(44))
+        assert taken == {5, 7}
+
     def test_errors(self):
         esk = self.toy()
         pair = legacy.esk_keygen(esk, 5, Rng(40))
