@@ -32,6 +32,7 @@ from .errors import (
     DuplicateUser,
     FormatError,
     InvalidInput,
+    MpnikeError,
     ParamsMismatch,
     UnknownUser,
 )
@@ -118,14 +119,16 @@ def _check_user_id(user_id: str):
         raise InvalidInput("user id must not contain ',' or start or end with whitespace")
 
 
-def _issuer_pow(pp: PublicParams, msk: MasterSecret, x: int) -> int:
-    """h**x mod N from two half-size pows: h = g_p**p_inv has order z mod p' and q mod q'.
+def _issuer_pow(pp: PublicParams, msk: MasterSecret, x: int, power=pow) -> int:
+    """h**x mod N from two half-size `power`s: h = g_p**p_inv has order z mod p' and q mod q'.
 
-    These stay on the builtin `pow`, although libcrypto (`numt.pow_mod`) is
-    5-8x faster at these 342- and 682-bit moduli: every key issued adds about
-    0.5 KB of resident memory to kgc-enroll's keystores, so an issuance
-    speed-up above about 1.7x would break that workload's `peak_rss_mb`
-    bound until it measures memory at a fixed issue count.
+    The send (`group_element`) and `store_issue`'s check pass `numt.pow_secret`,
+    libcrypto's constant-time exponentiation, about 6x faster than `pow` at
+    level 80.  Issuance (`_issue`) and the audit (`verify_pair`) stay on the
+    builtin `pow`: every key issued adds about 0.54 KB of resident memory to
+    kgc-enroll's keystores, so an issuance speed-up above about 1.5x would
+    break that workload's `peak_rss_mb` bound until it measures memory at a
+    fixed issue count.
     """
     if msk.p_prime * msk.q_prime != pp.N:
         raise ParamsMismatch("master secret belongs to different parameters")
@@ -134,8 +137,8 @@ def _issuer_pow(pp: PublicParams, msk: MasterSecret, x: int) -> int:
         crt = msk.q_prime_inv
     except ValueError:
         raise InvalidInput("master secret is malformed: p or q' is not invertible") from None
-    a = pow(pp.g_p, x % msk.z, msk.p_prime)
-    b = pow(pp.g_p, x % msk.q, msk.q_prime)
+    a = power(pp.g_p, x % msk.z, msk.p_prime)
+    b = power(pp.g_p, x % msk.q, msk.q_prime)
     return b + msk.q_prime * ((a - b) * crt % msk.p_prime)
 
 
@@ -157,7 +160,10 @@ def _issue(
 def keygen(
     pp: PublicParams, msk: MasterSecret, store: Keystore, user_id: str, rng: Rng
 ) -> KeyPair:
-    """Issue a key pair for user_id (`_issue`) and record it in the keystore."""
+    """Issue a key pair for user_id (`_issue`) and record it in the keystore.
+
+    Unchecked, unlike `store_issue`: kgc-enroll audits each pair after it.
+    """
     if store.params_ref != params_digest(pp):
         raise ParamsMismatch("keystore belongs to different parameters")
     if user_id in store.records:
@@ -173,13 +179,14 @@ def group_element(pp: PublicParams, msk: MasterSecret, es: Iterable[int]) -> int
     """F_W = h ** (product of the distinct es) mod N, from the master secret.
 
     The product is reduced mod z*q, the order of h, so this is one CRT pair
-    of half-size pows whatever |W| is; `count_mod_exps` does not count it.
+    of half-size `numt.pow_secret`s whatever |W| is; `count_mod_exps` does not
+    count it.
     """
     zq = msk.z * msk.q
     x = 1
     for e in set(es):
         x = x * e % zq
-    F = _issuer_pow(pp, msk, x)
+    F = _issuer_pow(pp, msk, x, numt.pow_secret)
     if F == 1:
         raise DegenerateResult("group element collapsed to the identity")
     return F
@@ -304,12 +311,16 @@ def store_issue(
     keys are the e texts the check collects, and the checked lines are
     written back unchanged with the new row among them.  The draws and the
     bytes written are those of `keygen` and `store_save` on a `Keystore` of
-    the file's pairs.
+    the file's pairs.  d is first recomputed on `numt.pow_secret`, independent
+    of issuance's `pow`: a d faulty in one CRT half factors N with any other
+    pair, so a mismatch raises MpnikeError, naming no value, and writes nothing.
     """
     rows, issued = store_load(path, pp) if os.path.exists(path) else ({}, set())
     if user_id in rows:
         raise DuplicateUser(user_id)
     pair = _issue(pp, msk, user_id, lambda e: numt.int_to_hex(e) in issued, rng)
+    if _issuer_pow(pp, msk, pair.e, numt.pow_secret) != pair.d:
+        raise MpnikeError("issued key failed its check; nothing was written")
     rows[user_id] = _row(user_id, pair.e, pair.d)
     lines = (rows[u] for u in sorted(rows))
     artifact.write_bound(path, _STORE_HEADER, params_digest(pp), lines, private=True)

@@ -15,11 +15,13 @@ interpreter's `_hashlib` extension already links (`BN_mod_exp`, and
 `BN_mod_exp2_mont` for `fixed_base_chain`'s two-base step), and on the
 builtin `pow` where that library cannot be loaded (no `_hashlib`, or its
 symbols are not exported, as on Windows).  Both give the same value, and
-`count_mod_exps` counts one call either way.  The same handle serves
-`broadcast`'s AES-256-GCM (the `EVP_Cipher*` calls), which has no builtin
-fallback: without it the broadcast calls raise `MpnikeError`.  Only the
-issuer (`kgc._issuer_pow`) exponentiates outside this module, on the builtin
-`pow`; its docstring says why.
+`count_mod_exps` counts one call either way.  `pow_secret`, for a secret
+exponent, runs on `BN_mod_exp_mont_consttime` (also uncounted), on `pow`
+where libcrypto does not load.  The same handle serves `broadcast`'s
+AES-256-GCM (the `EVP_Cipher*` calls), which has no builtin fallback: without
+it the broadcast calls raise `MpnikeError`.  Only issuance and audit
+(`kgc._issuer_pow` on its default) exponentiate outside this module, on the
+builtin `pow`; its docstring says why.
 """
 
 from __future__ import annotations
@@ -99,6 +101,7 @@ def _load_libcrypto() -> Optional[ctypes.CDLL]:
             ("BN_bin2bn", (buf, i, ptr), ptr),
             ("BN_mod_exp", (ptr, ptr, ptr, ptr, ptr), i),
             ("BN_mod_exp2_mont", (ptr,) * 8, i),
+            ("BN_mod_exp_mont_consttime", (ptr,) * 6, i),
             ("BN_bn2binpad", (ptr, ptr, i), i),
             ("BN_clear_free", (ptr,), None),
             ("BN_CTX_free", (ptr,), None),
@@ -167,14 +170,19 @@ def _bn_mod_exp2(a1: int, p1: int, a2: int, p2: int, n: int) -> int:
     return _bn_call(lambda *args: _LIBCRYPTO.BN_mod_exp2_mont(*args, None), a1, p1, a2, p2, n)
 
 
+def _bn_mod_exp_secret(b: int, exp: int, n: int) -> int:
+    """b**exp mod n on libcrypto's constant-time routine, for 0 <= b < n; n odd."""
+    return _bn_call(lambda *args: _LIBCRYPTO.BN_mod_exp_mont_consttime(*args, None), b, exp, n)
+
+
 def _builtin_pow2(a1: int, p1: int, a2: int, p2: int, n: int) -> int:
     return pow(a1, p1, n) * pow(a2, p2, n) % n
 
 
 if _LIBCRYPTO is None:
-    _pow, _pow2 = pow, _builtin_pow2
+    _pow, _pow2, _pow_secret = pow, _builtin_pow2, pow
 else:
-    _pow, _pow2 = _bn_mod_exp, _bn_mod_exp2
+    _pow, _pow2, _pow_secret = _bn_mod_exp, _bn_mod_exp2, _bn_mod_exp_secret
 
 
 class ModExpCounter:
@@ -209,6 +217,15 @@ def pow_mod(base: int, exp: int, n: int) -> int:
     if exp < 0 or n < 1 or n % 2 == 0:
         raise InvalidInput("pow_mod needs exp >= 0 and an odd modulus >= 1")
     return _pow(base % n, exp, n)
+
+
+def pow_secret(base: int, exp: int, n: int) -> int:
+    """`pow_mod` for a secret exp, on libcrypto's `BN_mod_exp_mont_consttime`, whose
+    operations and memory reads do not follow the pattern of exp's bits (on the
+    builtin `pow`, with no such promise, where libcrypto does not load).  Uncounted."""
+    if exp < 0 or n < 1 or n % 2 == 0:
+        raise InvalidInput("pow_secret needs exp >= 0 and an odd modulus >= 1")
+    return _pow_secret(base % n, exp, n)
 
 
 def mod_exp(base: int, exp: int, n: int) -> int:

@@ -2,7 +2,7 @@ import pytest
 from hypothesis import strategies as st
 
 import acceptance_log
-from mpnike import kgc, legacy, params
+from mpnike import kgc, legacy, numt, params
 from mpnike.numt import Rng
 
 MASTER_SEED = 20260814
@@ -52,6 +52,14 @@ class ScriptedRng(Rng):
 def issuing(y: int, k: int) -> ScriptedRng:
     """The Rng under which `keygen` issues e = p*y + z*q*k."""
     return ScriptedRng([(y - 1) // 2, (k - 1) // 2])
+
+
+def without_libcrypto(monkeypatch):
+    """numt as it loads where `_hashlib`'s libcrypto cannot: no handle, the builtin pow."""
+    monkeypatch.setattr(numt, "_LIBCRYPTO", None)
+    monkeypatch.setattr(numt, "_pow", pow)
+    monkeypatch.setattr(numt, "_pow2", numt._builtin_pow2)
+    monkeypatch.setattr(numt, "_pow_secret", pow)
 
 
 def load_keystore(path: str, pp) -> kgc.Keystore:

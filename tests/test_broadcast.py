@@ -7,8 +7,8 @@ from cryptography.hazmat.primitives.ciphers.aead import AESGCM
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import EDITS, apply_edits, enrolled
-from mpnike import broadcast, kgc, nike, numt, params
+from conftest import EDITS, apply_edits, enrolled, without_libcrypto
+from mpnike import broadcast, kgc, nike, params
 from mpnike.cli import main
 from mpnike.errors import (
     AuthFailure,
@@ -400,13 +400,6 @@ class TestAesGcm:
             broadcast.brod_encrypt(store, pp, ["user001", "user002"], b"", Rng(85))
 
 
-def _without_libcrypto(monkeypatch):
-    """numt as it loads where `_hashlib`'s libcrypto cannot: no handle, the builtin pow."""
-    monkeypatch.setattr(numt, "_LIBCRYPTO", None)
-    monkeypatch.setattr(numt, "_pow", pow)
-    monkeypatch.setattr(numt, "_pow2", numt._builtin_pow2)
-
-
 @pytest.fixture(scope="module")
 def cli_home(tmp_path_factory):
     """A toy-16 CLI workspace with alice, bob and carol, and a message sealed to alice and bob."""
@@ -461,14 +454,14 @@ class TestWithoutLibcrypto:
     def test_seal_and_open_raise(self, system, monkeypatch):
         pp, _, store = system
         bc = broadcast.brod_encrypt(store, pp, ["user001", "user002"], b"m", Rng(86))
-        _without_libcrypto(monkeypatch)
+        without_libcrypto(monkeypatch)
         with pytest.raises(MpnikeError, match=f"^{self.NEED}$"):
             broadcast.brod_encrypt(store, pp, ["user001", "user002"], b"m", Rng(86))
         with pytest.raises(MpnikeError, match=f"^{self.NEED}$"):
             broadcast.brod_decrypt(pp, store.pair("user002"), bc)
 
     def test_commands_exit_1_and_the_rest_run(self, cli_home, tmp_path, capsys, monkeypatch):
-        _without_libcrypto(monkeypatch)
+        without_libcrypto(monkeypatch)
         want = f"error[MpnikeError]: {self.NEED}\n"
         code = main(["broadcast-encrypt", "--params", cli_home["pp"], "--keystore",
                      cli_home["ks"], "--authorized", "alice,bob", "--in", cli_home["msg"],

@@ -5,6 +5,7 @@ import gc
 import hashlib
 import io
 import itertools
+import math
 import os
 import re
 import shlex
@@ -766,6 +767,55 @@ class TestMemberReads:
         assert transcript.hexdigest() == (
             "e11361139e6f46bd5770568ad3dafc3964fe92c40b6483e50a2537413e0ad14f"
         )
+
+
+class TestIssueCheck:
+    """`issue` recomputes each d on `numt.pow_secret` and writes no key it cannot confirm."""
+
+    def test_fault_in_one_crt_half_exits_1_and_writes_nothing(self, member_home, tmp_path,
+                                                              capsys, monkeypatch):
+        files = dict(member_home, ks=str(tmp_path / "ks.tsv"))
+        shutil.copyfile(member_home["ks"], files["ks"])
+        pp, msk = params.load_master(files["msk"])
+
+        def faulty(base, exp, n):  # one bit flipped in the q' half
+            result = pow(base, exp, n)
+            return result ^ 1 if n == msk.q_prime else result
+
+        # issuance runs on _issuer_pow's default `power`; the check passes its own
+        monkeypatch.setattr(kgc._issuer_pow, "__defaults__", (faulty,))
+        issued, issue = [], kgc._issue
+        monkeypatch.setattr(kgc, "_issue", lambda *args: issued.append(issue(*args)) or issued[-1])
+        before, listing = Path(files["ks"]).read_bytes(), sorted(os.listdir(tmp_path))
+        code, out, err = run(capsys, "issue", "--params", files["pp"], "--msk", files["msk"],
+                             "--keystore", files["ks"], "--user", "dave", "--seed", "09")
+        assert (code, out) == (1, "")
+        assert err == "error[MpnikeError]: issued key failed its check; nothing was written\n"
+        assert Path(files["ks"]).read_bytes() == before
+        assert sorted(os.listdir(tmp_path)) == listing
+        (bad,) = issued
+        for value in (bad.e, bad.d, msk.p_prime, msk.q_prime):
+            assert format(value, "x") not in err and str(value) not in err
+        # why: the faulty pair and any honest pair factor N, with no correct d needed
+        bob = kgc.load_pairs(files["ks"], pp, ["bob"])["bob"]
+        assert math.gcd(pow(bad.d, bob.e, pp.N) - pow(bob.d, bad.e, pp.N), pp.N) == msk.p_prime
+
+    def test_master_that_fails_validate_exits_1(self, tmp_path, capsys):
+        # p' * q' still equals n, but p' is even: the builtin pow issues, the check refuses
+        pp, msk = params.setup(params.security_level("toy", 64), Rng(1))
+        msk = dataclasses.replace(msk, p_prime=2 * msk.p_prime)
+        pp = dataclasses.replace(pp, N=msk.p_prime * msk.q_prime)
+        assert not params.validate(pp, msk).ok
+        files = {"pp": str(tmp_path / "pp.txt"), "msk": str(tmp_path / "msk.txt")}
+        params.save_public(pp, files["pp"])
+        params.save_master(pp, msk, files["msk"])
+        code, out, err = run(capsys, "issue", "--params", files["pp"], "--msk", files["msk"],
+                             "--keystore", str(tmp_path / "ks.tsv"), "--user", "alice",
+                             "--seed", "01")
+        assert (code, out) == (1, "")
+        want = "pow_secret needs exp >= 0 and an odd modulus >= 1"
+        assert err == f"error[InvalidInput]: {want}\n"
+        assert not os.path.exists(tmp_path / "ks.tsv")
 
 
 class TestValidateBadModulus:

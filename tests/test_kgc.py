@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import EDITS, ScriptedRng, apply_edits, issuing, load_keystore
+from conftest import EDITS, ScriptedRng, apply_edits, issuing, load_keystore, without_libcrypto
 from mpnike import artifact, kgc, nike, numt, params
 from mpnike.errors import (
     CollisionBudgetExceeded,
@@ -239,6 +239,33 @@ class TestIssuerCrt:
             ys = [issuance_exponents(msk, e)[0] for e in es]
             assert F == closed_form_group_element(msk, pp.N, ys)
             assert F == nike.shared_key(pp, members[0], es[1:]).F
+
+    def test_group_element_without_libcrypto(self, big1024, big1024_users, monkeypatch):
+        pp, msk = big1024
+        _, pairs = big1024_users
+        es = [p.e for p in pairs]
+        ys = [issuance_exponents(msk, e)[0] for e in es]
+        want = closed_form_group_element(msk, pp.N, ys)
+        assert kgc.group_element(pp, msk, es) == want
+        without_libcrypto(monkeypatch)
+        assert kgc.group_element(pp, msk, es) == want
+
+    def test_group_element_makes_two_secret_exponentiations(self, toy64, toy64_users,
+                                                            monkeypatch):
+        pp, msk = toy64
+        _, pairs = toy64_users
+        calls = []
+        real = numt.pow_secret
+
+        def counting(*args):
+            calls.append(args[2])
+            return real(*args)
+
+        monkeypatch.setattr(numt, "pow_secret", counting)
+        for size in (2, 5, len(pairs)):
+            calls.clear()
+            kgc.group_element(pp, msk, [p.e for p in pairs[:size]])
+            assert calls == [msk.p_prime, msk.q_prime]
 
 
 class TestKeystoreFiles:

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import EDITS, apply_edits
+from conftest import EDITS, apply_edits, without_libcrypto
 from mpnike import artifact, kgc, nike, numt, params
 from mpnike.errors import (
     AlreadyMember,
@@ -232,8 +232,7 @@ class TestHeldKey:
             assert mine.powers[0] == params_now.N
 
     def test_builtin_pow_fallback(self, toy64_roster, monkeypatch):
-        monkeypatch.setattr(numt, "_pow", pow)
-        monkeypatch.setattr(numt, "_pow2", numt._builtin_pow2)
+        without_libcrypto(monkeypatch)
         pp, pairs = toy64_roster
         _agree(pp, _fresh(pairs[7]), pairs, [range(64), range(10), range(20, 60)])
 

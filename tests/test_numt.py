@@ -117,6 +117,7 @@ class TestModExpWide:
         exp = data.draw(st.integers(min_value=0, max_value=1 << bits))
         assert mod_exp(base, exp, n) == pow(base, exp, n)
         assert numt.pow_mod(base, exp, n) == pow(base, exp, n)
+        assert numt.pow_secret(base, exp, n) == pow(base, exp, n)
 
     @settings(max_examples=100, deadline=None)
     @given(n=wide_odd_moduli(), data=st.data())
@@ -136,6 +137,7 @@ class TestModExpWide:
         for base in (0, 1, -1, n - 1, n, n + 1, 2 * n + 3, -n - 2):
             for exp in (0, 1, 2, 3, 65537):
                 assert mod_exp(base, exp, n) == pow(base, exp, n)
+                assert numt.pow_secret(base, exp, n) == pow(base, exp, n)
         assert mod_exp(0, 0, n) == 1
         assert mod_exp(0, 5, n) == 0
 
@@ -170,19 +172,25 @@ class TestModExpWide:
 
 
 class TestPowMod:
+    """pow_mod and pow_secret, its constant-time form, check and compute alike."""
+
     def test_rejects_negative_exponent_and_even_moduli(self):
-        for exp, n in ((-1, 35), (3, 0), (3, 2), (3, 100), (3, -35)):
-            with pytest.raises(InvalidInput):
-                numt.pow_mod(2, exp, n)
+        for power in (numt.pow_mod, numt.pow_secret):
+            for exp, n in ((-1, 35), (3, 0), (3, 2), (3, 100), (3, -35), (3, 1 << 1024)):
+                with pytest.raises(InvalidInput) as exc:
+                    power(123457, exp, n)
+                assert not re.search(r"\d{3}", str(exc.value))  # names no value
 
     def test_small_odd_moduli(self):
-        for n in (1, 3, 5, 7, 9, 13):
-            for base in (-3, 0, 1, 2, n + 2):
-                assert numt.pow_mod(base, 5, n) == pow(base, 5, n)
+        for power in (numt.pow_mod, numt.pow_secret):
+            for n in (1, 3, 5, 7, 9, 13):
+                for base in (-3, 0, 1, 2, n + 2):
+                    assert power(base, 5, n) == pow(base, 5, n)
 
     def test_uncounted(self):
         with count_mod_exps() as counter:
             numt.pow_mod(2, 5, 35)
+            numt.pow_secret(2, 5, 35)
             mod_exp(2, 5, 35)
         assert counter.count == 1
 
@@ -196,6 +204,7 @@ class TestBackend:
             pytest.skip("libcrypto symbols are reached through _hashlib on Linux")
         assert numt._LIBCRYPTO is not None
         assert numt._pow is numt._bn_mod_exp
+        assert numt._pow_secret is numt._bn_mod_exp_secret
 
     def test_threads_agree_with_pow(self):
         rng = Rng(12)
