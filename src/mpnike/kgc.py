@@ -22,7 +22,6 @@ from __future__ import annotations
 import operator
 import os
 from dataclasses import dataclass, field
-from itertools import repeat
 from typing import Callable, Iterable, Optional
 
 from . import artifact, numt
@@ -40,6 +39,9 @@ from .numt import Rng
 from .params import MasterSecret, PublicParams, params_digest
 
 _STORE_HEADER = "mpnike-keystore/2"
+_HEX_DIGITS = b"0123456789abcdef"
+# a checked keystore: each user id's e and d hex bytes, as stored, and the set of e
+_Rows = tuple[dict[str, tuple[bytes, bytes]], set[bytes]]
 _COLLISION_BUDGET = 16
 MAX_USER_ID_BYTES = 256
 
@@ -137,6 +139,9 @@ def _issuer_pow(pp: PublicParams, msk: MasterSecret, x: int, power=pow) -> int:
         crt = msk.q_prime_inv
     except ValueError:
         raise InvalidInput("master secret is malformed: p or q' is not invertible") from None
+    # `params.validate`'s modulus_structure: without it, h**x is no member key
+    if msk.p_prime != 2 * msk.p * msk.z + 1 or msk.q_prime != 2 * msk.q + 1:
+        raise InvalidInput("master secret is malformed: p' is not 2pz + 1 or q' is not 2q + 1")
     a = power(pp.g_p, x % msk.z, msk.p_prime)
     b = power(pp.g_p, x % msk.q, msk.q_prime)
     return b + msk.q_prime * ((a - b) * crt % msk.p_prime)
@@ -212,57 +217,76 @@ def store_save(store: Keystore, path: str):
     artifact.write_bound(path, _STORE_HEADER, store.params_ref, rows, private=True)
 
 
-def store_load(path: str, pp: PublicParams) -> tuple[dict[str, str], set[str]]:
-    """Every row of the keystore at path, checked against the whole format and
-    kept as its line text, keyed by user id; and the set of e texts.  This is
-    the one checked read of a keystore file: `load_pairs` and `store_issue`
-    go through it, and it decodes no row.
+def store_load(path: str, pp: PublicParams) -> _Rows:
+    """Every row of the keystore at path, checked against the whole format,
+    as its e and d hex bytes as stored, keyed by user id; and the set of e
+    hex bytes.  This is the one checked read of a keystore file: `load_pairs`
+    and `store_issue` go through it, and it decodes no row.
 
     A row is 3 tab-separated fields; user ids are valid and strictly
     ascending; e and d are canonical hex; no e appears twice.  Canonical hex
-    is one text per value, so comparing e as text compares the keys.  The
-    rules are checked a column at a time; a file that fails any of them is
-    walked row by row (`_walk_rows`), which names the first bad line.
+    is one text per value, so comparing e as bytes compares the keys.  The
+    file's bytes are checked whole, in a fixed number of passes that each run
+    in C (`_byte_rows`); a file that fails any rule is read again as lines
+    and walked row by row (`_walk_rows`), which names the first bad line.
     """
-    lines = artifact.read_bound(path, _STORE_HEADER, params_digest(pp))
-    return _column_rows(lines) or _walk_rows(path, lines)
+    digest = params_digest(pp)
+    return _byte_rows(artifact.read(path), digest) or _walk_rows(
+        path, artifact.read_bound(path, _STORE_HEADER, digest)
+    )
 
 
-def _column_rows(lines: list[str]) -> Optional[tuple[dict[str, str], set[str]]]:
-    """`_walk_rows`' result when every column passes its rules, else None.
+def _byte_rows(raw: bytes, digest: str) -> Optional[_Rows]:
+    """`_walk_rows`' result for the keystore bytes raw when they pass every
+    rule, else None.
 
     None can also mean only that the file has no row, or that a rule was
     checked more strictly than the walk checks it: an e or d of "0" is
     canonical but starts with "0".
     """
-    cols = list(map(str.split, lines, repeat("\t")))
-    if set(map(len, cols)) != {3}:
+    # the tag, the digest, then id, e and d per row, then b"" after the final newline
+    fields = raw.replace(b"\n", b"\t").split(b"\t")
+    n = len(fields) // 3 - 1
+    header = [_STORE_HEADER.encode(), digest.encode()]
+    if n < 1 or len(fields) != 3 * n + 3 or fields[-1] or fields[:2] != header:
         return None
-    ids, es, ds = zip(*cols)
-    id_text, hexes, issued = "\t".join(ids), es + ds, set(es)
+    ids, es, ds = fields[2:-1:3], fields[3:-1:3], fields[4:-1:3]
+    skeleton = fields[0] + b"\t\n" + b"\t\t\n".join(ids) + b"\t\t\n"
+    issued = set(es)
     if not (
-        # `_check_user_id`'s rules, then strictly ascending
-        all(ids)
-        and max(map(len, map(str.encode, ids))) <= MAX_USER_ID_BYTES
-        and id_text.splitlines() == [id_text]
-        and "," not in id_text
-        and tuple(map(str.strip, ids)) == ids
+        # with its hex digits deleted, the file is its skeleton: so every
+        # separator is in place (each line is id TAB e TAB d) and each e and
+        # d is nothing but lowercase hex digits
+        raw.translate(None, _HEX_DIGITS) == skeleton.translate(None, _HEX_DIGITS)
+        # canonical hex: nonempty and without a leading "0", so at least "1"
+        and min(es) >= b"1"
+        and min(ds) >= b"1"
+        and len(issued) == n
+        # the ids strictly ascend as bytes, which for UTF-8 is code-point order,
+        # so all are nonempty if the first is
+        and ids[0]
         and all(map(operator.lt, ids, ids[1:]))
-        # canonical hex: every field nonempty and without a leading "0", so the
-        # least is at least "1", and nothing but lowercase hex digits
-        and min(hexes) >= "1"
-        and not "".join(hexes).encode().translate(None, b"0123456789abcdef")
-        and len(issued) == len(es)
+        and max(map(len, ids)) <= MAX_USER_ID_BYTES
     ):
         return None
-    return dict(zip(ids, lines)), issued
+    try:
+        id_text = b"\t".join(ids).decode("utf-8")
+    except UnicodeDecodeError:
+        return None
+    # `_check_user_id`'s other rules, over all the ids at once
+    user_ids = id_text.split("\t")
+    if id_text.splitlines() != [id_text] or "," in id_text:
+        return None
+    if list(map(str.strip, user_ids)) != user_ids:
+        return None
+    return dict(zip(user_ids, zip(es, ds))), issued
 
 
-def _walk_rows(path: str, lines: list[str]) -> tuple[dict[str, str], set[str]]:
-    """`store_load`'s check one row at a time: the reference its column checks
+def _walk_rows(path: str, lines: list[str]) -> _Rows:
+    """`store_load`'s check one row at a time: the reference its byte check
     must agree with, and the path that raises the first bad line's FormatError."""
-    rows: dict[str, str] = {}
-    seen_e: set[str] = set()
+    rows: dict[str, tuple[bytes, bytes]] = {}
+    seen_e: set[bytes] = set()
     previous = ""
     for lineno, line in enumerate(lines, 2):
         cols = line.split("\t")
@@ -277,11 +301,12 @@ def _walk_rows(path: str, lines: list[str]) -> tuple[dict[str, str], set[str]]:
             raise FormatError(f"{path}:{lineno}: user id {user_id!r} duplicate or out of order")
         previous = user_id
         numt.check_hex(e_hex, f"{path}:{lineno}: e")
-        if e_hex in seen_e:
+        e = e_hex.encode()
+        if e in seen_e:
             raise FormatError(f"{path}:{lineno}: duplicate public key")
-        seen_e.add(e_hex)
+        seen_e.add(e)
         numt.check_hex(d_hex, f"{path}:{lineno}: d")
-        rows[user_id] = line
+        rows[user_id] = e, d_hex.encode()
     return rows, seen_e
 
 
@@ -297,7 +322,7 @@ def load_pairs(path: str, pp: PublicParams, user_ids: Iterable[str]) -> dict[str
         if user_id not in rows:
             raise UnknownUser(user_id)
         if user_id not in pairs:
-            _, e_hex, d_hex = rows[user_id].split("\t")
+            e_hex, d_hex = rows[user_id]
             pairs[user_id] = KeyPair(user_id, int(e_hex, 16), int(d_hex, 16))
     return pairs
 
@@ -308,20 +333,25 @@ def store_issue(
     """Issue a key pair for user_id into the keystore file at path, creating it if absent.
 
     Every row is checked by `store_load` and none is decoded: the issued
-    keys are the e texts the check collects, and the checked lines are
-    written back unchanged with the new row among them.  The draws and the
-    bytes written are those of `keygen` and `store_save` on a `Keystore` of
-    the file's pairs.  d is first recomputed on `numt.pow_secret`, independent
-    of issuance's `pow`: a d faulty in one CRT half factors N with any other
-    pair, so a mismatch raises MpnikeError, naming no value, and writes nothing.
+    keys are the e bytes the check collects, and the checked rows are
+    written back as they were stored, with the new row among them.  The draws
+    and the bytes written are those of `keygen` and `store_save` on a
+    `Keystore` of the file's pairs.  d is first recomputed on
+    `numt.pow_secret`, independent of issuance's `pow`: a d faulty in one CRT
+    half factors N with any other pair, so a mismatch raises MpnikeError,
+    naming no value, and writes nothing.
     """
     rows, issued = store_load(path, pp) if os.path.exists(path) else ({}, set())
     if user_id in rows:
         raise DuplicateUser(user_id)
-    pair = _issue(pp, msk, user_id, lambda e: numt.int_to_hex(e) in issued, rng)
+    pair = _issue(pp, msk, user_id, lambda e: numt.int_to_hex(e).encode() in issued, rng)
     if _issuer_pow(pp, msk, pair.e, numt.pow_secret) != pair.d:
         raise MpnikeError("issued key failed its check; nothing was written")
-    rows[user_id] = _row(user_id, pair.e, pair.d)
-    lines = (rows[u] for u in sorted(rows))
-    artifact.write_bound(path, _STORE_HEADER, params_digest(pp), lines, private=True)
+    rows[user_id] = numt.int_to_hex(pair.e).encode(), numt.int_to_hex(pair.d).encode()
+    ids = sorted(rows)
+    es, ds = zip(*map(rows.__getitem__, ids))
+    # no id holds a line feed, so one encode gives every id's bytes
+    lines = map(b"\t".join, zip("\n".join(ids).encode().split(b"\n"), es, ds))
+    header = f"{_STORE_HEADER}\t{params_digest(pp)}".encode()
+    artifact.write(path, b"\n".join((header, *lines, b"")), private=True)
     return pair

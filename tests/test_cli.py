@@ -801,7 +801,7 @@ class TestIssueCheck:
         assert math.gcd(pow(bad.d, bob.e, pp.N) - pow(bob.d, bad.e, pp.N), pp.N) == msk.p_prime
 
     def test_master_that_fails_validate_exits_1(self, tmp_path, capsys):
-        # p' * q' still equals n, but p' is even: the builtin pow issues, the check refuses
+        # p' * q' still equals n, but p' is even: the issuer refuses it before any pow
         pp, msk = params.setup(params.security_level("toy", 64), Rng(1))
         msk = dataclasses.replace(msk, p_prime=2 * msk.p_prime)
         pp = dataclasses.replace(pp, N=msk.p_prime * msk.q_prime)
@@ -813,9 +813,30 @@ class TestIssueCheck:
                              "--keystore", str(tmp_path / "ks.tsv"), "--user", "alice",
                              "--seed", "01")
         assert (code, out) == (1, "")
-        want = "pow_secret needs exp >= 0 and an odd modulus >= 1"
+        want = "master secret is malformed: p' is not 2pz + 1 or q' is not 2q + 1"
         assert err == f"error[InvalidInput]: {want}\n"
         assert not os.path.exists(tmp_path / "ks.tsv")
+
+    def test_master_with_odd_wrong_p_prime_exits_1(self, tmp_path, capsys):
+        # p' is 3 times the true p': odd, invertible and p' * q' still equals n, so
+        # issuance and its check agree on a wrong h**e
+        pp, msk = params.setup(params.security_level("toy", 64), Rng(5))
+        msk = dataclasses.replace(msk, p_prime=3 * msk.p_prime)
+        pp = dataclasses.replace(pp, N=msk.p_prime * msk.q_prime)
+        report = params.validate(pp, msk)
+        assert "modulus_structure" in [c.name for c in report.failures()]
+        files = {"pp": str(tmp_path / "pp.txt"), "msk": str(tmp_path / "msk.txt")}
+        params.save_public(pp, files["pp"])
+        params.save_master(pp, msk, files["msk"])
+        code, out, err = run(capsys, "issue", "--params", files["pp"], "--msk", files["msk"],
+                             "--keystore", str(tmp_path / "ks.tsv"), "--user", "alice",
+                             "--seed", "01")
+        assert (code, out) == (1, "")
+        want = "master secret is malformed: p' is not 2pz + 1 or q' is not 2q + 1"
+        assert err == f"error[InvalidInput]: {want}\n"
+        assert not os.path.exists(tmp_path / "ks.tsv")
+        for value in (msk.p, msk.z, msk.q, msk.g, msk.p_prime, msk.q_prime, pp.N):
+            assert format(value, "x") not in err and str(value) not in err
 
 
 class TestValidateBadModulus:

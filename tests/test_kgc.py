@@ -227,6 +227,27 @@ class TestIssuerCrt:
         with pytest.raises(InvalidInput, match="malformed"):
             kgc.group_element(pp, broken, [p.e for p in pairs[:3]])
 
+    @pytest.mark.parametrize("prime", ["p_prime", "q_prime"])
+    def test_wrong_modulus_structure_is_an_error_on_every_issuer_path(
+        self, toy64, toy64_users, tmp_path, prime
+    ):
+        # 3 * p' (or 3 * q') is odd and invertible, with N recomputed to match
+        pp, msk = toy64
+        broken = dataclasses.replace(msk, **{prime: 3 * getattr(msk, prime)})
+        pp = dataclasses.replace(pp, N=broken.p_prime * broken.q_prime)
+        _, pairs = toy64_users
+        path = str(tmp_path / "ks.tsv")
+        store = kgc.new_keystore(pp)
+        for issuer_path in (
+            lambda: kgc.keygen(pp, broken, store, "alice", Rng(25)),
+            lambda: kgc.store_issue(path, pp, broken, "alice", Rng(25)),
+            lambda: kgc.verify_pair(pp, broken, pairs[0].e, pairs[0].d),
+            lambda: kgc.group_element(pp, broken, [p.e for p in pairs[:3]]),
+        ):
+            with pytest.raises(InvalidInput, match="^master secret is malformed: p' is not"):
+                issuer_path()
+        assert not store.records and not os.path.exists(path)
+
     @pytest.mark.parametrize("level", ["toy64", "big1024"])
     def test_group_element_is_the_closed_form(self, request, level):
         pp, msk = request.getfixturevalue(level)
@@ -456,8 +477,8 @@ class TestKeystoreFiles:
         else:
             decoded = {}
             for uid in named:
-                user_id, e_hex, d_hex = rows[uid].split("\t")
-                decoded[uid] = kgc.KeyPair(user_id, int(e_hex, 16), int(d_hex, 16))
+                e_hex, d_hex = rows[uid]
+                decoded[uid] = kgc.KeyPair(uid, int(e_hex, 16), int(d_hex, 16))
             assert kgc.load_pairs(path, pp, named) == decoded
 
     def test_member_read_decodes_only_the_named_rows(
@@ -527,6 +548,79 @@ def test_store_rows_agrees_with_the_row_walk(toy16, tmp_path_factory, lines):
         assert str(got.value) == str(exc)
     else:
         assert kgc.store_load(path, pp) == walked
+
+
+def _walked(path: str, pp):
+    """The row walk's verdict on the file at path: its rows and e set, or its error."""
+    try:
+        lines = artifact.read_bound(path, kgc._STORE_HEADER, params.params_digest(pp))
+        return kgc._walk_rows(path, lines)
+    except (FormatError, ParamsMismatch) as exc:
+        return type(exc), str(exc)
+
+
+def _row_bytes(*rows: tuple[str, str, str]) -> bytes:
+    return "".join(f"{u}\t{e}\t{d}\n" for u, e, d in rows).encode()
+
+
+_A = _row_bytes(("a", "1", "2"))
+# each file is made from its header line, `tag<TAB>digest<LF>`
+_EDGE_FILES = {
+    "ends in \\n0": lambda head: head + _A + b"0",
+    "2-field row next to a 4-field row": lambda head: head + b"x\t1\n2\t3\t4\t5\n",
+    "ids of hex digits only": lambda head: head
+    + _row_bytes(("0abc", "1", "2"), ("a00", "3", "4"), ("ff", "5", "6")),
+    "multibyte ids": lambda head: head
+    + _row_bytes(("a", "1", "2"), ("é", "3", "4"), ("é" * 128, "5", "6"), ("日本", "7", "8")),
+    "multibyte id over 256 bytes": lambda head: head + _row_bytes(("é" * 128 + "x", "1", "2")),
+    "bad UTF-8 in an id": lambda head: head + _A + b"b\xff\t3\t4\n",
+    "bad UTF-8 in an e": lambda head: head + _A + b"b\t3\xff\t4\n",
+    "bad UTF-8 in a d": lambda head: head + _A + b"b\t3\t\xc34\n",
+    "bad UTF-8 in the header": lambda head: head[:5] + b"\xff" + head[6:] + _A,
+    "\\r inside an id": lambda head: head + _row_bytes(("a\rb", "1", "2")),
+    "\\r ending an id": lambda head: head + _A + _row_bytes(("b\r", "3", "4")),
+    "U+2028 inside an id": lambda head: head + _A + _row_bytes(("b\u2028c", "3", "4")),
+    "e of 0": lambda head: head + _row_bytes(("a", "0", "2"), ("b", "3", "4")),
+    "d of 0": lambda head: head + _A + _row_bytes(("b", "3", "0")),
+    "e of 00": lambda head: head + _row_bytes(("a", "00", "2")),
+    "empty d": lambda head: head + _row_bytes(("a", "1", "")),
+    "duplicate e": lambda head: head + _row_bytes(("a", "1a", "2"), ("b", "1a", "4")),
+    "ids out of order": lambda head: head + _row_bytes(("é", "1", "2"), ("z", "3", "4")),
+    "header only": lambda head: head,
+    "mpnike-keystore/1 header": lambda head: head.replace(b"/2", b"/1") + _A,
+    "another digest": lambda head: head[:-65] + b"0" * 64 + b"\n" + _A,
+}
+
+
+@pytest.mark.parametrize("make", _EDGE_FILES.values(), ids=_EDGE_FILES.keys())
+def test_byte_check_agrees_with_the_row_walk_on_edge_files(toy16, tmp_path, make):
+    """Each edge file gives exactly the walk's rows and e set, or its exact error."""
+    pp = toy16[0]
+    path = str(tmp_path / "ks.tsv")
+    artifact.write(path, make(f"{kgc._STORE_HEADER}\t{params.params_digest(pp)}\n".encode()))
+    walked = _walked(path, pp)
+    try:
+        got = kgc.store_load(path, pp)
+    except (FormatError, ParamsMismatch) as exc:
+        got = type(exc), str(exc)
+    assert got == walked
+
+
+def test_valid_keystore_takes_the_byte_check(toy16, tmp_path, monkeypatch):
+    """A valid 2000-row keystore loads without the row walk."""
+    pp = toy16[0]
+    rows = {f"user{i:04d}": (format(i + 1, "x"), format(3 * i + 7, "x")) for i in range(2000)}
+    path = str(tmp_path / "ks.tsv")
+    lines = ("\t".join((u, *v)) for u, v in rows.items())
+    artifact.write_bound(path, kgc._STORE_HEADER, params.params_digest(pp), lines)
+
+    def refuse(*args):
+        raise AssertionError("the row walk ran on a valid keystore")
+
+    monkeypatch.setattr(kgc, "_walk_rows", refuse)
+    got, issued = kgc.store_load(path, pp)
+    assert got == {u: (e.encode(), d.encode()) for u, (e, d) in rows.items()}
+    assert issued == {e.encode() for e, _ in rows.values()}
 
 
 def _valid_id(user_id: str) -> bool:
