@@ -45,9 +45,9 @@ def read_text(path: str) -> str:
         raise FormatError(f"{path}: not UTF-8 text (byte {exc.start})") from None
 
 
-def write_bound(path: str, tag: str, digest: str, lines: Iterable[str], private: bool = False):
+def write_bound(path: str, tag: str, digest: str, lines: Iterable[str]):
     """Header line `tag<TAB>digest`, then one body line per item."""
-    write(path, "".join(f"{line}\n" for line in (f"{tag}\t{digest}", *lines)), private)
+    write(path, "".join(f"{line}\n" for line in (f"{tag}\t{digest}", *lines)))
 
 
 def read_bound(path: str, tag: str, digest: str) -> list[str]:

@@ -39,7 +39,6 @@ from .numt import Rng
 from .params import MasterSecret, PublicParams, params_digest
 
 _STORE_HEADER = "mpnike-keystore/2"
-_HEX_DIGITS = b"0123456789abcdef"
 # a checked keystore: each user id's e and d hex bytes, as stored, and the set of e
 _Rows = tuple[dict[str, tuple[bytes, bytes]], set[bytes]]
 _COLLISION_BUDGET = 16
@@ -207,14 +206,25 @@ def verify_pair(pp: PublicParams, msk: MasterSecret, e: int, d: int) -> bool:
     return _issuer_pow(pp, msk, e) == d % pp.N
 
 
-def _row(user_id: str, e: int, d: int) -> str:
-    return f"{user_id}\t{numt.int_to_hex(e)}\t{numt.int_to_hex(d)}"
-
-
 def store_save(store: Keystore, path: str):
-    """Tab-separated `user_id, e, d` rows sorted by user id; mode 0600."""
-    rows = (_row(u, r.e, r.d) for u, r in sorted(store.records.items()))
-    artifact.write_bound(path, _STORE_HEADER, store.params_ref, rows, private=True)
+    """Tab-separated `user_id, e, d` rows sorted by user id; mode 0600.  Each id is
+    checked first: a bad one raises InvalidInput and nothing is written."""
+    rows = {}
+    for user_id, pair in store.records.items():
+        _check_user_id(user_id)
+        rows[user_id] = numt.int_to_hex(pair.e).encode(), numt.int_to_hex(pair.d).encode()
+    _store_write(path, store.params_ref, rows)
+
+
+def _store_write(path: str, digest: str, rows: dict[str, tuple[bytes, bytes]]):
+    """The one keystore encoder, behind `store_save` and `store_issue`: the header,
+    then each id's e and d hex bytes in id order; mode 0600.  The ids are checked
+    (`_check_user_id`), so none holds a line feed and one encode gives all their bytes."""
+    ids = sorted(rows)
+    es, ds = zip(*map(rows.__getitem__, ids)) if ids else ((), ())
+    lines = map(b"\t".join, zip("\n".join(ids).encode().split(b"\n"), es, ds))
+    header = f"{_STORE_HEADER}\t{digest}".encode()
+    artifact.write(path, b"\n".join((header, *lines, b"")), private=True)
 
 
 def store_load(path: str, pp: PublicParams) -> _Rows:
@@ -257,7 +267,7 @@ def _byte_rows(raw: bytes, digest: str) -> Optional[_Rows]:
         # with its hex digits deleted, the file is its skeleton: so every
         # separator is in place (each line is id TAB e TAB d) and each e and
         # d is nothing but lowercase hex digits
-        raw.translate(None, _HEX_DIGITS) == skeleton.translate(None, _HEX_DIGITS)
+        raw.translate(None, numt._HEX_DIGITS) == skeleton.translate(None, numt._HEX_DIGITS)
         # canonical hex: nonempty and without a leading "0", so at least "1"
         and min(es) >= b"1"
         and min(ds) >= b"1"
@@ -333,13 +343,13 @@ def store_issue(
     """Issue a key pair for user_id into the keystore file at path, creating it if absent.
 
     Every row is checked by `store_load` and none is decoded: the issued
-    keys are the e bytes the check collects, and the checked rows are
-    written back as they were stored, with the new row among them.  The draws
-    and the bytes written are those of `keygen` and `store_save` on a
-    `Keystore` of the file's pairs.  d is first recomputed on
-    `numt.pow_secret`, independent of issuance's `pow`: a d faulty in one CRT
-    half factors N with any other pair, so a mismatch raises MpnikeError,
-    naming no value, and writes nothing.
+    keys are the e bytes the check collects, and the checked rows, with the
+    new row among them, go back as stored to `_store_write`, the encoder
+    `store_save` writes through.  So the draws and the bytes written are
+    those of `keygen` and `store_save` on a `Keystore` of the file's pairs.
+    d is first recomputed on `numt.pow_secret`, independent of issuance's
+    `pow`: a d faulty in one CRT half factors N with any other pair, so a
+    mismatch raises MpnikeError, naming no value, and writes nothing.
     """
     rows, issued = store_load(path, pp) if os.path.exists(path) else ({}, set())
     if user_id in rows:
@@ -348,10 +358,5 @@ def store_issue(
     if _issuer_pow(pp, msk, pair.e, numt.pow_secret) != pair.d:
         raise MpnikeError("issued key failed its check; nothing was written")
     rows[user_id] = numt.int_to_hex(pair.e).encode(), numt.int_to_hex(pair.d).encode()
-    ids = sorted(rows)
-    es, ds = zip(*map(rows.__getitem__, ids))
-    # no id holds a line feed, so one encode gives every id's bytes
-    lines = map(b"\t".join, zip("\n".join(ids).encode().split(b"\n"), es, ds))
-    header = f"{_STORE_HEADER}\t{params_digest(pp)}".encode()
-    artifact.write(path, b"\n".join((header, *lines, b"")), private=True)
+    _store_write(path, params_digest(pp), rows)
     return pair

@@ -11,7 +11,7 @@ makes one `mod_exp` per distinct exponent, so group key derivation
 not.
 
 All run on OpenSSL's bignums, reached through the libcrypto that the
-interpreter's `_hashlib` extension already links (`BN_mod_exp`, and
+interpreter's `_hashlib` extension already links (`BN_mod_exp_mont`, and
 `BN_mod_exp2_mont` for `fixed_base_chain`'s two-base step), and on the
 builtin `pow` where that library cannot be loaded (no `_hashlib`, or its
 symbols are not exported, as on Windows).  Both give the same value, and
@@ -30,6 +30,7 @@ import ctypes
 import random
 from contextlib import contextmanager
 from contextvars import ContextVar
+from functools import partial
 from math import gcd, prod
 from typing import Iterable, Iterator, Optional
 
@@ -99,7 +100,7 @@ def _load_libcrypto() -> Optional[ctypes.CDLL]:
             ("BN_new", (), ptr),
             ("BN_CTX_new", (), ptr),
             ("BN_bin2bn", (buf, i, ptr), ptr),
-            ("BN_mod_exp", (ptr, ptr, ptr, ptr, ptr), i),
+            ("BN_mod_exp_mont", (ptr,) * 6, i),
             ("BN_mod_exp2_mont", (ptr,) * 8, i),
             ("BN_mod_exp_mont_consttime", (ptr,) * 6, i),
             ("BN_bn2binpad", (ptr, ptr, i), i),
@@ -124,11 +125,12 @@ _LIBCRYPTO = _load_libcrypto()
 
 
 def _bn_call(op, *values: int) -> int:
-    """op(r, *bignums, ctx) on libcrypto, returned as the int r.
+    """op(r, *bignums, ctx, None) on libcrypto, returned as the int r.
 
-    values are nonnegative and end with the modulus, whose width r takes.
-    Every call owns its context and bignums, so calls may run in parallel
-    threads; all are cleared before they are freed.
+    op is an exponentiation ending in (m, ctx, in_mont).  values are
+    nonnegative and end with the odd modulus, whose width r takes.  Every
+    call owns its context and bignums, so calls may run in parallel threads;
+    all are cleared before they are freed.
     """
     lib = _LIBCRYPTO
     width = (values[-1].bit_length() + 7) // 8
@@ -147,7 +149,7 @@ def _bn_call(op, *values: int) -> int:
         if not r:
             raise MemoryError("BN_new failed")
         bns.append(r)
-        if op(r, *bns[:-1], ctx) != 1:
+        if op(r, *bns[:-1], ctx, None) != 1:
             raise ArithmeticError("libcrypto exponentiation failed")
         out = ctypes.create_string_buffer(width)
         if lib.BN_bn2binpad(r, out, width) != width:
@@ -160,29 +162,18 @@ def _bn_call(op, *values: int) -> int:
             lib.BN_CTX_free(ctx)
 
 
-def _bn_mod_exp(b: int, exp: int, n: int) -> int:
-    """b**exp mod n on libcrypto, for 0 <= b < n and exp >= 0."""
-    return _bn_call(_LIBCRYPTO.BN_mod_exp, b, exp, n)
-
-
-def _bn_mod_exp2(a1: int, p1: int, a2: int, p2: int, n: int) -> int:
-    """a1**p1 * a2**p2 mod n on libcrypto, the two sharing their squarings; n odd."""
-    return _bn_call(lambda *args: _LIBCRYPTO.BN_mod_exp2_mont(*args, None), a1, p1, a2, p2, n)
-
-
-def _bn_mod_exp_secret(b: int, exp: int, n: int) -> int:
-    """b**exp mod n on libcrypto's constant-time routine, for 0 <= b < n; n odd."""
-    return _bn_call(lambda *args: _LIBCRYPTO.BN_mod_exp_mont_consttime(*args, None), b, exp, n)
-
-
 def _builtin_pow2(a1: int, p1: int, a2: int, p2: int, n: int) -> int:
     return pow(a1, p1, n) * pow(a2, p2, n) % n
 
 
+# b**e mod n; a1**p1 * a2**p2 mod n, the two sharing their squarings; and b**e
+# mod n in constant time for a secret e
 if _LIBCRYPTO is None:
     _pow, _pow2, _pow_secret = pow, _builtin_pow2, pow
 else:
-    _pow, _pow2, _pow_secret = _bn_mod_exp, _bn_mod_exp2, _bn_mod_exp_secret
+    _pow = partial(_bn_call, _LIBCRYPTO.BN_mod_exp_mont)
+    _pow2 = partial(_bn_call, _LIBCRYPTO.BN_mod_exp2_mont)
+    _pow_secret = partial(_bn_call, _LIBCRYPTO.BN_mod_exp_mont_consttime)
 
 
 class ModExpCounter:

@@ -183,6 +183,27 @@ def test_only_the_issuer_exponentiates_outside_numt():
     assert not offenders
 
 
+def test_one_keystore_encoder():
+    # `kgc._store_write` is the only writer of the keystore format, and the checked
+    # read (`store_load`, `_byte_rows`) the only reader: nothing else names its header
+    allowed = {"_store_write", "store_load", "_byte_rows"}
+    offenders = []
+    for path in sorted(glob.glob(os.path.join(SRC, "*.py"))):
+        module = os.path.basename(path)
+        with open(path, encoding="utf-8") as fh:
+            tree = ast.parse(fh.read())
+        for top in tree.body:
+            if module == "kgc.py" and getattr(top, "name", None) in allowed:
+                continue
+            offenders += [
+                f"{module}:{node.lineno}" for node in ast.walk(top)
+                if isinstance(node, (ast.Name, ast.Attribute))
+                and isinstance(node.ctx, ast.Load)
+                and "_STORE_HEADER" in (getattr(node, "id", None), getattr(node, "attr", None))
+            ]
+    assert not offenders
+
+
 # a fresh interpreter runs every command, a broadcast round trip last, and reports after each
 # one whether `cryptography` was loaded: AES-GCM runs on numt's libcrypto, so none loads it
 _NO_CRYPTOGRAPHY_PROBE = """

@@ -344,6 +344,19 @@ class TestKeystoreFiles:
             assert str(factor) not in repr(store) and numt.int_to_hex(factor) not in repr(store)
         assert repr(store) == repr(wrapped)
 
+    @pytest.mark.parametrize("bad_id", ["a\nb", "", "x,y", " a"])
+    def test_save_refuses_a_bad_id_and_writes_nothing(self, toy16_users, tmp_path, bad_id):
+        # keygen checks its ids, a Keystore built by hand does not: unchecked, "a\nb"
+        # beside "c" made a file that store_load accepts, with c's key filed under "b"
+        store, pairs = toy16_users
+        path = tmp_path / "ks.tsv"
+        kgc.store_save(store, str(path))
+        before = path.read_bytes()
+        records = {bad_id: pairs[0], "c": pairs[1]}
+        with pytest.raises(InvalidInput):
+            kgc.store_save(kgc.Keystore(store.params_ref, records), str(path))
+        assert path.read_bytes() == before
+
     def test_pair_lookup(self, toy16_users):
         store, pairs = toy16_users
         assert store.pair(pairs[0].user_id) == pairs[0]
