@@ -10,20 +10,16 @@ working collusion attacks against two earlier schemes of the same shape.
 from .errors import (
     AlreadyMember,
     AuthFailure,
-    CollisionBudgetExceeded,
     DegenerateResult,
     DuplicateUser,
     EmptyGroup,
     ExhaustedAttempts,
     FormatError,
-    GroupTooSmall,
     InvalidInput,
     MpnikeError,
     NotAuthorized,
     NotInvertible,
-    OutOfRange,
     ParamsMismatch,
-    SelfInGroup,
     UnknownUser,
 )
 from .kgc import KeyPair, Keystore, keygen, new_keystore, verify_pair
@@ -43,14 +39,12 @@ __version__ = "0.1.0"
 __all__ = [
     "AlreadyMember",
     "AuthFailure",
-    "CollisionBudgetExceeded",
     "DegenerateResult",
     "DuplicateUser",
     "EmptyGroup",
     "ExhaustedAttempts",
     "FormatError",
     "GroupKeyState",
-    "GroupTooSmall",
     "InvalidInput",
     "KeyPair",
     "Keystore",
@@ -58,12 +52,10 @@ __all__ = [
     "MpnikeError",
     "NotAuthorized",
     "NotInvertible",
-    "OutOfRange",
     "ParamsMismatch",
     "PublicParams",
     "Rng",
     "SecurityLevel",
-    "SelfInGroup",
     "UnknownUser",
     "count_mod_exps",
     "join",

@@ -27,7 +27,7 @@ from typing import Iterable
 
 from . import artifact, kgc, nike, numt, params
 from .errors import (
-    AuthFailure, FormatError, GroupTooSmall, InvalidInput, MpnikeError, NotAuthorized,
+    AuthFailure, EmptyGroup, FormatError, InvalidInput, MpnikeError, NotAuthorized,
     ParamsMismatch,
 )
 from .kgc import KeyPair, Keystore
@@ -126,7 +126,7 @@ def brod_encrypt(
     """
     pairs = [store.pair(u) for u in sorted(set(authorized_ids))]
     if len(pairs) < 2:
-        raise GroupTooSmall("need at least two authorized users")
+        raise EmptyGroup("need at least two authorized users")
     digest = params.params_digest(pp)
     if store.params_ref != digest:
         raise ParamsMismatch("keystore belongs to different parameters")

@@ -29,20 +29,12 @@ class InvalidInput(MpnikeError, ValueError):
     """An argument violates a documented precondition."""
 
 
-class OutOfRange(MpnikeError, ValueError):
-    """A numeric argument falls outside its permitted interval."""
-
-
 class ExhaustedAttempts(MpnikeError):
     """A randomized search ran out of its attempt budget."""
 
 
 class DuplicateUser(MpnikeError):
     """The user id is already registered in the keystore."""
-
-
-class CollisionBudgetExceeded(MpnikeError):
-    """Re-sampling could not produce a distinct public key in time."""
 
 
 class FormatError(MpnikeError):
@@ -54,11 +46,7 @@ class ParamsMismatch(MpnikeError):
 
 
 class EmptyGroup(MpnikeError):
-    """A key derivation was requested for a group with no other member."""
-
-
-class SelfInGroup(MpnikeError):
-    """The caller's own public key appeared in the peer set."""
+    """A group operation has no other member: no peer, newcomer or second recipient."""
 
 
 class DegenerateResult(MpnikeError):
@@ -66,15 +54,11 @@ class DegenerateResult(MpnikeError):
 
 
 class AlreadyMember(MpnikeError):
-    """The joining public key already belongs to the group."""
+    """A key to add is already in the group (for a key pair, its holder's own key)."""
 
 
 class UnknownUser(MpnikeError):
     """The user id is not present in the keystore."""
-
-
-class GroupTooSmall(MpnikeError):
-    """The operation needs a larger group than was supplied."""
 
 
 class NotAuthorized(MpnikeError):

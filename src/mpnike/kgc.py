@@ -26,9 +26,9 @@ from typing import Callable, Iterable, Optional
 
 from . import artifact, numt
 from .errors import (
-    CollisionBudgetExceeded,
     DegenerateResult,
     DuplicateUser,
+    ExhaustedAttempts,
     FormatError,
     InvalidInput,
     MpnikeError,
@@ -158,7 +158,7 @@ def _issue(
         e = msk.p * y + zq * (2 * rng.randrange(0, (msk.p - 1) // 2) + 1)
         if not taken(e):
             return KeyPair(user_id, e, _issuer_pow(pp, msk, e))
-    raise CollisionBudgetExceeded(f"could not find a fresh e for {user_id!r}")
+    raise ExhaustedAttempts(f"could not find a fresh e for {user_id!r}")
 
 
 def keygen(

@@ -23,7 +23,7 @@ from math import gcd, lcm
 from typing import Iterable, Optional
 
 from . import numt, params
-from .errors import EmptyGroup, ExhaustedAttempts, InvalidInput, SelfInGroup
+from .errors import AlreadyMember, EmptyGroup, ExhaustedAttempts, InvalidInput
 from .numt import Rng
 
 _E_BITS = 16
@@ -119,7 +119,7 @@ def _peers(my_e: int, others: Iterable[int]) -> list[int]:
     if not peer_list:
         raise EmptyGroup("no other members supplied")
     if my_e in peer_list:
-        raise SelfInGroup(f"own exponent {my_e} listed as a peer")
+        raise AlreadyMember(f"own exponent {my_e} listed as a peer")
     return peer_list
 
 

@@ -32,8 +32,6 @@ from .errors import (
     EmptyGroup,
     FormatError,
     InvalidInput,
-    OutOfRange,
-    SelfInGroup,
 )
 from .kgc import KeyPair
 from .params import PublicParams, params_digest
@@ -54,7 +52,7 @@ class GroupKeyState:
 def kdf(pp: PublicParams, F: int) -> bytes:
     """256-bit key: SHA-256 of tag plus F in fixed-width big-endian form."""
     if not 0 < F < pp.N:
-        raise OutOfRange("group element must lie in (0, N)")
+        raise InvalidInput("group element must lie in (0, N)")
     return hashlib.sha256(KDF_TAG + F.to_bytes((pp.N.bit_length() + 7) // 8, "big")).digest()
 
 
@@ -62,7 +60,7 @@ def shared_key(pp: PublicParams, my_pair: KeyPair, others: Iterable[int]) -> Gro
     """Derive the group key for my_pair's view of {me} + others.
 
     A key pair is the group {e} whose element is d; this grows it by others
-    (duplicates are collapsed, order is irrelevant, e itself is SelfInGroup).
+    (duplicates are collapsed, order is irrelevant, e itself is AlreadyMember).
     """
     return _grow(pp, (my_pair.e,), my_pair.d, others)
 
@@ -95,7 +93,7 @@ def _grow(
         raise EmptyGroup("no members to add")
     for e in new_list:
         if e in members:  # a group of one is a key pair, and e its holder's own key
-            raise (SelfInGroup if len(members) == 1 else AlreadyMember)(f"{e} already a member")
+            raise AlreadyMember(f"{e} already a member")
     if not 1 < F < pp.N:
         raise InvalidInput("private key or group element not in (1, N)")
     if any(e < 2 for e in new_list):

@@ -14,14 +14,14 @@ All run on OpenSSL's bignums, reached through the libcrypto that the
 interpreter's `_hashlib` extension already links (`BN_mod_exp_mont`, and
 `BN_mod_exp2_mont` for `fixed_base_chain`'s two-base step), and on the
 builtin `pow` where that library cannot be loaded (no `_hashlib`, or its
-symbols are not exported, as on Windows).  Both give the same value, and
-`count_mod_exps` counts one call either way.  `pow_secret`, for a secret
-exponent, runs on `BN_mod_exp_mont_consttime` (also uncounted), on `pow`
-where libcrypto does not load.  The same handle serves `broadcast`'s
-AES-256-GCM (the `EVP_Cipher*` calls), which has no builtin fallback: without
-it the broadcast calls raise `MpnikeError`.  Only issuance and audit
-(`kgc._issuer_pow` on its default) exponentiate outside this module, on the
-builtin `pow`; its docstring says why.
+symbols are not exported, as on Windows).  The public functions give the
+same value on both, and `count_mod_exps` counts one call either way.
+`pow_secret`, for a secret exponent, runs on `BN_mod_exp_mont_consttime`
+(also uncounted), on `pow` where libcrypto does not load.  The same handle
+serves `broadcast`'s AES-256-GCM (the `EVP_Cipher*` calls), which has no
+builtin fallback: without it the broadcast calls raise `MpnikeError`.  Only
+issuance and audit (`kgc._issuer_pow` on its default) exponentiate outside
+this module, on the builtin `pow`; its docstring says why.
 """
 
 from __future__ import annotations
@@ -167,7 +167,10 @@ def _builtin_pow2(a1: int, p1: int, a2: int, p2: int, n: int) -> int:
 
 
 # b**e mod n; a1**p1 * a2**p2 mod n, the two sharing their squarings; and b**e
-# mod n in constant time for a secret e
+# mod n in constant time for a secret e.  libcrypto's _pow2 gives 1 for p1 = p2 = 0
+# (unreduced at n = 1), else 0 if either base is 0 mod n, even one with exponent
+# 0; so it equals the builtin on the domain `fixed_base_chain` calls it on:
+# p2 >= 1, and a1 = 0 mod n only with a2 = 0 mod n.
 if _LIBCRYPTO is None:
     _pow, _pow2, _pow_secret = pow, _builtin_pow2, pow
 else:

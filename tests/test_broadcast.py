@@ -13,8 +13,8 @@ from mpnike.cli import main
 from mpnike.errors import (
     AuthFailure,
     DegenerateResult,
+    EmptyGroup,
     FormatError,
-    GroupTooSmall,
     InvalidInput,
     MpnikeError,
     NotAuthorized,
@@ -97,9 +97,9 @@ class TestEncryptDecrypt:
 
     def test_group_too_small(self, system):
         pp, _, store = system
-        with pytest.raises(GroupTooSmall):
+        with pytest.raises(EmptyGroup, match="need at least two authorized users"):
             broadcast.brod_encrypt(store, pp, ["user001"], b"x", Rng(71))
-        with pytest.raises(GroupTooSmall):
+        with pytest.raises(EmptyGroup, match="need at least two authorized users"):
             broadcast.brod_encrypt(store, pp, ["user001", "user001"], b"x", Rng(72))
 
     def test_params_binding(self, system, toy16):

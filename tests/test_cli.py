@@ -19,7 +19,8 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from mpnike import broadcast, cli, kgc, params
+import mpnike
+from mpnike import broadcast, cli, errors, kgc, params
 from mpnike.cli import main
 from mpnike.numt import Rng
 
@@ -682,9 +683,9 @@ class TestMemberReads:
             (["join", "--user", "alice", "--group", "alice,bob", "--group-file", "{group}",
               "--new", "carol"], "InvalidInput"),
             (["broadcast-encrypt", "--authorized", "alice", "--in", "{plain}", "--out", "{out}"],
-             "GroupTooSmall"),
+             "EmptyGroup"),
             (["broadcast-encrypt", "--authorized", "bob,bob", "--in", "{plain}",
-              "--out", "{out}"], "GroupTooSmall"),
+              "--out", "{out}"], "EmptyGroup"),
         ],
         ids=lambda v: " ".join(v) if isinstance(v, list) else v,
     )
@@ -1031,6 +1032,20 @@ def test_readme_walkthrough_prints_what_the_readme_shows(tmp_path, capsys, monke
             pattern = ".*?".join(map(re.escape, line.split("...")))
             assert any(re.fullmatch(pattern, got) for got in printed), (argv, line)
     assert Path("out.txt").read_text() == Path("msg.txt").read_text()
+
+
+def test_readme_error_table_lists_every_error_class():
+    # a class merged away or added shows up here, and in the package's exports
+    classes = sorted(
+        name for name, obj in vars(errors).items()
+        if isinstance(obj, type) and obj.__module__ == errors.__name__
+    )
+    readme = _readme()
+    rows = re.findall(r"^\| `error\[(\w+)\]` \| 1 \| ", readme, re.MULTILINE)
+    assert sorted(rows) == sorted(classes + ["io"])
+    assert "\n| `usage: mpnike …` | 2 | " in readme
+    assert sorted(name for name in mpnike.__all__ if name in classes) == classes
+    assert all(getattr(mpnike, name) is getattr(errors, name) for name in classes)
 
 
 def _readme() -> str:

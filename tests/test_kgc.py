@@ -10,8 +10,8 @@ from hypothesis import strategies as st
 from conftest import EDITS, ScriptedRng, apply_edits, issuing, load_keystore, without_libcrypto
 from mpnike import artifact, kgc, nike, numt, params
 from mpnike.errors import (
-    CollisionBudgetExceeded,
     DuplicateUser,
+    ExhaustedAttempts,
     FormatError,
     InvalidInput,
     MpnikeError,
@@ -90,7 +90,7 @@ class TestKeygen:
         pp, msk = toy16
         store = kgc.new_keystore(pp)
         kgc.keygen(pp, msk, store, "a", ScriptedRng(repeat(32)))
-        with pytest.raises(CollisionBudgetExceeded):
+        with pytest.raises(ExhaustedAttempts, match="could not find a fresh e for 'b'"):
             kgc.keygen(pp, msk, store, "b", ScriptedRng(repeat(32)))
 
     def test_collision_with_loaded_or_given_records(self, toy16, tmp_path):
@@ -103,7 +103,7 @@ class TestKeygen:
         built = kgc.Keystore(store.params_ref, dict(store.records))
         for reloaded in (load_keystore(path, pp), built):
             assert reloaded.issued_keys == {store.pair("a").e}
-            with pytest.raises(CollisionBudgetExceeded):
+            with pytest.raises(ExhaustedAttempts, match="could not find a fresh e for 'b'"):
                 kgc.keygen(pp, msk, reloaded, "b", ScriptedRng(repeat(32)))
 
     def test_duplicate_user(self, toy16):
@@ -736,7 +736,7 @@ class TestStoreIssue:
 
     @pytest.mark.parametrize(
         "script, error",
-        [(lambda: [5, 3], None), (lambda: repeat(32), CollisionBudgetExceeded)],
+        [(lambda: [5, 3], None), (lambda: repeat(32), ExhaustedAttempts)],
         ids=["one resample", "budget exhausted"],
     )
     def test_collisions_as_keygen(self, toy16, tmp_path, script, error):
@@ -752,4 +752,4 @@ class TestStoreIssue:
         if error is None:
             assert new[0].e != first.e
         else:
-            assert new[0][0] is error and new[1] == raw
+            assert new[0] == (error, "could not find a fresh e for 'b'") and new[1] == raw

@@ -4,7 +4,7 @@ from itertools import repeat
 import pytest
 
 from mpnike import legacy, numt
-from mpnike.errors import EmptyGroup, ExhaustedAttempts, InvalidInput, SelfInGroup
+from mpnike.errors import AlreadyMember, EmptyGroup, ExhaustedAttempts, InvalidInput
 from mpnike.legacy import EskParams, FnParams, KeyPair
 from mpnike.numt import Rng
 
@@ -61,7 +61,7 @@ class TestFiatNaor:
         a = KeyPair(e=5, d=32)
         with pytest.raises(EmptyGroup):
             legacy.fn_shared_key(35, a, [])
-        with pytest.raises(SelfInGroup):
+        with pytest.raises(AlreadyMember, match="listed as a peer"):
             legacy.fn_shared_key(35, a, [5, 7])
         with pytest.raises(InvalidInput):
             legacy.fn_setup(4, Rng(1))
@@ -132,7 +132,7 @@ class TestEskeland:
             legacy.esk_keygen(esk, 1, Rng(41))
         with pytest.raises(EmptyGroup):
             legacy.esk_shared_key(esk.N, esk.g, pair, [])
-        with pytest.raises(SelfInGroup):
+        with pytest.raises(AlreadyMember, match="listed as a peer"):
             legacy.esk_shared_key(esk.N, esk.g, pair, [5])
 
     def test_setup_properties(self):

@@ -10,6 +10,7 @@ import pytest
 from mpnike import broadcast, kgc, nike, params
 from mpnike.numt import Rng, count_mod_exps
 
+from conftest import FAST_1024_SEED
 from oracles import closed_form_group_element, issuance_exponents
 
 
@@ -49,3 +50,19 @@ def test_named_level_flow(level, seed, digest):
     assert parsed == bc
     for pair in pairs[:3]:
         assert broadcast.brod_decrypt(pp, pair, parsed) == payload
+
+
+@pytest.mark.parametrize(
+    "level, seed, split",
+    [("80", FAST_1024_SEED, (341, 340, 682)), ("112", 2, (682, 682, 1365)),
+     ("128", 5, (1024, 1023, 2048))],
+    ids=["80", "112", "128"],
+)
+def test_factor_widths(level, seed, split):
+    # the level-80 set is conftest's big1024; the others are test_named_level_flow's
+    M = params.security_level(level).modulus_bits
+    assert params._bit_split(M) == split
+    pp, msk = params.setup(params.security_level(level), Rng(seed))
+    assert (msk.p.bit_length(), msk.z.bit_length(), msk.p_prime.bit_length()) == split
+    assert msk.q_prime.bit_length() in (M - split[2], M - split[2] + 1)
+    assert pp.N.bit_length() == M

@@ -12,7 +12,7 @@ from mpnike import numt
 from mpnike.errors import ExhaustedAttempts, FormatError, InvalidInput, NotInvertible
 from mpnike.numt import Rng, count_mod_exps, exp_chain, mod_exp
 
-from conftest import ScriptedRng
+from conftest import ScriptedRng, without_libcrypto
 from oracles import sieve, slow_pow
 
 
@@ -186,6 +186,23 @@ class TestPowMod:
             for n in (1, 3, 5, 7, 9, 13):
                 for base in (-3, 0, 1, 2, n + 2):
                     assert power(base, 5, n) == pow(base, 5, n)
+
+    @pytest.mark.parametrize("libcrypto", [True, False], ids=["libcrypto", "builtin"])
+    def test_public_functions_equal_builtin_pow(self, monkeypatch, libcrypto):
+        # zero bases, zero exponents and modulus 1, where libcrypto's two-base step
+        # differs from the builtin's; [1 << 200] gives that step a zero low exponent
+        if not libcrypto:
+            without_libcrypto(monkeypatch)
+        chains = ([], [0], [1, 2], [7, 2**64 + 1], [2**64 + 1, 2**64 + 3],
+                  [2**64 + 1, 3**80, 7], [1 << 200], [(1 << 300) - 1])
+        for n in (1, 3, 15, 2**61 - 1, 2**127 - 1):
+            for base in range(6):
+                for exp in (0, 1, 2, 7, 2**64 + 1):
+                    want = pow(base, exp, n)
+                    assert numt.pow_mod(base, exp, n) == numt.pow_secret(base, exp, n) == want
+                for exps in chains:
+                    got, _ = numt.fixed_base_chain((base % n,), exps, n)
+                    assert got == pow(base, math.prod(exps), n)
 
     def test_uncounted(self):
         with count_mod_exps() as counter:
